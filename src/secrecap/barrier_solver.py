@@ -27,7 +27,7 @@ from .channel import (
     classify_degraded,
     initial_point,
 )
-from .errors import SolverError
+from .errors import SingularKktError, SolverError
 from .kkt_newton import newton_solve
 from .matcalc import sym, unvech, vech
 from .objective import (
@@ -184,11 +184,13 @@ def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
 
 
 def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig,
-                  stage_gap, record):
+                  stage_gap):
     """Warm-started Newton solves over the t schedule.
 
     ``make_objective(t)`` builds the stage objective, ``stage_gap(t)`` the
-    gap bound, ``record(t, k, state, rnorm, s)`` builds trace rows. Returns
+    gap bound. Each accepted step adds a trace row with the objective's
+    ``trace_rates`` at the new iterate; a SolverError or SingularKktError
+    leaving this function carries the rows recorded so far. Returns
     (state, t_final, total_steps, gap_met, trace, stage_reports).
     """
     trace: list[TraceRecord] = []
@@ -198,15 +200,25 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig,
     gap_met: bool | None = None
     for t in _schedule(cfg):
         obj = make_objective(t)
-        state, report = newton_solve(
-            obj,
-            state,
-            eps=cfg.eps_newton,
-            max_iter=cfg.max_newton_iter,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            callback=lambda k, st, rn, s, _t=t: trace.append(record(_t, k, st, rn, s)),
-        )
+
+        def record(k, st, rnorm, s, obj=obj, t=t):
+            f, c = obj.trace_rates(st)
+            trace.append(TraceRecord(t=t, iteration=k, residual=rnorm, f=f, C=c,
+                                     step_size=s))
+
+        try:
+            state, report = newton_solve(
+                obj,
+                state,
+                eps=cfg.eps_newton,
+                max_iter=cfg.max_newton_iter,
+                alpha=cfg.alpha,
+                beta=cfg.beta,
+                callback=record,
+            )
+        except SingularKktError as exc:
+            exc.trace = trace
+            raise
         total_steps += report.iterations
         reports.append((t, report))
         t_final = t
@@ -235,26 +247,11 @@ def solve_minimax(ch: ChannelPair, power: float,
     if kind is Degradedness.REVERSELY_DEGRADED:
         return _zero_solution(ch, power, mode="zero")
 
-    state = initial_point(ch, power)
-
-    def record(t, k, st, rnorm, s):
-        rm = unvech(st.x)
-        k21 = st.y.reshape((ch.n2, ch.n1), order="F")
-        return TraceRecord(
-            t=t,
-            iteration=k,
-            residual=rnorm,
-            f=minimax_objective(ch, rm, k21),
-            C=secrecy_rate(ch, rm),
-            step_size=s,
-        )
-
     state, t_final, steps, gap_met, trace, reports = _run_schedule(
         lambda t: BarrierObjective(ch, t, power),
-        state,
+        initial_point(ch, power),
         cfg,
         lambda t: gap_bound(ch.m, ch.n1, ch.n2, t),
-        record,
     )
 
     rm = sym(unvech(state.x))
@@ -297,17 +294,11 @@ def solve_degraded(ch: ChannelPair, power: float,
         x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0), lam=0.0
     )
 
-    def record(t, k, st, rnorm, s):
-        c = secrecy_rate(ch, unvech(st.x))
-        return TraceRecord(t=t, iteration=k, residual=rnorm, f=c, C=c,
-                           step_size=s)
-
     state, t_final, steps, gap_met, trace, reports = _run_schedule(
         lambda t: DegradedBarrierObjective(ch, t, power),
         state,
         cfg,
         lambda t: ch.m / t,
-        record,
     )
 
     rm = sym(unvech(state.x))

@@ -164,13 +164,6 @@ class SaddleState:
     def z(self) -> np.ndarray:
         return np.concatenate([self.x, self.y])
 
-    def replace(self, x=None, y=None, lam=None) -> "SaddleState":
-        return SaddleState(
-            x=self.x if x is None else x,
-            y=self.y if y is None else y,
-            lam=self.lam if lam is None else lam,
-        )
-
     def stepped(self, dz: np.ndarray, dlam: float, s: float) -> "SaddleState":
         nx = self.x.size
         z = self.z + s * dz

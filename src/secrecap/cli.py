@@ -307,8 +307,8 @@ def load_result(path: str) -> ResultFile:
         return result_from_dict(json.load(fh))
 
 
-def _partial_result(exc: SolverError, ch: ChannelPair, cfg: SolverConfig,
-                    power, wall_time: float) -> ResultFile:
+def _partial_result(exc: SolverError | SingularKktError, ch: ChannelPair,
+                    cfg: SolverConfig, power, wall_time: float) -> ResultFile:
     diff_eigs = np.linalg.eigvalsh(ch.W1 - ch.W2)
     trace = [r.as_dict() for r in exc.trace]
     return ResultFile(
@@ -368,13 +368,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         sol = _dispatch_solve(prob, cfg)
-    except SingularKktError as exc:
-        wall = time.perf_counter() - start
-        print(f"error: {exc}", file=sys.stderr)
-        write_result(_partial_result(SolverError(str(exc)), ch, cfg,
-                                     prob.power, wall), args.output)
-        return 2
-    except SolverError as exc:
+    except (SingularKktError, SolverError) as exc:
         wall = time.perf_counter() - start
         print(f"error: {exc}", file=sys.stderr)
         write_result(_partial_result(exc, ch, cfg, prob.power, wall), args.output)
@@ -409,13 +403,7 @@ def cmd_dual(args) -> int:
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SingularKktError as exc:
-        wall = time.perf_counter() - start
-        print(f"error: {exc}", file=sys.stderr)
-        write_result(_partial_result(SolverError(str(exc)), ch, cfg,
-                                     prob.power, wall), args.output)
-        return 2
-    except SolverError as exc:
+    except (SingularKktError, SolverError) as exc:
         wall = time.perf_counter() - start
         print(f"error: {exc}", file=sys.stderr)
         write_result(_partial_result(exc, ch, cfg, prob.power, wall), args.output)
@@ -523,15 +511,7 @@ def cmd_batch(args) -> int:
         print("error: --count must be at least 1", file=sys.stderr)
         return 1
     try:
-        cfg = SolverConfig(
-            alpha=args.alpha if args.alpha is not None else 0.3,
-            beta=args.beta if args.beta is not None else 0.5,
-            t0=args.t0 if args.t0 is not None else 100.0,
-            mu=args.mu if args.mu is not None else 10.0,
-            t_max=args.t_max if args.t_max is not None else 1e5,
-            eps_gap=args.eps_gap,
-            eps_newton=args.target_residual,
-        )
+        cfg = SolverConfig(**_cli_overrides(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -583,15 +563,9 @@ def cmd_trace_export(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 def _cli_overrides(args) -> dict:
-    return {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "t0": args.t0,
-        "mu": args.mu,
-        "t_max": args.t_max,
-        "eps_gap": args.eps_gap,
-        "eps_newton": args.eps_newton,
-    }
+    """Solver settings given on the command line; unset flags are left out."""
+    return {key: getattr(args, key) for key in SOLVER_KEYS
+            if getattr(args, key) is not None}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, with_newton_eps=True):
@@ -628,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--seed", type=int, required=True)
     p_batch.add_argument("--jobs", type=int, default=1)
     p_batch.add_argument("--power", type=float, default=10.0)
-    p_batch.add_argument("--target-residual", dest="target_residual",
-                         type=float, default=1e-10)
+    p_batch.add_argument("--target-residual", dest="eps_newton", type=float,
+                         default=None)
     _add_solver_flags(p_batch, with_newton_eps=False)
     p_batch.add_argument("-o", "--output", default=None)
     p_batch.set_defaults(func=cmd_batch)

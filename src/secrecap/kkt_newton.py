@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.linalg import get_lapack_funcs
 
 from .channel import SaddleState
@@ -43,6 +42,11 @@ __all__ = [
 RCOND_FLOOR = 1e-14          # below this the KKT matrix counts as singular
 S_MIN = 1e-12                # line-search stagnation floor
 DEFAULT_MAX_ITER = 200
+
+# The LAPACK routines behind scipy's lu_factor/lu_solve, fetched once and
+# called without the per-call wrapper overhead (same routines, same bits).
+_getrf, _getrs, _gecon = get_lapack_funcs(("getrf", "getrs", "gecon"),
+                                          dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,19 @@ def newton_step(sys: KktSystem) -> np.ndarray:
     t = sys.kkt_matrix
     r = sys.residual
     anorm = np.linalg.norm(t, 1)
-    lu, piv = sla.lu_factor(t, check_finite=False)
-    gecon = get_lapack_funcs(("gecon",), (t,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
+    # An exactly singular T (getrf info > 0) leaves a zero pivot in U, which
+    # gecon reports as rcond = 0.
+    lu, piv, _ = _getrf(t)
+    rcond, info = _gecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularKktError(
             f"KKT matrix numerically singular: rcond={rcond:.3e}, "
             f"size={t.shape[0]}, |T|_1={anorm:.3e}"
         )
-    dw = sla.lu_solve((lu, piv), -r, check_finite=False)
+    dw = _getrs(lu, piv, -r)[0]
     # one refinement step; cheap insurance on ill-conditioned systems
     res = t @ dw + r
-    dw -= sla.lu_solve((lu, piv), res, check_finite=False)
+    dw -= _getrs(lu, piv, res)[0]
     back_err = np.linalg.norm(t @ dw + r) / max(
         anorm * np.linalg.norm(dw) + np.linalg.norm(r), 1e-300
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from .channel import ChannelPair, NoiseCovariance, SaddleState, TransmitCovariance
 from .errors import DomainError
@@ -62,20 +62,30 @@ def _as_k21(k, ch: ChannelPair) -> np.ndarray:
     return k
 
 
-def _chol(a: np.ndarray, what: str):
-    """Cholesky factor of a symmetric matrix or DomainError."""
-    try:
-        return sla.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"{what} is not strictly positive definite") from exc
+# The LAPACK routines behind scipy's cho_factor/cho_solve, fetched once and
+# called without the per-call wrapper overhead (same routines, same bits).
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _chol_logdet(cf) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+def _chol(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix (upper triangle left
+    unreferenced) or DomainError."""
+    c, info = _potrf(a, lower=1, clean=0)
+    if info > 0:
+        raise DomainError(f"{what} is not strictly positive definite")
+    return c
 
 
-def _chol_inv(cf, n: int) -> np.ndarray:
-    return sym(sla.cho_solve(cf, np.eye(n), check_finite=False))
+def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _potrs(c, b, lower=1)[0]
+
+
+def _chol_logdet(c: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
+
+
+def _chol_inv(c: np.ndarray, n: int) -> np.ndarray:
+    return sym(_chol_solve(c, np.eye(n)))
 
 
 def _assemble_K(k21: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -160,25 +170,21 @@ class _Factors:
         self.B = ch.Hstack.T @ self.G
 
         self.W = sym(ch.Hstack.T @ (self.Kinv @ ch.Hstack))
-        self.Z1 = _z_matrix(self.W, rm)
-        s2 = ch.sqrt_W2
-        self.Z2 = _z_matrix_from_sqrt(s2, rm)
-        self.logdet_2 = _chol_logdet(_chol(np.eye(m) + s2 @ rm @ s2, "I + W2 R"))
+        self.Z1, _ = _z_matrix(psd_sqrt(self.W), rm)
+        self.Z2, cf_2 = _z_matrix(ch.sqrt_W2, rm)
+        self.logdet_2 = _chol_logdet(cf_2)
 
     def value_f(self) -> float:
         return self.logdet_KQ - self.logdet_K - self.logdet_2
 
 
-def _z_matrix(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _z_matrix(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z = (I + W R)^{-1} W through the symmetric form S (I + S R S)^{-1} S
-    with S = W^{1/2}; always symmetric and valid for singular W."""
-    return _z_matrix_from_sqrt(psd_sqrt(w), r)
-
-
-def _z_matrix_from_sqrt(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    with S = W^{1/2}; always symmetric and valid for singular W. Also returns
+    the Cholesky factor of I + S R S, whose log-det is ln|I + W R|."""
     m = s.shape[0]
     cf = _chol(np.eye(m) + sym(s @ r @ s), "I + S R S")
-    return sym(s @ sla.cho_solve(cf, s, check_finite=False))
+    return sym(s @ _chol_solve(cf, s)), cf
 
 
 class BarrierObjective:
@@ -206,6 +212,12 @@ class BarrierObjective:
         a = np.zeros(self.nx + self.ny)
         a[: self.nx] = vech(np.eye(ch.m))
         self.constraint = (a, self.power)
+        # Factors of the last point evaluated. The Newton solver evaluates the
+        # accepted line-search trial again in assemble() and in the trace row,
+        # so those reuse this slot. Per-stage objectives are never shared
+        # between threads.
+        self._last_state = None
+        self._last_factors = None
 
     # -- state unpacking ---------------------------------------------------
 
@@ -215,8 +227,22 @@ class BarrierObjective:
         return rm, k21
 
     def factors(self, state: SaddleState) -> _Factors:
-        rm, k21 = self.unpack(state)
-        return _Factors(self.channel, rm, k21)
+        """Factors at ``state``, built once per SaddleState object."""
+        if state is not self._last_state:
+            rm, k21 = self.unpack(state)
+            self._last_factors = _Factors(self.channel, rm, k21)
+            self._last_state = state
+        return self._last_factors
+
+    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
+        """(f, C) in nats at ``state`` for the convergence trace, equal bit for
+        bit to :func:`minimax_objective` and :func:`secrecy_rate` there:
+        ln|K + Q| and ln|K| come from the factors, and ln|I + H2 R H2'| is
+        shared by f and C."""
+        ch, fac = self.channel, self.factors(state)
+        ld_2 = _logdet_capacity_term(ch.H2, fac.R)
+        f = 0.5 * (fac.logdet_KQ - fac.logdet_K - ld_2)
+        return f, 0.5 * (_logdet_capacity_term(ch.H1, fac.R) - ld_2)
 
     # -- values ------------------------------------------------------------
 
@@ -318,17 +344,28 @@ class DegradedBarrierObjective:
         self.ny = 0
         self._dm = duplication_matrix(ch.m)
         self.constraint = (vech(np.eye(ch.m)), self.power)
+        self._last_state = None   # one-slot reuse, as in BarrierObjective
+        self._last_parts = None
 
     def unpack(self, state: SaddleState) -> np.ndarray:
         return unvech(state.x)
 
-    def _parts(self, rm: np.ndarray):
-        ch = self.channel
-        cf_r = _chol(rm, "transmit covariance")
-        rinv = _chol_inv(cf_r, ch.m)
-        z1 = _z_matrix_from_sqrt(ch.sqrt_W1, rm)
-        z2 = _z_matrix_from_sqrt(ch.sqrt_W2, rm)
-        return cf_r, rinv, z1, z2
+    def _parts(self, state: SaddleState):
+        """(R^{-1}, Z1, Z2) at ``state``, built once per SaddleState object."""
+        if state is not self._last_state:
+            ch = self.channel
+            rm = self.unpack(state)
+            rinv = _chol_inv(_chol(rm, "transmit covariance"), ch.m)
+            z1, _ = _z_matrix(ch.sqrt_W1, rm)
+            z2, _ = _z_matrix(ch.sqrt_W2, rm)
+            self._last_parts = (rinv, z1, z2)
+            self._last_state = state
+        return self._last_parts
+
+    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
+        """(f, C) in nats at ``state``; without a K block f is C."""
+        c = secrecy_rate(self.channel, self.unpack(state))
+        return c, c
 
     def value_ft(self, state: SaddleState) -> float:
         rm = self.unpack(state)
@@ -338,13 +375,11 @@ class DegradedBarrierObjective:
         return ld1 - ld2 + _chol_logdet(cf_r) / self.t
 
     def newton_gradient(self, state: SaddleState) -> np.ndarray:
-        rm = self.unpack(state)
-        _, rinv, z1, z2 = self._parts(rm)
+        rinv, z1, z2 = self._parts(state)
         return self._dm.T @ vec(z1 - z2 + rinv / self.t)
 
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
-        rm = self.unpack(state)
-        _, rinv, z1, z2 = self._parts(rm)
+        rinv, z1, z2 = self._parts(state)
         g = self._dm.T @ vec(z1 - z2 + rinv / self.t)
         h = -sym(
             self._dm.T
@@ -386,6 +421,9 @@ class PerAntennaBarrierObjective:
 
     def unpack(self, state: SaddleState):
         return self._inner.unpack(state)
+
+    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
+        return self._inner.trace_rates(state)
 
     def _slacks(self, rm: np.ndarray) -> tuple[np.ndarray, float | None]:
         slack = self.caps - np.diag(rm)

@@ -21,7 +21,6 @@ import numpy as np
 from .barrier_solver import (
     SaddleSolution,
     SolverConfig,
-    TraceRecord,
     _run_schedule,
     solve_minimax,
 )
@@ -104,20 +103,6 @@ def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
     if budget.caps.size != ch.m:
         raise ValueError(f"need {ch.m} per-antenna caps, got {budget.caps.size}")
 
-    state = _per_antenna_start(ch, budget)
-
-    def record(t, k, st, rnorm, s):
-        rm = unvech(st.x)
-        k21 = st.y.reshape((ch.n2, ch.n1), order="F")
-        return TraceRecord(
-            t=t,
-            iteration=k,
-            residual=rnorm,
-            f=minimax_objective(ch, rm, k21),
-            C=secrecy_rate(ch, rm),
-            step_size=s,
-        )
-
     extra_terms = ch.m + (0 if budget.total is None else 1)
 
     def stage_gap(t):
@@ -125,10 +110,9 @@ def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
 
     state, t_final, steps, gap_met, trace, reports = _run_schedule(
         lambda t: PerAntennaBarrierObjective(ch, t, budget.caps, budget.total),
-        state,
+        _per_antenna_start(ch, budget),
         cfg,
         stage_gap,
-        record,
     )
 
     rm = sym(unvech(state.x))

@@ -4,6 +4,7 @@ import pytest
 from secrecap import (
     BarrierObjective,
     ChannelPair,
+    PerAntennaBudget,
     SolverConfig,
     extract_certificate,
     gap_bound,
@@ -12,9 +13,10 @@ from secrecap import (
     secrecy_rate,
     solve_degraded,
     solve_minimax,
+    solve_per_antenna,
 )
 from secrecap.kkt_newton import newton_solve
-from secrecap.matcalc import sym
+from secrecap.matcalc import sym, unvech
 
 from conftest import DEMO_H1, DEMO_H2, random_channel, random_spd
 
@@ -220,6 +222,39 @@ class TestSolveMinimax:
     def test_rejects_nonpositive_power(self, demo_channel):
         with pytest.raises(ValueError):
             solve_minimax(demo_channel, -1.0)
+
+
+class TestTraceRows:
+    @pytest.mark.parametrize("solve", [
+        lambda ch: solve_minimax(ch, 10.0),
+        lambda ch: solve_per_antenna(ch, PerAntennaBudget(caps=[4.0, 6.0])),
+        lambda ch: solve_per_antenna(ch, PerAntennaBudget(caps=[4.0, 6.0], total=8.0)),
+    ], ids=["minimax", "per_antenna", "per_antenna_total"])
+    def test_rates_equal_objective_at_iterate(self, demo_channel, monkeypatch,
+                                              solve):
+        # rows come from the accepted point's factors; they must equal the
+        # rate functions evaluated from scratch at that iterate, bit for bit
+        from secrecap import barrier_solver
+
+        ch = demo_channel
+        iterates = []
+        real_solve = barrier_solver.newton_solve
+
+        def capturing_solve(obj, state, callback, **kwargs):
+            def capture(k, st, rnorm, s):
+                iterates.append(st)
+                callback(k, st, rnorm, s)
+
+            return real_solve(obj, state, callback=capture, **kwargs)
+
+        monkeypatch.setattr(barrier_solver, "newton_solve", capturing_solve)
+        sol = solve(ch)
+        assert len(iterates) == len(sol.trace) == sol.newton_steps_total > 0
+        for st, row in zip(iterates, sol.trace):
+            rm = unvech(st.x)
+            k21 = st.y.reshape((ch.n2, ch.n1), order="F")
+            assert row.f == minimax_objective(ch, rm, k21)
+            assert row.C == secrecy_rate(ch, rm)
 
 
 class TestSolveDegraded:

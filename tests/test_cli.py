@@ -201,6 +201,33 @@ class TestSolveCommand:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", [["solve"], ["dual", "--rate", "0.30"]])
+    def test_singular_kkt_exit_keeps_trace(self, demo_problem_file, tmp_path,
+                                           monkeypatch, capsys, command):
+        # a singular KKT system after three accepted steps: the exit-2
+        # result still holds the rows recorded before the failure
+        from secrecap import SingularKktError, kkt_newton
+
+        real_step = kkt_newton.newton_step
+        calls = []
+
+        def failing_step(sys):
+            calls.append(1)
+            if len(calls) > 3:
+                raise SingularKktError("forced singular KKT matrix")
+            return real_step(sys)
+
+        monkeypatch.setattr(kkt_newton, "newton_step", failing_step)
+        out = tmp_path / "partial.json"
+        rc = main([command[0], demo_problem_file, *command[1:], "-o", str(out)])
+        assert rc == 2
+        res = json.loads(out.read_text())
+        assert res["mode"] == "failed"
+        assert [row["iter"] for row in res["trace"]] == [1, 2, 3]
+        assert res["newton_steps_total"] == 3
+        assert "forced singular" in capsys.readouterr().err
+
+
 class TestDualCommand:
     def test_dual_solve(self, demo_problem_file, capsys):
         rc = main(["dual", demo_problem_file, "--rate", "0.30",

@@ -213,6 +213,33 @@ class TestNewtonSolve:
         assert rep.failure is not None
         assert rep.iterations == 2
 
+    @pytest.mark.parametrize("t", [1e2, 1e3, 1e5])
+    def test_one_factor_build_per_trial(self, demo_channel, monkeypatch, t):
+        # assemble() and the callback reuse the accepted trial's factors, so
+        # only the start point and each line-search trial build them
+        from secrecap import kkt_newton, objective
+
+        builds, trials = [], []
+
+        class CountedFactors(objective._Factors):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        real_trial = kkt_newton._trial_norm
+
+        def counted_trial(*args):
+            trials.append(1)
+            return real_trial(*args)
+
+        monkeypatch.setattr(objective, "_Factors", CountedFactors)
+        monkeypatch.setattr(kkt_newton, "_trial_norm", counted_trial)
+        obj = BarrierObjective(demo_channel, t, 10.0)
+        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10,
+                              callback=lambda k, st, rn, s: obj.factors(st))
+        assert rep.converged and rep.iterations > 0
+        assert len(builds) == 1 + len(trials)
+
     def test_callback_sees_each_accepted_step(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
         seen = []

@@ -123,6 +123,19 @@ class TestKron:
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(kron(np.array([[1.0]]), b), b)
 
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((3, 3), (3, 3)),
+        ((8, 8), (8, 8)),
+        ((2, 5), (4, 1)),
+        ((1, 4), (3, 2)),
+        ((6, 2), (2, 6)),
+    ])
+    def test_bitwise_equal_to_numpy(self, shape_a, shape_b):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
     def test_mixed_product(self):
         rng = np.random.default_rng(11)
         a, b, c, d = (rng.standard_normal((3, 3)) for _ in range(4))
