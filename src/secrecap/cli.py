@@ -20,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -442,17 +443,10 @@ def _solve_one_batch(idx_ch_pw_cfg):
             "converged": True,
             "capacity_nats": sol.capacity_achievable,
         }
-    except SolverError as exc:
+    except (SolverError, SingularKktError) as exc:
         return {
             "index": idx,
             "steps": len(exc.trace),
-            "converged": False,
-            "capacity_nats": None,
-        }
-    except SingularKktError:
-        return {
-            "index": idx,
-            "steps": 0,
             "converged": False,
             "capacity_nats": None,
         }
@@ -460,15 +454,22 @@ def _solve_one_batch(idx_ch_pw_cfg):
 
 def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
               cfg: SolverConfig, jobs: int = 1) -> dict:
-    """Seeded random-channel sweep; deterministic summary for a fixed seed."""
+    """Seeded random-channel sweep; deterministic summary for a fixed seed.
+
+    With ``jobs > 1`` the channels are solved by forked worker processes, at
+    most one per channel and per CPU; the summary is the same for every
+    ``jobs``. Without the ``fork`` start method they are solved in-process.
+    """
     channels = _batch_channels(m, n1, n2, count, seed)
     work = [(i, ch, power, cfg) for i, ch in enumerate(channels)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_solve_one_batch, work))
+    workers = min(jobs, count, os.cpu_count() or 1)
+    # fork, not spawn: a spawned worker would import numpy and scipy again,
+    # and forked workers see the same module state as an in-process solve.
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            rows = pool.map(_solve_one_batch, work)
     else:
         rows = [_solve_one_batch(w) for w in work]
-    rows.sort(key=lambda r: r["index"])
 
     steps = [r["steps"] for r in rows if r["converged"]]
     failures = sum(1 for r in rows if not r["converged"])
@@ -507,9 +508,10 @@ def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
 
 
 def cmd_batch(args) -> int:
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return 1
+    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 1
     try:
         cfg = SolverConfig(**_cli_overrides(args))
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from secrecap.cli import (
     problem_to_dict,
     run_batch,
 )
-from secrecap import SolverConfig
+from secrecap import SolverConfig, cli
 
 from conftest import DEMO_H1, DEMO_H2
 
@@ -281,16 +282,77 @@ class TestBatchCommand:
         assert sum(summary["histogram"].values()) == 4
         assert summary["params"]["seed"] == 3
 
-    def test_jobs_do_not_change_output(self):
+    def test_jobs_do_not_change_output(self, monkeypatch):
+        # worker processes never outnumber the channels
+        started = []
+
+        class SpyPool(multiprocessing.pool.Pool):
+            def __init__(self, processes=None, *args, **kwargs):
+                started.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
         cfg = SolverConfig(eps_newton=1e-10)
-        a = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=1)
-        b = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=3)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        for count, jobs in [(4, 3), (2, 8)]:
+            started.clear()
+            a = run_batch(2, 2, 2, count, seed=9, power=10.0, cfg=cfg, jobs=1)
+            b = run_batch(2, 2, 2, count, seed=9, power=10.0, cfg=cfg, jobs=jobs)
+            assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+            assert len(started) <= 1 and all(n <= count for n in started)
 
     def test_count_validation(self, capsys):
         rc = main(["batch", "--m", "2", "--n1", "2", "--n2", "2",
                    "--count", "0", "--seed", "1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_validation(self, capsys, jobs):
+        rc = main(["batch", "--m", "2", "--n1", "2", "--n2", "2",
+                   "--count", "2", "--seed", "1", "--jobs", jobs])
+        assert rc == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_exception_keeps_its_type(self, monkeypatch, jobs):
+        bad = cli._batch_channels(2, 2, 2, 4, 9)[2].H1
+        real_solve = cli.solve_minimax
+
+        def solve(ch, power, cfg):
+            if np.array_equal(ch.H1, bad):
+                raise ValueError("unexpected failure in one channel")
+            return real_solve(ch, power, cfg)
+
+        monkeypatch.setattr(cli, "solve_minimax", solve)
+        with pytest.raises(ValueError, match="unexpected failure"):
+            run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=SolverConfig(), jobs=jobs)
+
+    def test_singular_kkt_row_reports_steps(self, monkeypatch):
+        # every channel's KKT system turns singular after three accepted
+        # steps; its row counts those steps, in-process and in workers alike
+        from secrecap import SingularKktError, kkt_newton
+
+        real_solve, real_step = cli.solve_minimax, kkt_newton.newton_step
+        calls = []
+
+        def solve(ch, power, cfg):
+            calls.clear()
+            return real_solve(ch, power, cfg)
+
+        def failing_step(sys):
+            calls.append(1)
+            if len(calls) > 3:
+                raise SingularKktError("forced singular KKT matrix")
+            return real_step(sys)
+
+        monkeypatch.setattr(cli, "solve_minimax", solve)
+        monkeypatch.setattr(kkt_newton, "newton_step", failing_step)
+        cfg = SolverConfig()
+        a = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=1)
+        b = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=2)
+        assert a == b
+        assert a["failures"] == 4
+        assert all(r["steps"] == 3 and r["converged"] is False
+                   for r in a["per_channel"])
 
 
 class TestTraceExport:
