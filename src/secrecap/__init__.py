@@ -8,11 +8,13 @@ path, per-antenna power constraints and the dual power-minimization problem.
 
 from .barrier_solver import (
     KktCertificate,
+    PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
     TraceRecord,
     extract_certificate,
     gap_bound,
+    solve,
     solve_degraded,
     solve_minimax,
 )
@@ -43,7 +45,7 @@ from .objective import (
     minimax_objective,
     secrecy_rate,
 )
-from .variants import DualTarget, PerAntennaBudget, solve_dual, solve_per_antenna
+from .variants import DualTarget, solve_dual, solve_per_antenna
 
 __version__ = "0.1.0"
 
@@ -77,6 +79,7 @@ __all__ = [
     "initial_point",
     "minimax_objective",
     "secrecy_rate",
+    "solve",
     "solve_degraded",
     "solve_dual",
     "solve_minimax",

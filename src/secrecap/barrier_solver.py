@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .matcalc import sym, unvech, vech
 from .objective import (
     BarrierObjective,
     DegradedBarrierObjective,
+    PerAntennaBarrierObjective,
     minimax_objective,
     secrecy_rate,
 )
@@ -43,6 +45,8 @@ __all__ = [
     "SaddleSolution",
     "KktCertificate",
     "gap_bound",
+    "PerAntennaBudget",
+    "solve",
     "solve_minimax",
     "solve_degraded",
     "extract_certificate",
@@ -234,81 +238,118 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig,
     return state, t_final, total_steps, gap_met, trace, reports
 
 
-def solve_minimax(ch: ChannelPair, power: float,
-                  cfg: SolverConfig | None = None) -> SaddleSolution:
+@dataclass
+class PerAntennaBudget:
+    """Per-antenna power caps P_i, optionally combined with a total cap.
+
+    A total cap at or above sum(P_i) is vacuous; it is dropped with the
+    ``total_cap_vacuous`` flag set.
+    """
+
+    caps: np.ndarray
+    total: float | None = None
+    total_cap_vacuous: bool = False
+
+    def __post_init__(self):
+        self.caps = np.asarray(self.caps, dtype=float).ravel()
+        if self.caps.size == 0 or np.any(self.caps <= 0):
+            raise ValueError("per-antenna caps must be positive")
+        if self.total is not None:
+            if self.total <= 0:
+                raise ValueError("total power cap must be positive")
+            if self.total >= float(np.sum(self.caps)):
+                self.total = None
+                self.total_cap_vacuous = True
+
+
+def _per_antenna_start(ch: ChannelPair, budget: PerAntennaBudget) -> SaddleState:
+    caps = budget.caps
+    scale = 0.5
+    if budget.total is not None:
+        scale = min(0.5, 0.5 * budget.total / float(np.sum(caps)))
+    r0 = np.diag(caps * scale)
+    return SaddleState(x=vech(r0), y=np.zeros(ch.n1 * ch.n2), lam=0.0)
+
+
+SOLVE_MODES = ("auto", "minimax", "degraded", "per_antenna")
+
+
+def solve(ch: ChannelPair, power: float | PerAntennaBudget,
+          cfg: SolverConfig | None = None, mode: str = "auto") -> SaddleSolution:
     """Globally optimal transmit covariance via the saddle-point barrier
-    method. Works for any channel; reversely degraded channels short-circuit
-    to the exact zero-capacity solution."""
+    method, for a total budget P or a ``PerAntennaBudget``.
+
+    Given P, ``minimax`` solves over (R, K) with tr R = P on any channel and
+    short-circuits a reversely degraded one to the exact zero-capacity
+    solution; ``degraded`` requires W1 >= W2 and maximizes
+    C(R) + (1/t) ln|R| without the noise-covariance block, with gap bound
+    m/t; ``auto`` takes the degraded path whenever it applies. A budget
+    always solves per-antenna: r_ii <= P_i and an optional total cap act as
+    barrier terms with no equality row. Its gap bound counts every barrier
+    term on both sides, (m + #scalar power barriers + n1 + n2)/t, and is
+    heuristic: the per-antenna extension inherits convergence but not the
+    exact constant of the total-power analysis.
+    """
     if cfg is None:
         cfg = SolverConfig()
-    if power <= 0:
-        raise ValueError("power budget must be positive")
-    kind, _ = classify_degraded(ch)
-    if kind is Degradedness.REVERSELY_DEGRADED:
-        return _zero_solution(ch, power, mode="zero")
+    if mode not in SOLVE_MODES:
+        raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
+    if isinstance(power, PerAntennaBudget):
+        budget = power  # the objective checks that it has one cap per antenna
+        mode = "per_antenna"
+        extra_terms = ch.m + (0 if budget.total is None else 1)
+        objective, args = PerAntennaBarrierObjective, (budget.caps, budget.total)
+        start = _per_antenna_start(ch, budget)
+
+        def stage_gap(t):
+            return (ch.m + extra_terms + ch.n1 + ch.n2) / t
+    else:
+        if mode == "per_antenna":
+            raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
+        if power <= 0:
+            raise ValueError("power budget must be positive")
+        kind, eigs = classify_degraded(ch)
+        if mode == "auto":
+            mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"
+        if mode == "degraded":
+            if kind is not Degradedness.DEGRADED:
+                raise ValueError(
+                    f"solve_degraded requires a degraded channel, got {kind.value} "
+                    f"(difference eigenvalues {eigs})"
+                )
+            objective, args = DegradedBarrierObjective, (power,)
+            start = SaddleState(
+                x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0), lam=0.0
+            )
+
+            def stage_gap(t):
+                return ch.m / t
+        else:
+            if kind is Degradedness.REVERSELY_DEGRADED:
+                return _zero_solution(ch, power, mode="zero")
+            objective, args = BarrierObjective, (power,)
+            start = initial_point(ch, power)
+            stage_gap = partial(gap_bound, ch.m, ch.n1, ch.n2)
 
     state, t_final, steps, gap_met, trace, reports = _run_schedule(
-        lambda t: BarrierObjective(ch, t, power),
-        initial_point(ch, power),
-        cfg,
-        lambda t: gap_bound(ch.m, ch.n1, ch.n2, t),
+        lambda t: objective(ch, t, *args), start, cfg, stage_gap
     )
 
     rm = sym(unvech(state.x))
-    k21 = state.y.reshape((ch.n2, ch.n1), order="F")
     c_raw = secrecy_rate(ch, rm)
+    bound = stage_gap(t_final)
+    if mode == "degraded":
+        k21 = np.zeros((ch.n2, ch.n1))
+        upper = c_raw + bound
+    else:
+        k21 = state.y.reshape((ch.n2, ch.n1), order="F")
+        upper = minimax_objective(ch, rm, k21)
+    per_antenna = mode == "per_antenna"
     return SaddleSolution(
-        R_star=TransmitCovariance(rm, power),
+        R_star=TransmitCovariance(rm, float(np.trace(rm)) if per_antenna else power),
         K21_star=k21,
-        lambda_star=-state.lam,
-        capacity_upper=minimax_objective(ch, rm, k21),
-        capacity_achievable=max(0.0, c_raw),
-        gap_bound=gap_bound(ch.m, ch.n1, ch.n2, t_final),
-        trace=trace,
-        t_final=t_final,
-        converged=True,
-        gap_met=gap_met,
-        newton_steps_total=steps,
-        mode="minimax",
-        stage_reports=reports,
-    )
-
-
-def solve_degraded(ch: ChannelPair, power: float,
-                   cfg: SolverConfig | None = None) -> SaddleSolution:
-    """Fast path for degraded channels (W1 >= W2): concave maximization of
-    C(R) + (1/t) ln|R| over tr R = P, no noise-covariance block. The gap
-    bound tightens to m/t."""
-    if cfg is None:
-        cfg = SolverConfig()
-    if power <= 0:
-        raise ValueError("power budget must be positive")
-    kind, eigs = classify_degraded(ch)
-    if kind is not Degradedness.DEGRADED:
-        raise ValueError(
-            f"solve_degraded requires a degraded channel, got {kind.value} "
-            f"(difference eigenvalues {eigs})"
-        )
-
-    state = SaddleState(
-        x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0), lam=0.0
-    )
-
-    state, t_final, steps, gap_met, trace, reports = _run_schedule(
-        lambda t: DegradedBarrierObjective(ch, t, power),
-        state,
-        cfg,
-        lambda t: ch.m / t,
-    )
-
-    rm = sym(unvech(state.x))
-    c_raw = secrecy_rate(ch, rm)
-    bound = ch.m / t_final
-    return SaddleSolution(
-        R_star=TransmitCovariance(rm, power),
-        K21_star=np.zeros((ch.n2, ch.n1)),
-        lambda_star=-state.lam,
-        capacity_upper=c_raw + bound,
+        lambda_star=None if per_antenna else -state.lam,
+        capacity_upper=upper,
         capacity_achievable=max(0.0, c_raw),
         gap_bound=bound,
         trace=trace,
@@ -316,9 +357,22 @@ def solve_degraded(ch: ChannelPair, power: float,
         converged=True,
         gap_met=gap_met,
         newton_steps_total=steps,
-        mode="degraded",
+        mode=mode,
+        gap_bound_heuristic=per_antenna,
         stage_reports=reports,
     )
+
+
+def solve_minimax(ch: ChannelPair, power: float,
+                  cfg: SolverConfig | None = None) -> SaddleSolution:
+    """``solve`` in ``minimax`` mode: works for any channel."""
+    return solve(ch, power, cfg, mode="minimax")
+
+
+def solve_degraded(ch: ChannelPair, power: float,
+                   cfg: SolverConfig | None = None) -> SaddleSolution:
+    """``solve`` in ``degraded`` mode: requires W1 >= W2."""
+    return solve(ch, power, cfg, mode="degraded")
 
 
 def extract_certificate(sol: SaddleSolution,

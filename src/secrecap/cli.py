@@ -24,19 +24,21 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .barrier_solver import (
+    SOLVE_MODES,
+    PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
-    solve_degraded,
+    solve,
     solve_minimax,
 )
-from .channel import ChannelPair, Degradedness, classify_degraded
-from .errors import BracketError, SingularKktError, SolverError
-from .variants import DualTarget, PerAntennaBudget, solve_dual, solve_per_antenna
+from .channel import ChannelPair
+from .errors import SingularKktError, SolverError
+from .variants import DualTarget, solve_dual
 
 __all__ = [
     "ProblemFile",
@@ -47,7 +49,7 @@ __all__ = [
     "main",
 ]
 
-MODES = ("auto", "minimax", "degraded", "per_antenna", "dual")
+MODES = SOLVE_MODES + ("dual",)
 SOLVER_KEYS = ("alpha", "beta", "t0", "mu", "t_max", "eps_gap", "eps_newton")
 
 
@@ -99,9 +101,22 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
         mat = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"field '{name}' has non-numeric entries") from exc
+    if mat.ndim != 2:
+        raise ProblemFormatError(f"field '{name}' must be a list of rows of numbers")
     if not np.all(np.isfinite(mat)):
         raise ProblemFormatError(f"field '{name}' has non-finite entries")
     return mat
+
+
+def _positive_number(raw, name: str) -> float:
+    """``raw`` as a finite positive float; the error names field ``name``."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"field '{name}' must be a number") from exc
+    if not math.isfinite(value) or value <= 0:
+        raise ProblemFormatError(f"field '{name}' must be finite and positive")
+    return value
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -119,20 +134,13 @@ def parse_problem(data: dict) -> ProblemFile:
         raise ProblemFormatError("missing field 'power'")
     raw_power = data["power"]
     if isinstance(raw_power, list):
-        power = np.asarray(raw_power, dtype=float)
-        if power.size != m:
+        if len(raw_power) != m:
             raise ProblemFormatError(
-                f"field 'power' has {power.size} entries, need {m} (one per antenna)"
+                f"field 'power' has {len(raw_power)} entries, need {m} (one per antenna)"
             )
-        if not np.all(np.isfinite(power)) or np.any(power <= 0):
-            raise ProblemFormatError("field 'power' entries must be finite and positive")
+        power = np.array([_positive_number(p, "power") for p in raw_power])
     else:
-        try:
-            power = float(raw_power)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError("field 'power' must be a number or list") from exc
-        if not math.isfinite(power) or power <= 0:
-            raise ProblemFormatError("field 'power' must be finite and positive")
+        power = _positive_number(raw_power, "power")
 
     mode = data.get("mode", "auto")
     if mode not in MODES:
@@ -140,12 +148,7 @@ def parse_problem(data: dict) -> ProblemFile:
 
     power_total = data.get("power_total")
     if power_total is not None:
-        try:
-            power_total = float(power_total)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError("field 'power_total' must be a number") from exc
-        if not math.isfinite(power_total) or power_total <= 0:
-            raise ProblemFormatError("field 'power_total' must be finite and positive")
+        power_total = _positive_number(power_total, "power_total")
         if not isinstance(power, np.ndarray):
             raise ProblemFormatError(
                 "field 'power_total' only applies with per-antenna 'power'"
@@ -163,14 +166,10 @@ def parse_problem(data: dict) -> ProblemFile:
 
     dual_rate = data.get("dual_rate")
     if dual_rate is not None:
-        dual_rate = float(dual_rate)
-        if not math.isfinite(dual_rate) or dual_rate <= 0:
-            raise ProblemFormatError("field 'dual_rate' must be finite and positive")
+        dual_rate = _positive_number(dual_rate, "dual_rate")
     dual_tol = data.get("dual_tol_rate")
     if dual_tol is not None:
-        dual_tol = float(dual_tol)
-        if not math.isfinite(dual_tol) or dual_tol <= 0:
-            raise ProblemFormatError("field 'dual_tol_rate' must be finite and positive")
+        dual_tol = _positive_number(dual_tol, "dual_tol_rate")
 
     return ProblemFile(
         h1=h1,
@@ -224,25 +223,26 @@ def dump_problem(prob: ProblemFile, path: str) -> None:
 
 @dataclass
 class ResultFile:
-    """Solver output in serializable form; see :func:`result_to_dict`."""
+    """Solver output in serializable form; see :func:`result_to_dict`. The
+    defaults describe a failed solve: NaN capacities, no R*, mode ``failed``."""
 
-    capacity_nats: float
-    capacity_bits: float
-    capacity_upper_nats: float
-    gap_bound: float
-    gap_bound_heuristic: bool
-    R_star: list
-    K21_star: list
-    lam: float | None
-    R_star_eigenvalues: list
-    difference_eigenvalues: list
-    trace: list
-    wall_time: float
-    config: dict
-    mode: str
-    converged: bool
-    t_final: float | None
-    newton_steps_total: int
+    capacity_nats: float = math.nan
+    capacity_bits: float = math.nan
+    capacity_upper_nats: float = math.nan
+    gap_bound: float = math.nan
+    gap_bound_heuristic: bool = False
+    R_star: list = field(default_factory=list)
+    K21_star: list = field(default_factory=list)
+    lam: float | None = None
+    R_star_eigenvalues: list = field(default_factory=list)
+    difference_eigenvalues: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
+    wall_time: float = 0.0
+    config: dict = field(default_factory=dict)
+    mode: str = "failed"
+    converged: bool = False
+    t_final: float | None = None
+    newton_steps_total: int = 0
     p_star: float | None = None
 
 
@@ -291,16 +291,22 @@ def result_from_dict(data: dict) -> ResultFile:
     data = dict(data)
     data["lam"] = data.pop("lambda")
     data.setdefault("p_star", None)
+    if missing := {f.name for f in fields(ResultFile)} - data.keys():
+        raise KeyError(f"result lacks {sorted(missing)}")
     return ResultFile(**data)
 
 
-def write_result(res: ResultFile, path: str | None) -> None:
-    text = json.dumps(result_to_dict(res), indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def write_result(res: ResultFile, path: str | None) -> None:
+    _write_text(json.dumps(result_to_dict(res), indent=2) + "\n", path)
 
 
 def load_result(path: str) -> ResultFile:
@@ -310,82 +316,67 @@ def load_result(path: str) -> ResultFile:
 
 def _partial_result(exc: SolverError | SingularKktError, ch: ChannelPair,
                     cfg: SolverConfig, power, wall_time: float) -> ResultFile:
-    diff_eigs = np.linalg.eigvalsh(ch.W1 - ch.W2)
     trace = [r.as_dict() for r in exc.trace]
     return ResultFile(
-        capacity_nats=math.nan,
-        capacity_bits=math.nan,
-        capacity_upper_nats=math.nan,
-        gap_bound=math.nan,
-        gap_bound_heuristic=False,
-        R_star=[],
-        K21_star=[],
-        lam=None,
-        R_star_eigenvalues=[],
-        difference_eigenvalues=diff_eigs.tolist(),
+        difference_eigenvalues=np.linalg.eigvalsh(ch.W1 - ch.W2).tolist(),
         trace=trace,
         wall_time=wall_time,
         config=_config_echo(cfg, "failed", power),
-        mode="failed",
-        converged=False,
-        t_final=None,
         newton_steps_total=len(trace),
     )
 
 
-def _dispatch_solve(prob: ProblemFile, cfg: SolverConfig) -> SaddleSolution:
-    ch = prob.channel()
+def _dispatch_solve(prob: ProblemFile, ch: ChannelPair,
+                    cfg: SolverConfig) -> SaddleSolution:
     if prob.mode == "dual":
         raise ProblemFormatError("mode 'dual' is handled by the dual command")
-    if prob.per_antenna or prob.mode == "per_antenna":
-        if not prob.per_antenna:
-            raise ProblemFormatError(
-                "mode 'per_antenna' needs a per-antenna 'power' vector"
-            )
-        budget = PerAntennaBudget(caps=prob.power, total=prob.power_total)
-        return solve_per_antenna(ch, budget, cfg)
-    power = float(prob.power)
-    if prob.mode == "minimax":
-        return solve_minimax(ch, power, cfg)
-    if prob.mode == "degraded":
-        return solve_degraded(ch, power, cfg)
-    # auto: pick the cheapest applicable solver
-    kind, _ = classify_degraded(ch)
-    if kind is Degradedness.DEGRADED:
-        return solve_degraded(ch, power, cfg)
-    return solve_minimax(ch, power, cfg)
+    if prob.mode == "per_antenna" and not prob.per_antenna:
+        raise ProblemFormatError("mode 'per_antenna' needs a per-antenna 'power' vector")
+    # a per-antenna budget solves per-antenna whatever the mode
+    power = (PerAntennaBudget(caps=prob.power, total=prob.power_total)
+             if prob.per_antenna else float(prob.power))
+    return solve(ch, power, cfg, prob.mode)
 
 
-def cmd_solve(args) -> int:
+def _run_problem(args, run) -> int:
+    """Load ``args.problem``, time ``run(prob, ch, cfg)`` -> (P* or None,
+    solution) and write its result, or after a solver failure the partial
+    result with the trace recorded so far. Returns the exit code."""
     try:
         prob = load_problem(args.problem)
-        if args.mode is not None:
-            prob.mode = args.mode
         cfg = prob.config(_cli_overrides(args))
-    except (ProblemFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ch = prob.channel()
     start = time.perf_counter()
     try:
-        sol = _dispatch_solve(prob, cfg)
+        p_star, sol = run(prob, ch, cfg)
     except (SingularKktError, SolverError) as exc:
         wall = time.perf_counter() - start
         print(f"error: {exc}", file=sys.stderr)
         write_result(_partial_result(exc, ch, cfg, prob.power, wall), args.output)
         return 2
-    except (ProblemFormatError, ValueError) as exc:
+    except ValueError as exc:  # a file-level check or an unattainable dual rate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
-    write_result(result_from_solution(sol, ch, cfg, prob.power, wall), args.output)
+    res = result_from_solution(sol, ch, cfg, prob.power, wall, p_star=p_star)
+    write_result(res, args.output)
     return 0
 
 
+def cmd_solve(args) -> int:
+    def run(prob, ch, cfg):
+        if args.mode is not None:
+            prob.mode = args.mode
+        return None, _dispatch_solve(prob, ch, cfg)
+
+    return _run_problem(args, run)
+
+
 def cmd_dual(args) -> int:
-    try:
-        prob = load_problem(args.problem)
-        cfg = prob.config(_cli_overrides(args))
+    def run(prob, ch, cfg):
         rate = args.rate if args.rate is not None else prob.dual_rate
         if rate is None:
             raise ProblemFormatError("dual mode needs --rate or a 'dual_rate' field")
@@ -394,25 +385,9 @@ def cmd_dual(args) -> int:
             tol = prob.dual_tol_rate if prob.dual_tol_rate is not None else 1e-6
         p_hi = float(prob.power) if not prob.per_antenna else None
         target = DualTarget(rate=float(rate), p_hi=p_hi, tol_rate=float(tol))
-    except (ProblemFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ch = prob.channel()
-    start = time.perf_counter()
-    try:
-        p_star, sol = solve_dual(ch, target, cfg)
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SingularKktError, SolverError) as exc:
-        wall = time.perf_counter() - start
-        print(f"error: {exc}", file=sys.stderr)
-        write_result(_partial_result(exc, ch, cfg, prob.power, wall), args.output)
-        return 2
-    wall = time.perf_counter() - start
-    res = result_from_solution(sol, ch, cfg, prob.power, wall, p_star=p_star)
-    write_result(res, args.output)
-    return 0
+        return solve_dual(ch, target, cfg)
+
+    return _run_problem(args, run)
 
 
 # -- batch experiments -------------------------------------------------------
@@ -519,12 +494,7 @@ def cmd_batch(args) -> int:
         return 1
     summary = run_batch(args.m, args.n1, args.n2, args.count, args.seed,
                         args.power, cfg, jobs=args.jobs)
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.output)
     return 0 if summary["failures"] == 0 else 2
 
 
@@ -553,12 +523,7 @@ def cmd_trace_export(args) -> int:
                 for c in TRACE_COLUMNS
             )
         )
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 

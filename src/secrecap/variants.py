@@ -1,11 +1,8 @@
 """Power-constraint variants: per-antenna caps and the dual problem of
 minimizing total power under a secrecy-rate constraint.
 
-Per-antenna caps act through extra scalar barrier terms (1/t) ln(P_i - r_ii)
-with no equality row, so the Newton system loses the multiplier block. A
-total cap, when combined with per-antenna caps, is also kept as a barrier
-term rather than an equality: forced full power is only justified under a
-pure total-power constraint.
+Per-antenna caps are solved by ``barrier_solver.solve`` given a
+``PerAntennaBudget``; ``solve_per_antenna`` is its shorthand.
 
 The dual problem is solved by bisection over the power budget, reusing the
 minimax solver and the monotonicity of capacity in power.
@@ -13,21 +10,18 @@ minimax solver and the monotonicity of capacity in power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .barrier_solver import (
+    PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
-    _run_schedule,
+    _per_antenna_start,  # noqa: F401  (tests import it from here)
+    solve,
     solve_minimax,
 )
-from .channel import ChannelPair, SaddleState, TransmitCovariance, classify_degraded, Degradedness
+from .channel import ChannelPair, Degradedness, classify_degraded
 from .errors import BracketError
-from .matcalc import sym, unvech, vech
-from .objective import PerAntennaBarrierObjective, minimax_objective, secrecy_rate
 
 __all__ = [
     "PerAntennaBudget",
@@ -35,30 +29,6 @@ __all__ = [
     "solve_per_antenna",
     "solve_dual",
 ]
-
-
-@dataclass
-class PerAntennaBudget:
-    """Per-antenna power caps P_i, optionally combined with a total cap.
-
-    A total cap at or above sum(P_i) is vacuous; it is dropped with the
-    ``total_cap_vacuous`` flag set.
-    """
-
-    caps: np.ndarray
-    total: float | None = None
-    total_cap_vacuous: bool = False
-
-    def __post_init__(self):
-        self.caps = np.asarray(self.caps, dtype=float).ravel()
-        if self.caps.size == 0 or np.any(self.caps <= 0):
-            raise ValueError("per-antenna caps must be positive")
-        if self.total is not None:
-            if self.total <= 0:
-                raise ValueError("total power cap must be positive")
-            if self.total >= float(np.sum(self.caps)):
-                self.total = None
-                self.total_cap_vacuous = True
 
 
 @dataclass
@@ -79,62 +49,11 @@ class DualTarget:
             raise ValueError("rate tolerance must be positive")
 
 
-def _per_antenna_start(ch: ChannelPair, budget: PerAntennaBudget) -> SaddleState:
-    caps = budget.caps
-    scale = 0.5
-    if budget.total is not None:
-        scale = min(0.5, 0.5 * budget.total / float(np.sum(caps)))
-    r0 = np.diag(caps * scale)
-    return SaddleState(x=vech(r0), y=np.zeros(ch.n1 * ch.n2), lam=0.0)
-
-
 def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
                       cfg: SolverConfig | None = None) -> SaddleSolution:
-    """Maximize the saddle objective under r_ii <= P_i (plus an optional
-    total cap), all enforced by barrier terms.
-
-    The reported gap bound counts every barrier term on both sides,
-    (m + #scalar power barriers + n1 + n2)/t, and is heuristic: the
-    per-antenna extension inherits convergence but not the exact constant
-    of the total-power analysis.
-    """
-    if cfg is None:
-        cfg = SolverConfig()
-    if budget.caps.size != ch.m:
-        raise ValueError(f"need {ch.m} per-antenna caps, got {budget.caps.size}")
-
-    extra_terms = ch.m + (0 if budget.total is None else 1)
-
-    def stage_gap(t):
-        return (ch.m + extra_terms + ch.n1 + ch.n2) / t
-
-    state, t_final, steps, gap_met, trace, reports = _run_schedule(
-        lambda t: PerAntennaBarrierObjective(ch, t, budget.caps, budget.total),
-        _per_antenna_start(ch, budget),
-        cfg,
-        stage_gap,
-    )
-
-    rm = sym(unvech(state.x))
-    k21 = state.y.reshape((ch.n2, ch.n1), order="F")
-    c_raw = secrecy_rate(ch, rm)
-    power = float(np.trace(rm))
-    return SaddleSolution(
-        R_star=TransmitCovariance(rm, power),
-        K21_star=k21,
-        lambda_star=None,
-        capacity_upper=minimax_objective(ch, rm, k21),
-        capacity_achievable=max(0.0, c_raw),
-        gap_bound=stage_gap(t_final),
-        trace=trace,
-        t_final=t_final,
-        converged=True,
-        gap_met=gap_met,
-        newton_steps_total=steps,
-        mode="per_antenna",
-        gap_bound_heuristic=True,
-        stage_reports=reports,
-    )
+    """``solve`` under r_ii <= P_i (plus an optional total cap), all enforced
+    by barrier terms; the reported gap bound is heuristic."""
+    return solve(ch, budget, cfg)
 
 
 _BRACKET_CAP = 2.0**40
@@ -154,8 +73,6 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
     Raises BracketError when the rate is unattainable within the bracket
     (or within the automatic doubling cap when p_hi is not given).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     kind, _ = classify_degraded(ch)
     if kind is Degradedness.REVERSELY_DEGRADED:
         raise BracketError(

@@ -11,6 +11,7 @@ from secrecap import (
     initial_point,
     minimax_objective,
     secrecy_rate,
+    solve,
     solve_degraded,
     solve_minimax,
     solve_per_antenna,
@@ -229,7 +230,9 @@ class TestTraceRows:
         lambda ch: solve_minimax(ch, 10.0),
         lambda ch: solve_per_antenna(ch, PerAntennaBudget(caps=[4.0, 6.0])),
         lambda ch: solve_per_antenna(ch, PerAntennaBudget(caps=[4.0, 6.0], total=8.0)),
-    ], ids=["minimax", "per_antenna", "per_antenna_total"])
+        lambda ch: solve(ch, 10.0),
+        lambda ch: solve(ch, PerAntennaBudget(caps=[4.0, 6.0]), mode="minimax"),
+    ], ids=["minimax", "per_antenna", "per_antenna_total", "solve_auto", "solve_budget"])
     def test_rates_equal_objective_at_iterate(self, demo_channel, monkeypatch,
                                               solve):
         # rows come from the accepted point's factors; they must equal the
@@ -255,6 +258,46 @@ class TestTraceRows:
             k21 = st.y.reshape((ch.n2, ch.n1), order="F")
             assert row.f == minimax_objective(ch, rm, k21)
             assert row.C == secrecy_rate(ch, rm)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.R_star.R, b.R_star.R)
+    np.testing.assert_array_equal(a.K21_star, b.K21_star)
+    for name in ("lambda_star", "capacity_upper", "capacity_achievable", "gap_bound",
+                 "t_final", "gap_met", "newton_steps_total", "mode",
+                 "gap_bound_heuristic", "trace"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.R_star.power == b.R_star.power
+
+
+class TestSolve:
+    @pytest.mark.parametrize("case", ["degraded", "indefinite", "budget"])
+    def test_same_bits_as_shorthand(self, demo_channel, case):
+        cfg = SolverConfig(t_max=1e4)
+        if case == "degraded":
+            ch = degraded_channel(np.random.default_rng(66), m=3, n2=2, rank=1)
+            a, b = solve(ch, 5.0, cfg), solve_degraded(ch, 5.0, cfg)
+            assert a.mode == "degraded"
+        elif case == "indefinite":
+            a, b = solve(demo_channel, 5.0, cfg), solve_minimax(demo_channel, 5.0, cfg)
+            assert a.mode == "minimax"
+        else:
+            budget = PerAntennaBudget(caps=[2.0, 3.0], total=4.0)
+            a = solve(demo_channel, budget, cfg)
+            b = solve_per_antenna(demo_channel, budget, cfg)
+            assert a.mode == "per_antenna"
+        assert a.newton_steps_total > 0
+        assert_same_bits(a, b)
+
+    def test_auto_on_reversely_degraded_channel_gives_zero(self):
+        sol = solve(ChannelPair(DEMO_H1, 2.0 * DEMO_H1), 10.0)
+        assert sol.mode == "zero"
+        assert sol.capacity_achievable == sol.capacity_upper == 0.0
+
+    @pytest.mark.parametrize("mode", ["fastest", "dual", "per_antenna"])
+    def test_rejects_mode(self, demo_channel, mode):
+        with pytest.raises(ValueError, match="mode"):
+            solve(demo_channel, 10.0, mode=mode)
 
 
 class TestSolveDegraded:

@@ -56,6 +56,9 @@ class TestProblemParsing:
         bad = dict(DEMO_PROBLEM, H1=[[1.0, 2.0], [3.0]])
         with pytest.raises(ProblemFormatError, match="ragged"):
             parse_problem(bad)
+        # rows of lists instead of numbers
+        with pytest.raises(ProblemFormatError, match="'H1' must be a list of rows of numbers"):
+            parse_problem(dict(DEMO_PROBLEM, H1=[[[1.0], [0.2]]]))
 
     def test_non_finite_entries(self):
         bad = dict(DEMO_PROBLEM, H1=[[1.0, float("inf")], [0.0, 1.0]])
@@ -67,6 +70,23 @@ class TestProblemParsing:
             parse_problem(dict(DEMO_PROBLEM, power=-3.0))
         with pytest.raises(ProblemFormatError, match="'power'"):
             parse_problem(dict(DEMO_PROBLEM, power=[1.0, 2.0, 3.0]))
+        with pytest.raises(ProblemFormatError, match="'power'"):
+            parse_problem(dict(DEMO_PROBLEM, power=[1.0, "a"]))
+        with pytest.raises(ProblemFormatError, match="'power'"):
+            parse_problem(dict(DEMO_PROBLEM, power=[1.0, 0.0]))
+        with pytest.raises(ProblemFormatError, match="'power_total'"):
+            parse_problem(dict(DEMO_PROBLEM, power=[1.0, 2.0], power_total=[2.0]))
+
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    @pytest.mark.parametrize("field, value", [
+        ("dual_rate", [1]), ("dual_rate", "fast"), ("dual_rate", -0.5),
+        ("dual_tol_rate", {"a": 1.0}), ("dual_tol_rate", float("inf")),
+    ], ids=["list", "string", "negative", "object", "inf"])
+    def test_bad_dual_rate(self, tmp_path, capsys, command, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, **{field: value})))
+        assert main([command, str(path)]) == 1
+        assert f"field '{field}'" in capsys.readouterr().err
 
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
@@ -390,6 +410,16 @@ class TestTraceExport:
         rows = csv_out.read_text().strip().splitlines()[1:]
         first = rows[0].split(",")
         assert float(first[2]) == res["trace"][0]["residual"]
+
+    def test_incomplete_result_rejected(self, demo_problem_file, tmp_path, capsys):
+        # the result fields have defaults, but a file must still carry them all
+        out = tmp_path / "result.json"
+        main(["solve", demo_problem_file, "-o", str(out)])
+        res = json.loads(out.read_text())
+        del res["capacity_bits"]
+        out.write_text(json.dumps(res))
+        assert main(["trace-export", str(out)]) == 1
+        assert "capacity_bits" in capsys.readouterr().err
 
     def test_missing_trace_rejected(self, tmp_path, capsys):
         res_path = tmp_path / "empty.json"
