@@ -252,11 +252,11 @@ class PerAntennaBudget:
 
     def __post_init__(self):
         self.caps = np.asarray(self.caps, dtype=float).ravel()
-        if self.caps.size == 0 or np.any(self.caps <= 0):
-            raise ValueError("per-antenna caps must be positive")
+        if self.caps.size == 0 or not np.all((self.caps > 0) & (self.caps < np.inf)):
+            raise ValueError(f"caps must be finite and positive, got {self.caps}")
         if self.total is not None:
-            if self.total <= 0:
-                raise ValueError("total power cap must be positive")
+            if not 0 < self.total < np.inf:
+                raise ValueError(f"total must be finite and positive, got {self.total}")
             if self.total >= float(np.sum(self.caps)):
                 self.total = None
                 self.total_cap_vacuous = True
@@ -306,8 +306,8 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     else:
         if mode == "per_antenna":
             raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
-        if power <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0 < power < np.inf:
+            raise ValueError(f"power must be finite and positive, got {power}")
         kind, eigs = classify_degraded(ch)
         if mode == "auto":
             mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"

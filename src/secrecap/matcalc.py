@@ -5,13 +5,14 @@ Conventions (frozen, all index maps depend on them):
   * vech stacks the lower triangle column by column, diagonal included,
     so for S = [[a, b], [b, c]] we get vech(S) = [a, b, c].
 
-Duplication matrices are small dense 0/1 arrays, built once per dimension
-and cached (dimensions up to 64 are supported, which covers the intended
-problem sizes by a wide margin).
+The solver gathers the duplication-matrix products of its derivatives from
+the cached index arrays of :func:`sandwich_indices`; the dense 0/1 matrices
+(dimensions up to 64) are the test oracle for those formulas.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "vech_diag_indices",
     "duplication_matrix",
     "reduced_duplication_matrix",
+    "sandwich_indices",
     "kron",
     "sym",
     "psd_sqrt",
@@ -138,6 +140,46 @@ def reduced_duplication_matrix(n1: int, n2: int) -> np.ndarray:
     return dt
 
 
+SandwichIndex = namedtuple(
+    "SandwichIndex", "grad grad_weight xx xx_weight xy xy_weight k21_transpose")
+
+
+@lru_cache(maxsize=None)
+def sandwich_indices(m: int, n1: int, n2: int) -> SandwichIndex:
+    """Flat (C-order) gather indices for the duplication-matrix products of
+    the Newton derivatives. With D = duplication_matrix(m),
+    Dt = reduced_duplication_matrix(n1, n2), vech coordinate p <-> (i, j) of
+    weight w_p (1/2 if i == j, else 1), y coordinate q <-> the entry
+    (u, v) = (n1 + r, c) of K for K21[r, c], and exactly symmetric S and A:
+
+      * D' vec S = 2 w_p S[i,j] and Dt' vec S = 2 S[u,v] (``grad``, over the
+        raveled S_R and S_K);
+      * (D'(A (x) A) D)_pq = 2 w_p w_q (X + Y), X = A[i,k] A[j,l],
+        Y = A[i,l] A[j,k], q <-> (k, l); D'(B (x) B) Dt likewise with
+        (k, l) = (u, v), w_q = 1 (``xx`` on three stacked m x m matrices,
+        ``xy`` on one m x (n1+n2) matrix, as (factor, [matrix,] X/Y, p, q));
+      * Dt'(A (x) A) Dt = 2 (kron(A11, A22) + kron(A12, A21)[:, k21_transpose]).
+
+    Each is bit for bit the 0/1 product, which adds zeros and S[i,j] + S[j,i]
+    or X + Y twice. n1 = n2 = 0 drops the y coordinates.
+    """
+    n = n1 + n2
+    i, j = _vech_indices(m)
+    w = np.where(i == j, 0.5, 1.0)
+    c, r = np.divmod(np.arange(n1 * n2), n2)  # y = vec(K21), K21[r, c]
+    u, v = n1 + r, c
+
+    def factors(k, l, cols):  # (A[i,k], A[i,l]) and (A[j,l], A[j,k])
+        ii, jj = i[:, None] * cols, j[:, None] * cols
+        return np.array([[ii + k, ii + l], [jj + l, jj + k]])
+
+    xx = factors(i, j, m)[:, None] + m * m * np.arange(3)[:, None, None, None]
+    return SandwichIndex(
+        np.concatenate([i * m + j, m * m + u * n + v]),
+        np.concatenate([2.0 * w, np.full(u.size, 2.0)]),
+        xx, 2.0 * np.outer(w, w), factors(u, v, n), 2.0 * w[:, None], r * n1 + c)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices. With column-major vec this satisfies
     vec(B X A') == (A (x) B) vec(X) and tr(ABCD) == vec(D)'(A (x) C') vec(B').
@@ -148,7 +190,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    return (a.reshape(p, 1, q, 1) * b.reshape(r, 1, s)).reshape(p * r, q * s)
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:

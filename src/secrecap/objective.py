@@ -23,10 +23,9 @@ from scipy.linalg import get_lapack_funcs
 from .channel import ChannelPair, NoiseCovariance, SaddleState, TransmitCovariance
 from .errors import DomainError
 from .matcalc import (
-    duplication_matrix,
     kron,
     psd_sqrt,
-    reduced_duplication_matrix,
+    sandwich_indices,
     sym,
     unvech,
     vec,
@@ -178,6 +177,21 @@ class _Factors:
         return self.logdet_KQ - self.logdet_K - self.logdet_2
 
 
+def _hxx(ix, z1, z2, rinv, r_term) -> np.ndarray:
+    """-D'(Z1 (x) Z1 - Z2 (x) Z2 + r_term(R^{-1} (x) R^{-1})) D, bit for bit, by one
+    gather over the stacked factors; r_term rounds 1/t the way the caller does."""
+    g = np.concatenate((z1, z2, rinv)).ravel()[ix.xx]
+    p1, p2, pr = g[0] * g[1]
+    terms = p1 - p2 + r_term(pr)  # the sandwiched matrix at the X and Y entries
+    return -(ix.xx_weight * (terms[0] + terms[1]))
+
+
+def _gradient(ix, *grads: np.ndarray) -> np.ndarray:
+    """(D' vec(grad_R), Dt' vec(grad_K)) of exactly symmetric gradient
+    matrices, bit for bit (``matcalc.sandwich_indices``)."""
+    return ix.grad_weight * np.concatenate([a.ravel() for a in grads])[ix.grad]
+
+
 def _z_matrix(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z = (I + W R)^{-1} W through the symmetric form S (I + S R S)^{-1} S
     with S = W^{1/2}; always symmetric and valid for singular W. Also returns
@@ -207,8 +221,7 @@ class BarrierObjective:
         self.power = float(power)
         self.nx = vech_len(ch.m)
         self.ny = ch.n1 * ch.n2
-        self._dm = duplication_matrix(ch.m)
-        self._dt = reduced_duplication_matrix(ch.n1, ch.n2)
+        self._ix = sandwich_indices(ch.m, ch.n1, ch.n2)
         a = np.zeros(self.nx + self.ny)
         a[: self.nx] = vech(np.eye(ch.m))
         self.constraint = (a, self.power)
@@ -261,30 +274,23 @@ class BarrierObjective:
         h = self._hessian_from(fac)
         return g, h
 
-    def _grad_matrices(self, fac: _Factors) -> tuple[np.ndarray, np.ndarray]:
-        tinv = 1.0 / self.t
-        grad_R = fac.Z1 - fac.Z2 + tinv * fac.Rinv
-        grad_K = fac.G - (1.0 + tinv) * fac.Kinv
-        return grad_R, grad_K
-
     def _gradient_from(self, fac: _Factors) -> np.ndarray:
-        grad_R, grad_K = self._grad_matrices(fac)
-        gx = self._dm.T @ vec(grad_R)
-        gy = self._dt.T @ vec(grad_K)
-        return np.concatenate([gx, gy])
+        tinv = 1.0 / self.t
+        return _gradient(self._ix, fac.Z1 - fac.Z2 + tinv * fac.Rinv,
+                         fac.G - (1.0 + tinv) * fac.Kinv)
 
     def _hessian_from(self, fac: _Factors) -> np.ndarray:
+        ix, n1 = self._ix, self.channel.n1
         tinv = 1.0 / self.t
-        dm, dt = self._dm, self._dt
-        hxx = -sym(
-            dm.T
-            @ (kron(fac.Z1, fac.Z1) - kron(fac.Z2, fac.Z2) + tinv * kron(fac.Rinv, fac.Rinv))
-            @ dm
-        )
-        hyy = sym(
-            dt.T @ ((1.0 + tinv) * kron(fac.Kinv, fac.Kinv) - kron(fac.G, fac.G)) @ dt
-        )
-        hxy = -(dm.T @ kron(fac.B, fac.B) @ dt)
+        hxx = _hxx(ix, fac.Z1, fac.Z2, fac.Rinv, lambda p: tinv * p)
+        f = fac.B.ravel()[ix.xy]
+        p = f[0] * f[1]
+        hxy = -(ix.xy_weight * (p[0] + p[1]))
+        # Dt'((1 + 1/t) K^{-1} (x) K^{-1} - G (x) G) Dt from the n1 / n2 blocks
+        ck, k, g = 1.0 + tinv, fac.Kinv, fac.G
+        same = ck * kron(k[:n1, :n1], k[n1:, n1:]) - kron(g[:n1, :n1], g[n1:, n1:])
+        cross = ck * kron(k[:n1, n1:], k[n1:, :n1]) - kron(g[:n1, n1:], g[n1:, :n1])
+        hyy = 2.0 * (same + cross[:, ix.k21_transpose])
         h = np.empty((self.nx + self.ny, self.nx + self.ny))
         h[: self.nx, : self.nx] = hxx
         h[: self.nx, self.nx:] = hxy
@@ -342,7 +348,7 @@ class DegradedBarrierObjective:
         self.power = float(power)
         self.nx = vech_len(ch.m)
         self.ny = 0
-        self._dm = duplication_matrix(ch.m)
+        self._ix = sandwich_indices(ch.m, 0, 0)
         self.constraint = (vech(np.eye(ch.m)), self.power)
         self._last_state = None   # one-slot reuse, as in BarrierObjective
         self._last_parts = None
@@ -376,17 +382,12 @@ class DegradedBarrierObjective:
 
     def newton_gradient(self, state: SaddleState) -> np.ndarray:
         rinv, z1, z2 = self._parts(state)
-        return self._dm.T @ vec(z1 - z2 + rinv / self.t)
+        return _gradient(self._ix, z1 - z2 + rinv / self.t)
 
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
         rinv, z1, z2 = self._parts(state)
-        g = self._dm.T @ vec(z1 - z2 + rinv / self.t)
-        h = -sym(
-            self._dm.T
-            @ (kron(z1, z1) - kron(z2, z2) + kron(rinv, rinv) / self.t)
-            @ self._dm
-        )
-        return g, h
+        g = _gradient(self._ix, z1 - z2 + rinv / self.t)
+        return g, _hxx(self._ix, z1, z2, rinv, lambda p: p / self.t)
 
 
 class PerAntennaBarrierObjective:
@@ -447,8 +448,7 @@ class PerAntennaBarrierObjective:
     def newton_gradient(self, state: SaddleState) -> np.ndarray:
         rm, _ = self._inner.unpack(state)
         slack, tslack = self._slacks(rm)
-        g = self._inner.newton_gradient(state)
-        g = g.copy()
+        g = self._inner.newton_gradient(state)  # a fresh array
         g[self._diag_idx] -= 1.0 / (self.t * slack)
         if tslack is not None:
             g -= self._a_full / (self.t * tslack)
@@ -457,9 +457,7 @@ class PerAntennaBarrierObjective:
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
         rm, _ = self._inner.unpack(state)
         slack, tslack = self._slacks(rm)
-        g, h = self._inner.newton_system(state)
-        g = g.copy()
-        h = h.copy()
+        g, h = self._inner.newton_system(state)  # fresh arrays
         g[self._diag_idx] -= 1.0 / (self.t * slack)
         h[self._diag_idx, self._diag_idx] -= 1.0 / (self.t * slack**2)
         if tslack is not None:

@@ -224,6 +224,24 @@ class TestSolveMinimax:
         with pytest.raises(ValueError):
             solve_minimax(demo_channel, -1.0)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["auto", "minimax", "degraded"])
+    def test_rejects_non_finite_power(self, demo_channel, power, mode):
+        # a NaN or infinite budget used to run into a SingularKktError
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            solve(demo_channel, power, mode=mode)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(caps=[np.nan, 1.0]), "caps"),
+        (dict(caps=[1.0, np.inf]), "caps"),
+        (dict(caps=[np.nan, np.nan]), "caps"),
+        (dict(caps=[1.0, 1.0], total=np.nan), "total"),
+        (dict(caps=[1.0, 1.0], total=np.inf), "total"),
+    ])
+    def test_budget_rejects_non_finite_fields(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            PerAntennaBudget(**kwargs)
+
 
 class TestTraceRows:
     @pytest.mark.parametrize("solve", [

@@ -13,7 +13,14 @@ from secrecap import (
     secrecy_rate,
     solve_minimax,
 )
-from secrecap.matcalc import sym, vec, vech
+from secrecap.matcalc import (
+    duplication_matrix,
+    reduced_duplication_matrix,
+    sym,
+    vec,
+    vech,
+)
+from secrecap.objective import DegradedBarrierObjective, PerAntennaBarrierObjective
 
 from conftest import (
     DEMO_H1,
@@ -292,3 +299,70 @@ class TestDerivatives:
             2.0 * secrecy_rate(demo_channel, r), abs=1e-12
         )
         assert bundle.value_ft == pytest.approx(barrier_value(obj, r, k21), abs=1e-12)
+
+
+def oracle_minimax(fac, t, dm, dt):
+    """Gradient and Hessian of the minimax barrier objective from its factors
+    through the 0/1 duplication-matrix products D'vec, D'(A (x) A)D and the
+    Dt counterparts."""
+    tinv = 1.0 / t
+    g = np.concatenate([dm.T @ vec(fac.Z1 - fac.Z2 + tinv * fac.Rinv),
+                        dt.T @ vec(fac.G - (1.0 + tinv) * fac.Kinv)])
+    hxx = -sym(dm.T @ (np.kron(fac.Z1, fac.Z1) - np.kron(fac.Z2, fac.Z2)
+                       + tinv * np.kron(fac.Rinv, fac.Rinv)) @ dm)
+    hyy = sym(dt.T @ ((1.0 + tinv) * np.kron(fac.Kinv, fac.Kinv)
+                      - np.kron(fac.G, fac.G)) @ dt)
+    hxy = -(dm.T @ np.kron(fac.B, fac.B) @ dt)
+    return g, np.block([[hxx, hxy], [hxy.T, hyy]])
+
+
+class TestIndexFormulas:
+    """The objectives gather their derivatives from index arrays; the dense
+    duplication-matrix sandwiches they replaced are the oracle."""
+
+    @staticmethod
+    def assert_matches(got, want):
+        (g, h), (g_ref, h_ref) = got, want
+        assert np.array_equal(g, g_ref)
+        assert np.max(np.abs(h - h_ref)) <= 1e-14 * np.max(np.abs(h_ref))
+        # the gathers add the same two products as the 0/1 sandwich
+        assert np.array_equal(h, h_ref)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 3), (10, 10), (8, 8), (2, 5),
+                                        (5, 2), (3, 7), (4, 4)])
+    def test_all_objectives_match_duplication_oracle(self, n1, n2):
+        rng = np.random.default_rng([61, n1, n2])
+        for m in range(1, 9):
+            ch = random_channel(rng, m, n1, n2)
+            t = float(10.0 ** rng.uniform(0, 6))
+            r, k21 = interior_point(rng, ch, 10.0)
+            dm, dt = duplication_matrix(m), reduced_duplication_matrix(n1, n2)
+            state = SaddleState(x=vech(r), y=vec(k21), lam=0.0)
+
+            obj = BarrierObjective(ch, t, 10.0)
+            want = oracle_minimax(obj.factors(state), t, dm, dt)
+            self.assert_matches(obj.newton_system(state), want)
+            assert np.array_equal(obj.newton_gradient(state), want[0])
+
+            caps = np.diag(r) * rng.uniform(1.1, 2.0, m)
+            total = float(np.trace(r)) * 1.05 if m % 2 else None
+            pa = PerAntennaBarrierObjective(ch, t, caps, total)
+            g_ref, h_ref = oracle_minimax(pa._inner.factors(state), t, dm, dt)
+            diag = np.flatnonzero(vech(np.eye(m)))
+            slack = caps - np.diag(r)
+            g_ref[diag] -= 1.0 / (t * slack)
+            h_ref[diag, diag] -= 1.0 / (t * slack**2)
+            if total is not None:
+                a = np.concatenate([vech(np.eye(m)), np.zeros(n1 * n2)])
+                g_ref -= a / (t * (total - np.trace(r)))
+                h_ref -= np.outer(a, a) / (t * (total - np.trace(r)) ** 2)
+            self.assert_matches(pa.newton_system(state), (g_ref, h_ref))
+
+            deg = DegradedBarrierObjective(ch, t, 10.0)
+            x_state = SaddleState(x=vech(r), y=np.zeros(0), lam=0.0)
+            rinv, z1, z2 = deg._parts(x_state)
+            g_ref = dm.T @ vec(z1 - z2 + rinv / t)
+            h_ref = -sym(dm.T @ (np.kron(z1, z1) - np.kron(z2, z2)
+                                 + np.kron(rinv, rinv) / t) @ dm)
+            self.assert_matches(deg.newton_system(x_state), (g_ref, h_ref))
+            assert np.array_equal(deg.newton_gradient(x_state), g_ref)
