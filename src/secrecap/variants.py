@@ -4,12 +4,17 @@ minimizing total power under a secrecy-rate constraint.
 Per-antenna caps are solved by ``barrier_solver.solve`` given a
 ``PerAntennaBudget``; ``solve_per_antenna`` is its shorthand.
 
-The dual problem is solved by bisection over the power budget, reusing the
-minimax solver and the monotonicity of capacity in power.
+The dual problem is solved by safeguarded Newton steps on the power budget,
+one minimax solve per step. Cs(P) is concave and nondecreasing, so a tangent
+taken below the target rate crosses it at or before P*, and its slope
+dCs/dP = lambda*/2 comes with each solve. Steps therefore approach P* from
+below; a step that leaves the bracket, or whose solve fails, falls back to
+the bracket midpoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .barrier_solver import (
@@ -21,7 +26,7 @@ from .barrier_solver import (
     solve_minimax,
 )
 from .channel import ChannelPair, Degradedness, classify_degraded
-from .errors import BracketError
+from .errors import BracketError, SingularKktError, SolverError
 
 __all__ = [
     "PerAntennaBudget",
@@ -43,10 +48,12 @@ class DualTarget:
     tol_rate: float = 1e-6
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("target secrecy rate must be positive")
-        if self.tol_rate <= 0:
-            raise ValueError("rate tolerance must be positive")
+        for name in ("rate", "tol_rate", "p_hi"):
+            value = getattr(self, name)
+            if name == "p_hi" and value is None:
+                continue
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
@@ -57,7 +64,7 @@ def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
 
 
 _BRACKET_CAP = 2.0**40
-_MAX_BISECT = 200
+_MAX_SEARCH = 200
 
 
 def _capacity_at(ch: ChannelPair, power: float, cfg: SolverConfig):
@@ -67,13 +74,29 @@ def _capacity_at(ch: ChannelPair, power: float, cfg: SolverConfig):
 
 def solve_dual(ch: ChannelPair, target: DualTarget,
                cfg: SolverConfig | None = None):
-    """Minimum total power P* with Cs(P*) = target rate, via bisection on
-    the monotone map P -> Cs(P). Returns (P*, SaddleSolution at P*).
+    """Minimum total power P* with Cs(P*) = target rate, by safeguarded
+    Newton steps on the monotone map P -> Cs(P). Returns (P*, SaddleSolution
+    at P*), P* as a float.
+
+    Cs is concave and nondecreasing in P, so its tangent at a point below the
+    rate lies on or above the curve and reaches the rate at or before P*: a
+    Newton step from below never passes P*. The first tangent is at P = 0,
+    where no solve is needed: its slope is lambda_max(W1 - W2)/2, so
+    rate/slope <= P*. Each later tangent is at the last solved point below
+    the rate, with slope lambda*/2 (envelope theorem). At finite t that
+    slope overestimates dCs/dP by about m/(2tP), which only shortens the
+    step. Points below the rate raise lo, points above it lower hi. A
+    Newton point at or beyond hi, or one whose solve raises SingularKktError
+    or SolverError, is replaced by the bracket midpoint, whose own failures
+    propagate. A step shorter than half the collapse tolerance is lengthened
+    to it, so lo always moves. After a failed Newton point, or a lengthened
+    one that still falls short, the search bisects until a new point below
+    the rate gives a new tangent.
 
     Raises BracketError when the rate is unattainable within the bracket
     (or within the automatic doubling cap when p_hi is not given).
     """
-    kind, _ = classify_degraded(ch)
+    kind, eigs = classify_degraded(ch)
     if kind is Degradedness.REVERSELY_DEGRADED:
         raise BracketError(
             "reversely degraded channel has zero secrecy capacity at any power"
@@ -102,17 +125,33 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
     if abs(c_hi - target.rate) <= target.tol_rate:
         return hi, sol_hi
 
-    lo = 0.0
+    # Tangent at the last point below the rate: (lo, c_lo) with its slope.
+    lo, c_lo, slope = 0.0, 0.0, 0.5 * float(eigs.max())
     best_p, best_sol = hi, sol_hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        c_mid, sol_mid = _capacity_at(ch, mid, cfg)
-        if abs(c_mid - target.rate) <= target.tol_rate:
-            return mid, sol_mid
-        if c_mid < target.rate:
-            lo = mid
+    for _ in range(_MAX_SEARCH):
+        # A lengthened step ends next to P*, and a point above the rate
+        # there collapses the bracket at once.
+        floor = 0.5e-12 * max(1.0, lo)
+        step = (target.rate - c_lo) / slope if slope > 0 else math.inf
+        p = lo + max(step, floor)
+        sol = None
+        if p < hi:
+            try:
+                c, sol = _capacity_at(ch, p, cfg)
+            except (SingularKktError, SolverError):
+                slope = 0.0  # bisect until a new point below the rate
+        if sol is None:
+            p, step = 0.5 * (lo + hi), math.inf
+            c, sol = _capacity_at(ch, p, cfg)
+        if abs(c - target.rate) <= target.tol_rate:
+            return p, sol
+        if c < target.rate:
+            # A lengthened step that still falls short means the tangent
+            # overestimated the slope: bisect until the next point below.
+            lo, c_lo = p, c
+            slope = 0.5 * float(sol.lambda_star) if step >= floor else 0.0
         else:
-            hi, best_p, best_sol = mid, mid, sol_mid
+            hi, best_p, best_sol = p, p, sol
         if (hi - lo) <= 1e-12 * max(1.0, hi):
             break
     # Bracket collapsed before the rate tolerance was met; the upper edge

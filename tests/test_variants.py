@@ -1,6 +1,12 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
+from scipy.optimize import brentq
 
+import secrecap.variants as variants
 from secrecap import (
     BracketError,
     ChannelPair,
@@ -11,6 +17,8 @@ from secrecap import (
     solve_minimax,
     solve_per_antenna,
 )
+from secrecap.channel import classify_degraded
+from secrecap.errors import SingularKktError, SolverError
 
 from conftest import DEMO_H1, DEMO_H2
 
@@ -162,3 +170,125 @@ class TestSolveDual:
             DualTarget(rate=-0.1)
         with pytest.raises(ValueError):
             DualTarget(rate=0.1, tol_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("rate", dict(rate=math.nan)),
+        ("rate", dict(rate=math.inf)),
+        ("tol_rate", dict(rate=0.1, tol_rate=math.inf)),
+        ("tol_rate", dict(rate=0.1, tol_rate=math.nan)),
+        ("p_hi", dict(rate=0.1, p_hi=-1.0)),
+        ("p_hi", dict(rate=0.1, p_hi=0.0)),
+        ("p_hi", dict(rate=0.1, p_hi=math.nan)),
+        ("p_hi", dict(rate=0.1, p_hi=math.inf)),
+    ],
+)
+def test_target_rejects_non_finite_fields(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        DualTarget(**kwargs)
+
+
+def _spy_solves(monkeypatch, fail_at=()):
+    """Record every power ``solve_dual`` solves at; raise the paired error at
+    the powers listed in ``fail_at`` as (power, exception type)."""
+    powers = []
+    real = variants.solve_minimax
+
+    def spy(ch, power, cfg=None):
+        powers.append(power)
+        for p_fail, exc in fail_at:
+            if power == pytest.approx(p_fail, rel=1e-12):
+                raise exc("injected failure")
+        return real(ch, power, cfg)
+
+    monkeypatch.setattr(variants, "solve_minimax", spy)
+    return powers
+
+
+class TestNewtonSearch:
+    @pytest.mark.parametrize("rate, tol_rate, max_solves", [
+        (0.30, 1e-6, 10), (0.30, 1e-12, 10), (0.30, 1e-15, 12),
+        # below the resolution of C: the search ends by collapsing the bracket
+        (0.20, 1e-17, 12),
+    ])
+    def test_few_solves_from_below(self, demo_channel, monkeypatch,
+                                   rate, tol_rate, max_solves):
+        powers = _spy_solves(monkeypatch)
+        target = DualTarget(rate=rate, p_hi=10.0, tol_rate=tol_rate)
+        p_star, sol = solve_dual(demo_channel, target)
+        assert type(p_star) is float
+        assert len(powers) <= max_solves
+        assert sol.capacity_achievable >= target.rate - tol_rate
+        # after the p_hi solve every point comes from a tangent below the
+        # rate, so none lies beyond P*
+        assert powers[0] == 10.0
+        assert all(p <= p_star for p in powers[1:])
+
+    @pytest.mark.parametrize("exc", [SingularKktError, SolverError])
+    def test_failed_newton_point_falls_back(self, demo_channel, monkeypatch, exc):
+        _, eigs = classify_degraded(demo_channel)
+        first_newton = 0.30 / (0.5 * eigs.max())
+        powers = _spy_solves(monkeypatch, fail_at=[(first_newton, exc)])
+        target = DualTarget(rate=0.30, p_hi=10.0, tol_rate=1e-6)
+        p_star, sol = solve_dual(demo_channel, target)
+        assert powers[1] == pytest.approx(first_newton, rel=1e-12)
+        assert powers[2] == 5.0  # the bracket midpoint
+        assert powers.count(powers[1]) == 1  # the failed tangent is dropped
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
+        assert p_star == pytest.approx(4.920278, abs=1e-4)
+
+    def test_overestimated_slope_does_not_crawl(self, monkeypatch):
+        # Capacity sits just below the rate up to P* = 1 while every solve
+        # reports a huge slope, so each Newton step is far too short.
+        rate = 0.3
+        powers = []
+
+        def plateau(ch, power, cfg=None):
+            powers.append(power)
+            gap = 1e-6 if power >= 1.0 else -1e-6
+            return SimpleNamespace(capacity_achievable=rate + gap, lambda_star=2e7)
+
+        monkeypatch.setattr(variants, "solve_minimax", plateau)
+        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
+        p_star, _ = solve_dual(ch, DualTarget(rate=rate, p_hi=10.0, tol_rate=1e-9))
+        assert 1.0 <= p_star <= 1.0 + 1e-11
+        assert len(powers) <= 100
+
+    def test_failed_midpoint_propagates(self, demo_channel, monkeypatch):
+        _, eigs = classify_degraded(demo_channel)
+        first_newton = 0.30 / (0.5 * eigs.max())
+        _spy_solves(monkeypatch, fail_at=[(first_newton, SingularKktError),
+                                          (5.0, SingularKktError)])
+        with pytest.raises(SingularKktError, match="injected"):
+            solve_dual(demo_channel, DualTarget(rate=0.30, p_hi=10.0))
+
+
+def miso_capacity(h1, h2, power):
+    """Closed-form MISO secrecy capacity (Khisti & Wornell, IEEE T-IT 2010):
+    0.5 ln of the largest generalized eigenvalue of the pencil
+    (I + P h1'h1, I + P h2'h2)."""
+    eye = np.eye(h1.size)
+    a = eye + power * np.outer(h1, h1)
+    b = eye + power * np.outer(h2, h2)
+    return 0.5 * math.log(sla.eigh(a, b, eigvals_only=True)[-1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_miso_oracle_lower_side(seed):
+    rng = np.random.default_rng([20261018, seed])
+    h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
+    ch = ChannelPair(h1[None, :], h2[None, :])
+    p_hi = 10.0
+    target = DualTarget(rate=rng.uniform(0.2, 0.8) * miso_capacity(h1, h2, p_hi),
+                        p_hi=p_hi, tol_rate=1e-6)
+    p_star, _ = solve_dual(ch, target)
+    assert miso_capacity(h1, h2, p_star) >= target.rate - target.tol_rate
+    # Cs is concave, so Cs(P*) >= rate - tol puts P* at most tol/slope below
+    # the root
+    root = brentq(lambda p: miso_capacity(h1, h2, p) - target.rate, 0.0, p_hi,
+                  xtol=1e-14)
+    h = 1e-6 * root
+    slope = (miso_capacity(h1, h2, root + h) - miso_capacity(h1, h2, root - h)) / (2 * h)
+    assert p_star >= root - target.tol_rate / slope
