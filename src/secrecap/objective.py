@@ -11,6 +11,10 @@ Two value conventions coexist deliberately:
 
 Coordinates: x = vech(R) with R the m x m transmit covariance, y = vec(K21)
 with K21 the n2 x n1 cross block of the noise covariance.
+
+``BarrierObjective`` is the one barrier objective of every solve path, with
+two axes: a K block or none (the degraded path), and the power limit as the
+equality row tr R = P or as per-antenna barrier rows.
 """
 
 from __future__ import annotations
@@ -141,48 +145,66 @@ class DerivativeBundle:
 
 
 class _Factors:
-    """Shared per-point matrix factors for the minimax barrier objective."""
+    """Per-point matrix factors of a barrier objective: the R side always,
+    the K side only with a K block (otherwise Z1 comes from the channel's
+    W1^{1/2}), and the power slacks only with per-antenna caps. Log-dets are
+    taken from the Cholesky factors ``cf_*`` only when a value needs them."""
 
     __slots__ = (
         "R", "K21", "K", "Q", "Rinv", "Kinv", "G", "B", "W", "Z1", "Z2",
-        "logdet_R", "logdet_K", "logdet_KQ", "logdet_2",
+        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "tslack",
     )
 
-    def __init__(self, ch: ChannelPair, rm: np.ndarray, k21: np.ndarray):
-        m, n1, n2 = ch.m, ch.n1, ch.n2
-        n = n1 + n2
+    def __init__(self, obj: "BarrierObjective", rm: np.ndarray, k21: np.ndarray | None):
+        ch = obj.channel
+        self.slack = self.tslack = None
+        if obj.caps is not None:
+            self.slack = obj.caps - np.diag(rm)
+            if np.any(self.slack <= 0):
+                raise DomainError("per-antenna power cap violated")
+            if obj.total is not None:
+                self.tslack = obj.total - float(np.trace(rm))
+                if self.tslack <= 0:
+                    raise DomainError("total power cap violated")
         self.R = rm
         self.K21 = k21
-        cf_r = _chol(rm, "transmit covariance")
-        self.logdet_R = _chol_logdet(cf_r)
-        self.Rinv = _chol_inv(cf_r, m)
+        self.cf_R = _chol(rm, "transmit covariance")
+        self.Rinv = _chol_inv(self.cf_R, ch.m)
 
-        self.K = _assemble_K(k21, n1, n2)
-        cf_k = _chol(self.K, "noise covariance")
-        self.logdet_K = _chol_logdet(cf_k)
-        self.Kinv = _chol_inv(cf_k, n)
+        if k21 is None:
+            self.Z1, self.cf_1 = _z_matrix(ch.sqrt_W1, rm)
+        else:
+            n = ch.n1 + ch.n2
+            self.K = _assemble_K(k21, ch.n1, ch.n2)
+            self.cf_K = _chol(self.K, "noise covariance")
+            self.Kinv = _chol_inv(self.cf_K, n)
 
-        self.Q = sym(ch.Hstack @ rm @ ch.Hstack.T)
-        cf_kq = _chol(self.K + self.Q, "K + Q")
-        self.logdet_KQ = _chol_logdet(cf_kq)
-        self.G = _chol_inv(cf_kq, n)
-        self.B = ch.Hstack.T @ self.G
+            self.Q = sym(ch.Hstack @ rm @ ch.Hstack.T)
+            self.cf_KQ = _chol(self.K + self.Q, "K + Q")
+            self.G = _chol_inv(self.cf_KQ, n)
+            self.B = ch.Hstack.T @ self.G
 
-        self.W = sym(ch.Hstack.T @ (self.Kinv @ ch.Hstack))
-        self.Z1, _ = _z_matrix(psd_sqrt(self.W), rm)
-        self.Z2, cf_2 = _z_matrix(ch.sqrt_W2, rm)
-        self.logdet_2 = _chol_logdet(cf_2)
+            self.W = sym(ch.Hstack.T @ (self.Kinv @ ch.Hstack))
+            self.Z1, _ = _z_matrix(psd_sqrt(self.W), rm)
+        self.Z2, self.cf_2 = _z_matrix(ch.sqrt_W2, rm)
+
+    def logdet_K(self) -> float:
+        """ln|K|; 0 without a K block, which has no -(1/t) ln|K| term."""
+        return 0.0 if self.K21 is None else _chol_logdet(self.cf_K)
 
     def value_f(self) -> float:
-        return self.logdet_KQ - self.logdet_K - self.logdet_2
+        """f without the 1/2 factor; without a K block f is C."""
+        if self.K21 is None:
+            return _chol_logdet(self.cf_1) - _chol_logdet(self.cf_2)
+        return _chol_logdet(self.cf_KQ) - self.logdet_K() - _chol_logdet(self.cf_2)
 
 
-def _hxx(ix, z1, z2, rinv, r_term) -> np.ndarray:
-    """-D'(Z1 (x) Z1 - Z2 (x) Z2 + r_term(R^{-1} (x) R^{-1})) D, bit for bit, by one
-    gather over the stacked factors; r_term rounds 1/t the way the caller does."""
+def _hxx(ix, z1, z2, rinv, tinv: float) -> np.ndarray:
+    """-D'(Z1 (x) Z1 - Z2 (x) Z2 + (1/t) R^{-1} (x) R^{-1}) D, bit for bit, by
+    one gather over the stacked factors."""
     g = np.concatenate((z1, z2, rinv)).ravel()[ix.xx]
     p1, p2, pr = g[0] * g[1]
-    terms = p1 - p2 + r_term(pr)  # the sandwiched matrix at the X and Y entries
+    terms = p1 - p2 + tinv * pr  # the sandwiched matrix at the X and Y entries
     return -(ix.xx_weight * (terms[0] + terms[1]))
 
 
@@ -209,22 +231,35 @@ class BarrierObjective:
     maximized over x = vech(R) subject to tr R = P and minimized over
     y = vec(K21). Provides values, gradients and the full indefinite Hessian
     for the primal-dual Newton solver.
+
+    Two axes, which the subclasses set: without the K block (degraded) f is
+    C(R) = ln|I + W1 R| - ln|I + W2 R| and there is no y; with per-antenna
+    ``caps`` the barrier rows (1/t) sum_i ln(P_i - r_ii) [+ (1/t) ln(P_tot -
+    tr R)] replace the equality row tr R = P.
     """
 
+    _k_block = True
+    caps = None   # per-antenna caps P_i; None with the equality row tr R = P
+    total = None  # optional total cap beside the per-antenna ones
+
     def __init__(self, ch: ChannelPair, t: float, power: float):
-        if t <= 0:
-            raise ValueError("barrier parameter t must be positive")
-        if power <= 0:
-            raise ValueError("power budget must be positive")
-        self.channel = ch
-        self.t = float(t)
+        self._setup(ch, t, power=power)
         self.power = float(power)
-        self.nx = vech_len(ch.m)
-        self.ny = ch.n1 * ch.n2
-        self._ix = sandwich_indices(ch.m, ch.n1, ch.n2)
         a = np.zeros(self.nx + self.ny)
         a[: self.nx] = vech(np.eye(ch.m))
         self.constraint = (a, self.power)
+
+    def _setup(self, ch: ChannelPair, t: float, **limits) -> None:
+        """Checks t and the power limits, and sets the dimensions."""
+        for name, value in (("t", t), *limits.items()):
+            if value is not None and not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        self.channel = ch
+        self.t = float(t)
+        n1, n2 = (ch.n1, ch.n2) if self._k_block else (0, 0)
+        self.nx = vech_len(ch.m)
+        self.ny = n1 * n2
+        self._ix = sandwich_indices(ch.m, n1, n2)
         # Factors of the last point evaluated. The Newton solver evaluates the
         # accepted line-search trial again in assemble() and in the trace row,
         # so those reuse this slot. Per-stage objectives are never shared
@@ -234,16 +269,17 @@ class BarrierObjective:
 
     # -- state unpacking ---------------------------------------------------
 
-    def unpack(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
+    def unpack(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray | None]:
+        """(R, K21) at ``state``; K21 is None without a K block."""
         rm = unvech(state.x)
-        k21 = state.y.reshape((self.channel.n2, self.channel.n1), order="F")
-        return rm, k21
+        if not self.ny:
+            return rm, None
+        return rm, state.y.reshape((self.channel.n2, self.channel.n1), order="F")
 
     def factors(self, state: SaddleState) -> _Factors:
         """Factors at ``state``, built once per SaddleState object."""
         if state is not self._last_state:
-            rm, k21 = self.unpack(state)
-            self._last_factors = _Factors(self.channel, rm, k21)
+            self._last_factors = _Factors(self, *self.unpack(state))
             self._last_state = state
         return self._last_factors
 
@@ -251,17 +287,24 @@ class BarrierObjective:
         """(f, C) in nats at ``state`` for the convergence trace, equal bit for
         bit to :func:`minimax_objective` and :func:`secrecy_rate` there:
         ln|K + Q| and ln|K| come from the factors, and ln|I + H2 R H2'| is
-        shared by f and C."""
+        shared by f and C. Without a K block f is C."""
         ch, fac = self.channel, self.factors(state)
         ld_2 = _logdet_capacity_term(ch.H2, fac.R)
-        f = 0.5 * (fac.logdet_KQ - fac.logdet_K - ld_2)
-        return f, 0.5 * (_logdet_capacity_term(ch.H1, fac.R) - ld_2)
+        c = 0.5 * (_logdet_capacity_term(ch.H1, fac.R) - ld_2)
+        if not self.ny:
+            return c, c
+        return 0.5 * (_chol_logdet(fac.cf_KQ) - fac.logdet_K() - ld_2), c
 
     # -- values ------------------------------------------------------------
 
     def value_ft(self, state: SaddleState) -> float:
-        fac = self.factors(state)
-        return fac.value_f() + (fac.logdet_R - fac.logdet_K) / self.t
+        fac, t = self.factors(state), self.t
+        v = fac.value_f() + (_chol_logdet(fac.cf_R) - fac.logdet_K()) / t
+        if fac.slack is not None:
+            v += float(np.sum(np.log(fac.slack))) / t
+        if fac.tslack is not None:
+            v += np.log(fac.tslack) / t
+        return v
 
     # -- Newton interface ----------------------------------------------------
 
@@ -270,128 +313,84 @@ class BarrierObjective:
 
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
         fac = self.factors(state)
-        g = self._gradient_from(fac)
-        h = self._hessian_from(fac)
-        return g, h
+        return self._gradient_from(fac), self._hessian_from(fac)
 
     def _gradient_from(self, fac: _Factors) -> np.ndarray:
         tinv = 1.0 / self.t
-        return _gradient(self._ix, fac.Z1 - fac.Z2 + tinv * fac.Rinv,
-                         fac.G - (1.0 + tinv) * fac.Kinv)
+        grads = [fac.Z1 - fac.Z2 + tinv * fac.Rinv]
+        if self.ny:
+            grads.append(fac.G - (1.0 + tinv) * fac.Kinv)
+        g = _gradient(self._ix, *grads)
+        if fac.slack is not None:
+            g[self._diag_idx] -= 1.0 / (self.t * fac.slack)
+        if fac.tslack is not None:
+            g[self._diag_idx] -= 1.0 / (self.t * fac.tslack)
+        return g
 
     def _hessian_from(self, fac: _Factors) -> np.ndarray:
-        ix, n1 = self._ix, self.channel.n1
+        ix, n1, nx, ny = self._ix, self.channel.n1, self.nx, self.ny
         tinv = 1.0 / self.t
-        hxx = _hxx(ix, fac.Z1, fac.Z2, fac.Rinv, lambda p: tinv * p)
-        f = fac.B.ravel()[ix.xy]
-        p = f[0] * f[1]
-        hxy = -(ix.xy_weight * (p[0] + p[1]))
-        # Dt'((1 + 1/t) K^{-1} (x) K^{-1} - G (x) G) Dt from the n1 / n2 blocks
-        ck, k, g = 1.0 + tinv, fac.Kinv, fac.G
-        same = ck * kron(k[:n1, :n1], k[n1:, n1:]) - kron(g[:n1, :n1], g[n1:, n1:])
-        cross = ck * kron(k[:n1, n1:], k[n1:, :n1]) - kron(g[:n1, n1:], g[n1:, :n1])
-        hyy = 2.0 * (same + cross[:, ix.k21_transpose])
-        h = np.empty((self.nx + self.ny, self.nx + self.ny))
-        h[: self.nx, : self.nx] = hxx
-        h[: self.nx, self.nx:] = hxy
-        h[self.nx:, : self.nx] = hxy.T
-        h[self.nx:, self.nx:] = hyy
+        h = _hxx(ix, fac.Z1, fac.Z2, fac.Rinv, tinv)
+        if ny:
+            f = fac.B.ravel()[ix.xy]
+            p = f[0] * f[1]
+            hxy = -(ix.xy_weight * (p[0] + p[1]))
+            # Dt'((1 + 1/t) K^{-1} (x) K^{-1} - G (x) G) Dt from the n1 / n2 blocks
+            ck, k, g = 1.0 + tinv, fac.Kinv, fac.G
+            same = ck * kron(k[:n1, :n1], k[n1:, n1:]) - kron(g[:n1, :n1], g[n1:, n1:])
+            cross = ck * kron(k[:n1, n1:], k[n1:, :n1]) - kron(g[:n1, n1:], g[n1:, :n1])
+            hxx, h = h, np.empty((nx + ny, nx + ny))
+            h[:nx, :nx] = hxx
+            h[:nx, nx:] = hxy
+            h[nx:, :nx] = hxy.T
+            h[nx:, nx:] = 2.0 * (same + cross[:, ix.k21_transpose])
+        if fac.slack is not None:
+            d = self._diag_idx
+            h[d, d] -= 1.0 / (self.t * fac.slack**2)
+            if fac.tslack is not None:
+                h[np.ix_(d, d)] -= 1.0 / (self.t * fac.tslack**2)
         return h
 
-    def bundle(self, state: SaddleState) -> DerivativeBundle:
-        fac = self.factors(state)
-        g = self._gradient_from(fac)
-        h = self._hessian_from(fac)
-        value_f = fac.value_f()
-        value_ft = value_f + (fac.logdet_R - fac.logdet_K) / self.t
-        value_c = 2.0 * secrecy_rate(self.channel, fac.R)
-        return DerivativeBundle(
-            grad_x=g[: self.nx],
-            grad_y=g[self.nx:],
-            hess_xx=h[: self.nx, : self.nx],
-            hess_yy=h[self.nx:, self.nx:],
-            hess_xy=h[: self.nx, self.nx:],
-            value_f=value_f,
-            value_ft=value_ft,
-            value_C=value_c,
-        )
+
+def _point(obj: BarrierObjective, r, k) -> SaddleState:
+    return SaddleState(x=vech(_as_matrix(r)), y=vec(_as_k21(k, obj.channel)), lam=0.0)
 
 
 def barrier_value(obj: BarrierObjective, r, k) -> float:
     """f_t at (R, K) in the solver's log-det convention (no 1/2 factor)."""
-    rm = _as_matrix(r)
-    k21 = _as_k21(k, obj.channel)
-    fac = _Factors(obj.channel, rm, k21)
-    return fac.value_f() + (fac.logdet_R - fac.logdet_K) / obj.t
+    return obj.value_ft(_point(obj, r, k))
 
 
 def derivatives(obj: BarrierObjective, r, k) -> DerivativeBundle:
     """Exact gradients and Hessians of f_t at an interior point (R, K)."""
-    rm = _as_matrix(r)
-    k21 = _as_k21(k, obj.channel)
-    state = SaddleState(x=vech(rm), y=vec(k21), lam=0.0)
-    return obj.bundle(state)
+    state = _point(obj, r, k)
+    g, h = obj.newton_system(state)
+    fac, nx = obj.factors(state), obj.nx
+    return DerivativeBundle(
+        grad_x=g[:nx],
+        grad_y=g[nx:],
+        hess_xx=h[:nx, :nx],
+        hess_yy=h[nx:, nx:],
+        hess_xy=h[:nx, nx:],
+        value_f=fac.value_f(),
+        value_ft=obj.value_ft(state),
+        value_C=2.0 * secrecy_rate(obj.channel, fac.R),
+    )
 
 
-class DegradedBarrierObjective:
-    """Barrier objective for the degraded fast path: maximize
+class DegradedBarrierObjective(BarrierObjective):
+    """The barrier objective without a K block, for the degraded fast path:
+    maximize
 
         f_t(R) = ln|I + W1 R| - ln|I + W2 R| + (1/t) ln|R|
 
-    over x = vech(R) with tr R = P. No y block, same Newton interface."""
+    over x = vech(R) with tr R = P."""
 
-    def __init__(self, ch: ChannelPair, t: float, power: float):
-        if t <= 0:
-            raise ValueError("barrier parameter t must be positive")
-        self.channel = ch
-        self.t = float(t)
-        self.power = float(power)
-        self.nx = vech_len(ch.m)
-        self.ny = 0
-        self._ix = sandwich_indices(ch.m, 0, 0)
-        self.constraint = (vech(np.eye(ch.m)), self.power)
-        self._last_state = None   # one-slot reuse, as in BarrierObjective
-        self._last_parts = None
-
-    def unpack(self, state: SaddleState) -> np.ndarray:
-        return unvech(state.x)
-
-    def _parts(self, state: SaddleState):
-        """(R^{-1}, Z1, Z2) at ``state``, built once per SaddleState object."""
-        if state is not self._last_state:
-            ch = self.channel
-            rm = self.unpack(state)
-            rinv = _chol_inv(_chol(rm, "transmit covariance"), ch.m)
-            z1, _ = _z_matrix(ch.sqrt_W1, rm)
-            z2, _ = _z_matrix(ch.sqrt_W2, rm)
-            self._last_parts = (rinv, z1, z2)
-            self._last_state = state
-        return self._last_parts
-
-    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
-        """(f, C) in nats at ``state``; without a K block f is C."""
-        c = secrecy_rate(self.channel, self.unpack(state))
-        return c, c
-
-    def value_ft(self, state: SaddleState) -> float:
-        rm = self.unpack(state)
-        cf_r = _chol(rm, "transmit covariance")
-        ld1 = _logdet_capacity_term(self.channel.H1, rm)
-        ld2 = _logdet_capacity_term(self.channel.H2, rm)
-        return ld1 - ld2 + _chol_logdet(cf_r) / self.t
-
-    def newton_gradient(self, state: SaddleState) -> np.ndarray:
-        rinv, z1, z2 = self._parts(state)
-        return _gradient(self._ix, z1 - z2 + rinv / self.t)
-
-    def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
-        rinv, z1, z2 = self._parts(state)
-        g = _gradient(self._ix, z1 - z2 + rinv / self.t)
-        return g, _hxx(self._ix, z1, z2, rinv, lambda p: p / self.t)
+    _k_block = False
 
 
-class PerAntennaBarrierObjective:
-    """Minimax barrier objective augmented with per-antenna power barriers
+class PerAntennaBarrierObjective(BarrierObjective):
+    """The minimax barrier objective with per-antenna power barriers
 
         + (1/t) sum_i ln(P_i - r_ii)   [+ (1/t) ln(P_tot - tr R) if capped]
 
@@ -404,63 +403,8 @@ class PerAntennaBarrierObjective:
         caps = np.asarray(caps, dtype=float).ravel()
         if caps.size != ch.m:
             raise ValueError(f"need {ch.m} per-antenna caps, got {caps.size}")
-        if np.any(caps <= 0):
-            raise ValueError("per-antenna caps must be positive")
-        # power argument only feeds the inner objective's trace constraint
-        # metadata; any positive value works since no equality row is used.
-        self._inner = BarrierObjective(ch, t, float(np.sum(caps)))
-        self.channel = ch
-        self.t = float(t)
+        self._setup(ch, t, caps=caps, total=total)
         self.caps = caps
         self.total = None if total is None else float(total)
-        self.nx = self._inner.nx
-        self.ny = self._inner.ny
         self.constraint = None
         self._diag_idx = vech_diag_indices(ch.m)
-        self._a_full = np.zeros(self.nx + self.ny)
-        self._a_full[: self.nx] = vech(np.eye(ch.m))
-
-    def unpack(self, state: SaddleState):
-        return self._inner.unpack(state)
-
-    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
-        return self._inner.trace_rates(state)
-
-    def _slacks(self, rm: np.ndarray) -> tuple[np.ndarray, float | None]:
-        slack = self.caps - np.diag(rm)
-        if np.any(slack <= 0):
-            raise DomainError("per-antenna power cap violated")
-        tslack = None
-        if self.total is not None:
-            tslack = self.total - float(np.trace(rm))
-            if tslack <= 0:
-                raise DomainError("total power cap violated")
-        return slack, tslack
-
-    def value_ft(self, state: SaddleState) -> float:
-        rm, _ = self._inner.unpack(state)
-        slack, tslack = self._slacks(rm)
-        v = self._inner.value_ft(state) + float(np.sum(np.log(slack))) / self.t
-        if tslack is not None:
-            v += np.log(tslack) / self.t
-        return v
-
-    def newton_gradient(self, state: SaddleState) -> np.ndarray:
-        rm, _ = self._inner.unpack(state)
-        slack, tslack = self._slacks(rm)
-        g = self._inner.newton_gradient(state)  # a fresh array
-        g[self._diag_idx] -= 1.0 / (self.t * slack)
-        if tslack is not None:
-            g -= self._a_full / (self.t * tslack)
-        return g
-
-    def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
-        rm, _ = self._inner.unpack(state)
-        slack, tslack = self._slacks(rm)
-        g, h = self._inner.newton_system(state)  # fresh arrays
-        g[self._diag_idx] -= 1.0 / (self.t * slack)
-        h[self._diag_idx, self._diag_idx] -= 1.0 / (self.t * slack**2)
-        if tslack is not None:
-            g -= self._a_full / (self.t * tslack)
-            h -= np.outer(self._a_full, self._a_full) / (self.t * tslack**2)
-        return g, h

@@ -277,6 +277,29 @@ class TestTraceRows:
             assert row.f == minimax_objective(ch, rm, k21)
             assert row.C == secrecy_rate(ch, rm)
 
+    def test_degraded_rates_equal_secrecy_rate_at_iterate(self, monkeypatch):
+        # without a K block the row's f is C, both the rate at the iterate
+        from secrecap import barrier_solver
+
+        ch = degraded_channel(np.random.default_rng(67), m=3, n2=2, rank=1)
+        iterates = []
+        real_solve = barrier_solver.newton_solve
+
+        def capturing_solve(obj, state, callback, **kwargs):
+            def capture(k, st, rnorm, s):
+                iterates.append(st)
+                callback(k, st, rnorm, s)
+
+            return real_solve(obj, state, callback=capture, **kwargs)
+
+        monkeypatch.setattr(barrier_solver, "newton_solve", capturing_solve)
+        sol = solve_degraded(ch, 5.0)
+        assert sol.mode == "degraded"
+        assert len(iterates) == len(sol.trace) == sol.newton_steps_total > 0
+        for st, row in zip(iterates, sol.trace):
+            c = secrecy_rate(ch, unvech(st.x))
+            assert row.f == row.C == c
+
 
 def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.R_star.R, b.R_star.R)

@@ -185,47 +185,63 @@ class TestDerivatives:
         chans += [random_channel(rng, 2, 2, 2) for _ in range(2)]
         return chans, rng
 
+    KINDS = ("minimax", "degraded", "per_antenna")
+
+    @staticmethod
+    def _objective(kind, ch, t, r):
+        """An objective of each class; the per-antenna caps and total lie
+        above r's diagonal and trace, so r is inside them."""
+        if kind == "minimax":
+            return BarrierObjective(ch, t=t, power=10.0)
+        if kind == "degraded":
+            return DegradedBarrierObjective(ch, t, 10.0)
+        return PerAntennaBarrierObjective(ch, t, 1.5 * np.diag(r), 1.2 * np.trace(r))
+
     def test_gradient_matches_finite_differences(self):
-        chans, rng = self._channels()
-        for ch in chans:
-            obj = BarrierObjective(ch, t=rng.uniform(10, 1000), power=10.0)
-            for _ in range(5):
-                r, k21 = interior_point(rng, ch, 10.0)
-                z0 = np.concatenate([vech(r), vec(k21)])
+        for kind in self.KINDS:
+            chans, rng = self._channels()
+            for ch in chans:
+                t = rng.uniform(10, 1000)
+                for _ in range(5):
+                    r, k21 = interior_point(rng, ch, 10.0)
+                    obj = self._objective(kind, ch, t, r)
+                    z0 = np.concatenate([vech(r), vec(k21)])[: obj.nx + obj.ny]
 
-                def ft(z):
-                    st = SaddleState(x=z[: obj.nx], y=z[obj.nx :], lam=0.0)
-                    return obj.value_ft(st)
+                    def ft(z):
+                        st = SaddleState(x=z[: obj.nx], y=z[obj.nx :], lam=0.0)
+                        return obj.value_ft(st)
 
-                bundle = derivatives(obj, r, k21)
-                g = np.concatenate([bundle.grad_x, bundle.grad_y])
-                assert rel_err_inf(fd_gradient(ft, z0), g) <= 1e-5
+                    bundle = derivatives(obj, r, k21)
+                    g = np.concatenate([bundle.grad_x, bundle.grad_y])
+                    assert rel_err_inf(fd_gradient(ft, z0), g) <= 1e-5, kind
 
     def test_hessian_matches_gradient_differences(self):
-        chans, rng = self._channels()
-        for ch in chans:
-            obj = BarrierObjective(ch, t=rng.uniform(10, 1000), power=10.0)
-            r, k21 = interior_point(rng, ch, 10.0)
-            z0 = np.concatenate([vech(r), vec(k21)])
-            bundle = derivatives(obj, r, k21)
-            nx = obj.nx
-            hess = np.block(
-                [[bundle.hess_xx, bundle.hess_xy], [bundle.hess_xy.T, bundle.hess_yy]]
-            )
+        for kind in self.KINDS:
+            chans, rng = self._channels()
+            for ch in chans:
+                t = rng.uniform(10, 1000)
+                r, k21 = interior_point(rng, ch, 10.0)
+                obj = self._objective(kind, ch, t, r)
+                z0 = np.concatenate([vech(r), vec(k21)])[: obj.nx + obj.ny]
+                bundle = derivatives(obj, r, k21)
+                nx = obj.nx
+                hess = np.block(
+                    [[bundle.hess_xx, bundle.hess_xy], [bundle.hess_xy.T, bundle.hess_yy]]
+                )
 
-            def grad(z):
-                st = SaddleState(x=z[:nx], y=z[nx:], lam=0.0)
-                return obj.newton_gradient(st)
+                def grad(z):
+                    st = SaddleState(x=z[:nx], y=z[nx:], lam=0.0)
+                    return obj.newton_gradient(st)
 
-            h = 1e-5
-            fd = np.zeros_like(hess)
-            for j in range(z0.size):
-                zp = z0.copy()
-                zm = z0.copy()
-                zp[j] += h
-                zm[j] -= h
-                fd[:, j] = (grad(zp) - grad(zm)) / (2 * h)
-            assert rel_err_inf(fd, hess) <= 1e-4
+                h = 1e-5
+                fd = np.zeros_like(hess)
+                for j in range(z0.size):
+                    zp = z0.copy()
+                    zm = z0.copy()
+                    zp[j] += h
+                    zm[j] -= h
+                    fd[:, j] = (grad(zp) - grad(zm)) / (2 * h)
+                assert rel_err_inf(fd, hess) <= 1e-4, kind
 
     def test_definiteness(self, demo_channel):
         rng = np.random.default_rng(37)
@@ -347,7 +363,7 @@ class TestIndexFormulas:
             caps = np.diag(r) * rng.uniform(1.1, 2.0, m)
             total = float(np.trace(r)) * 1.05 if m % 2 else None
             pa = PerAntennaBarrierObjective(ch, t, caps, total)
-            g_ref, h_ref = oracle_minimax(pa._inner.factors(state), t, dm, dt)
+            g_ref, h_ref = oracle_minimax(pa.factors(state), t, dm, dt)
             diag = np.flatnonzero(vech(np.eye(m)))
             slack = caps - np.diag(r)
             g_ref[diag] -= 1.0 / (t * slack)
@@ -360,9 +376,35 @@ class TestIndexFormulas:
 
             deg = DegradedBarrierObjective(ch, t, 10.0)
             x_state = SaddleState(x=vech(r), y=np.zeros(0), lam=0.0)
-            rinv, z1, z2 = deg._parts(x_state)
-            g_ref = dm.T @ vec(z1 - z2 + rinv / t)
+            fac = deg.factors(x_state)
+            rinv, z1, z2 = fac.Rinv, fac.Z1, fac.Z2
+            g_ref = dm.T @ vec(z1 - z2 + (1.0 / t) * rinv)
             h_ref = -sym(dm.T @ (np.kron(z1, z1) - np.kron(z2, z2)
-                                 + np.kron(rinv, rinv) / t) @ dm)
+                                 + (1.0 / t) * np.kron(rinv, rinv)) @ dm)
             self.assert_matches(deg.newton_system(x_state), (g_ref, h_ref))
             assert np.array_equal(deg.newton_gradient(x_state), g_ref)
+
+
+class TestConstruction:
+    GOOD = dict(t=10.0, power=10.0, caps=[4.0, 6.0], total=8.0)
+    FIELDS = {BarrierObjective: ("t", "power"),
+              DegradedBarrierObjective: ("t", "power"),
+              PerAntennaBarrierObjective: ("t", "caps", "total")}
+
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_fields_not_finite_and_positive(self, demo_channel, cls, bad):
+        for field in self.FIELDS[cls]:
+            kwargs = {f: self.GOOD[f] for f in self.FIELDS[cls]}
+            kwargs[field] = [4.0, bad] if field == "caps" else bad
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be finite and positive, got"):
+                cls(demo_channel, **kwargs)
+
+    def test_subclasses_only_configure_the_base(self):
+        # one implementation: the degraded and per-antenna classes inherit
+        # every evaluation from BarrierObjective
+        for cls in (DegradedBarrierObjective, PerAntennaBarrierObjective):
+            assert issubclass(cls, BarrierObjective)
+            assert not {"newton_gradient", "newton_system", "value_ft",
+                        "trace_rates", "factors"} & set(vars(cls)), cls
