@@ -5,7 +5,8 @@ Runs the damped Newton iteration at several fixed barrier parameters from the
 standard starting point and prints the residual history of each run, then the
 full barrier schedule with the secrecy-rate trace. The residual columns show
 the two convergence phases (roughly linear, then quadratic once the basin is
-reached). Use --csv to dump the schedule trace for external plotting.
+reached). Use --csv to dump the schedule trace for external plotting, in the
+CSV format of ``secrecap trace-export``.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import argparse
 import numpy as np
 
 from secrecap import BarrierObjective, ChannelPair, SolverConfig, initial_point, solve_minimax
+from secrecap.cli import write_trace_csv
 from secrecap.kkt_newton import newton_solve
 
 H1 = np.array([[0.77, -0.30], [-0.32, -0.64]])
@@ -58,11 +60,7 @@ def main():
           f"gap bound = {sol.gap_bound:.1e}")
 
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,iter,residual,f,C,step_size\n")
-            for r in sol.trace:
-                fh.write(f"{r.t!r},{r.iteration},{r.residual!r},"
-                         f"{r.f!r},{r.C!r},{r.step_size!r}\n")
+        write_trace_csv([r.as_dict() for r in sol.trace], args.csv)
         print(f"trace written to {args.csv}")
 
 

@@ -3,10 +3,9 @@ certificate extraction.
 
 The schedule solves the barrier-augmented saddle system at t = t0, mu*t0,
 mu^2*t0, ... (capped at t_max), reusing the previous primal-dual iterate as
-the start for the next stage. Stops early once the capacity gap bound
-max(m, n1+n2)/t drops below ``eps_gap`` when that tolerance is set;
-otherwise the full schedule runs to t_max, mirroring the usual experiment
-protocol.
+the start for the next stage. Stops early once the stage objective's gap
+bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
+schedule runs to t_max, mirroring the usual experiment protocol.
 
 Reported capacities carry the 1/2 rate factor (nats); the dual variable and
 certificate residuals live in the solver's log-det convention.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -29,12 +28,13 @@ from .channel import (
     initial_point,
 )
 from .errors import SingularKktError, SolverError
-from .kkt_newton import newton_solve
-from .matcalc import sym, unvech, vech
+from .kkt_newton import newton_solve, residual
+from .matcalc import vec, vech
 from .objective import (
     BarrierObjective,
     DegradedBarrierObjective,
     PerAntennaBarrierObjective,
+    gap_bound,
     minimax_objective,
     secrecy_rate,
 )
@@ -75,14 +75,20 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1/2)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-        if self.mu <= 1:
-            raise ValueError("mu must exceed 1")
-        if self.t_max < self.t0:
-            raise ValueError("t_max must be >= t0")
-        if self.eps_newton <= 0:
-            raise ValueError("eps_newton must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and positive, got {self.t0}")
+        if not 1 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and exceed 1, got {self.mu}")
+        if not self.t0 <= self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and >= t0, got {self.t_max}")
+        if not 0 < self.eps_newton < math.inf:
+            raise ValueError(
+                f"eps_newton must be finite and positive, got {self.eps_newton}")
+        if self.eps_gap is not None and not 0 < self.eps_gap < math.inf:
+            raise ValueError(f"eps_gap must be finite and positive, got {self.eps_gap}")
+        it = self.max_newton_iter
+        if isinstance(it, bool) or not isinstance(it, Integral) or it < 1:
+            raise ValueError(f"max_newton_iter must be an integer >= 1, got {it!r}")
 
 
 @dataclass(frozen=True)
@@ -135,15 +141,14 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """Post-hoc stationarity check against the original saddle system.
+    """Post-hoc stationarity check of a barrier solution of any mode.
 
-    The multiplier approximation for the R >= 0 constraint is
-    M2 = R^{-1}/t; its complementarity defect tr(M2 R) equals m/t by the
-    trace identity, recorded as ``complementarity_R``. The multiplier for
-    K >= 0 and the diagonal-block multiplier are not separately recoverable
-    from the barrier iterate; ``stationarity_residual_K`` measures the
-    off-diagonal-block defect of the K-stationarity equation, where both of
-    those multipliers vanish.
+    ``stationarity_residual_R`` and ``stationarity_residual_K`` are the
+    2-norms of the R block (with the lambda* term) and the K block (empty
+    without one) of the stage objective's Newton residual, which carries
+    every barrier and power term; at a converged stage both are at most
+    ``eps_newton``. The multiplier approximation for the R >= 0 constraint
+    is M2 = R^{-1}/t, whose complementarity defect tr(M2 R) is m/t.
     """
 
     lam: float
@@ -151,13 +156,6 @@ class KktCertificate:
     stationarity_residual_R: float
     stationarity_residual_K: float
     complementarity_R: float
-
-
-def gap_bound(m: int, n1: int, n2: int, t: float) -> float:
-    """Capacity accuracy guarantee of the barrier solution at parameter t."""
-    if t <= 0:
-        raise ValueError("barrier parameter t must be positive")
-    return max(m, n1 + n2) / t
 
 
 def _schedule(cfg: SolverConfig):
@@ -187,21 +185,17 @@ def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
     )
 
 
-def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig,
-                  stage_gap):
+def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig):
     """Warm-started Newton solves over the t schedule.
 
-    ``make_objective(t)`` builds the stage objective, ``stage_gap(t)`` the
-    gap bound. Each accepted step adds a trace row with the objective's
-    ``trace_rates`` at the new iterate; a SolverError or SingularKktError
-    leaving this function carries the rows recorded so far. Returns
-    (state, t_final, total_steps, gap_met, trace, stage_reports).
+    ``make_objective(t)`` builds the stage objective. Each accepted step adds
+    a trace row with the objective's ``trace_rates`` at the new iterate; a
+    SolverError or SingularKktError leaving this function carries the rows
+    recorded so far. Returns (state, last stage objective, gap_met, trace,
+    stage_reports).
     """
     trace: list[TraceRecord] = []
     reports = []
-    total_steps = 0
-    t_final = cfg.t0
-    gap_met: bool | None = None
     for t in _schedule(cfg):
         obj = make_objective(t)
 
@@ -223,19 +217,15 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig,
         except SingularKktError as exc:
             exc.trace = trace
             raise
-        total_steps += report.iterations
         reports.append((t, report))
-        t_final = t
         if not report.converged:
             raise SolverError(
                 f"Newton stage at t={t:g} failed: {report.failure}", trace
             )
-        if cfg.eps_gap is not None and stage_gap(t) <= cfg.eps_gap:
-            gap_met = True
+        if cfg.eps_gap is not None and obj.gap() <= cfg.eps_gap:
             break
-    if cfg.eps_gap is not None and gap_met is None:
-        gap_met = stage_gap(t_final) <= cfg.eps_gap
-    return state, t_final, total_steps, gap_met, trace, reports
+    gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
+    return state, obj, gap_met, trace, reports
 
 
 @dataclass
@@ -285,24 +275,19 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     C(R) + (1/t) ln|R| without the noise-covariance block, with gap bound
     m/t; ``auto`` takes the degraded path whenever it applies. A budget
     always solves per-antenna: r_ii <= P_i and an optional total cap act as
-    barrier terms with no equality row. Its gap bound counts every barrier
-    term on both sides, (m + #scalar power barriers + n1 + n2)/t, and is
-    heuristic: the per-antenna extension inherits convergence but not the
-    exact constant of the total-power analysis.
+    barrier terms with no equality row, and its gap bound is heuristic
+    (``PerAntennaBarrierObjective.gap``). The mode only picks the stage
+    objective and the start; the last stage objective supplies the gap
+    bound, K21*, f and lambda*.
     """
     if cfg is None:
         cfg = SolverConfig()
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
     if isinstance(power, PerAntennaBudget):
-        budget = power  # the objective checks that it has one cap per antenna
-        mode = "per_antenna"
-        extra_terms = ch.m + (0 if budget.total is None else 1)
-        objective, args = PerAntennaBarrierObjective, (budget.caps, budget.total)
-        start = _per_antenna_start(ch, budget)
-
-        def stage_gap(t):
-            return (ch.m + extra_terms + ch.n1 + ch.n2) / t
+        mode = "per_antenna"  # the objective checks one cap per antenna
+        objective, args = PerAntennaBarrierObjective, (power.caps, power.total)
+        start = _per_antenna_start(ch, power)
     else:
         if mode == "per_antenna":
             raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
@@ -318,47 +303,42 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
                     f"(difference eigenvalues {eigs})"
                 )
             objective, args = DegradedBarrierObjective, (power,)
-            start = SaddleState(
-                x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0), lam=0.0
-            )
-
-            def stage_gap(t):
-                return ch.m / t
+            start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
         else:
             if kind is Degradedness.REVERSELY_DEGRADED:
                 return _zero_solution(ch, power, mode="zero")
             objective, args = BarrierObjective, (power,)
             start = initial_point(ch, power)
-            stage_gap = partial(gap_bound, ch.m, ch.n1, ch.n2)
 
-    state, t_final, steps, gap_met, trace, reports = _run_schedule(
-        lambda t: objective(ch, t, *args), start, cfg, stage_gap
+    state, obj, gap_met, trace, reports = _run_schedule(
+        lambda t: objective(ch, t, *args), start, cfg
     )
 
-    rm = sym(unvech(state.x))
+    rm, k21 = obj.unpack(state)
     c_raw = secrecy_rate(ch, rm)
-    bound = stage_gap(t_final)
-    if mode == "degraded":
-        k21 = np.zeros((ch.n2, ch.n1))
-        upper = c_raw + bound
+    bound = obj.gap()
+    if k21 is None:  # no K block: f is C, and C + gap bounds the capacity
+        k21, upper = np.zeros((ch.n2, ch.n1)), c_raw + bound
     else:
-        k21 = state.y.reshape((ch.n2, ch.n1), order="F")
         upper = minimax_objective(ch, rm, k21)
-    per_antenna = mode == "per_antenna"
+    if obj.constraint is None:  # power barrier rows: no multiplier, budget tr R*
+        lam, budget = None, float(np.trace(rm))
+    else:
+        lam, budget = -state.lam, obj.constraint[1]
     return SaddleSolution(
-        R_star=TransmitCovariance(rm, float(np.trace(rm)) if per_antenna else power),
+        R_star=TransmitCovariance(rm, budget),
         K21_star=k21,
-        lambda_star=None if per_antenna else -state.lam,
+        lambda_star=lam,
         capacity_upper=upper,
         capacity_achievable=max(0.0, c_raw),
         gap_bound=bound,
         trace=trace,
-        t_final=t_final,
+        t_final=obj.t,
         converged=True,
         gap_met=gap_met,
-        newton_steps_total=steps,
+        newton_steps_total=len(trace),
         mode=mode,
-        gap_bound_heuristic=per_antenna,
+        gap_bound_heuristic=obj.gap_heuristic,
         stage_reports=reports,
     )
 
@@ -377,23 +357,17 @@ def solve_degraded(ch: ChannelPair, power: float,
 
 def extract_certificate(sol: SaddleSolution,
                         obj: BarrierObjective) -> KktCertificate:
-    """Stationarity residuals of the original saddle KKT system at the
-    barrier solution held by ``sol``; ``obj`` must be the stage objective at
+    """The R and K blocks of ``kkt_newton.residual`` at (R*, K21*, -lambda*)
+    of ``sol``; ``obj`` must be the stage objective of the solve's mode at
     ``sol.t_final``. All quantities are in the solver's log-det convention."""
-    ch = obj.channel
-    rm = sol.R_star.R
-    k21 = sol.K21_star
-    fac = obj.factors(SaddleState(x=vech(rm), y=k21.ravel(order="F"), lam=0.0))
-    t = obj.t
-    m2 = fac.Rinv / t
     lam = 0.0 if sol.lambda_star is None else float(sol.lambda_star)
-    res_r = np.linalg.norm(fac.Z1 - fac.Z2 + m2 - lam * np.eye(ch.m), "fro")
-    gk = fac.G - (1.0 + 1.0 / t) * fac.Kinv
-    res_k = math.sqrt(2.0) * np.linalg.norm(gk[ch.n1:, : ch.n1], "fro")
+    y = vec(sol.K21_star) if obj.ny else np.zeros(0)
+    state = SaddleState(x=vech(sol.R_star.R), y=y, lam=-lam)
+    r, nx = residual(obj, state), obj.nx
     return KktCertificate(
         lam=lam,
-        M2_approx=m2,
-        stationarity_residual_R=float(res_r),
-        stationarity_residual_K=float(res_k),
-        complementarity_R=ch.m / t,
+        M2_approx=obj.factors(state).Rinv / obj.t,
+        stationarity_residual_R=float(np.linalg.norm(r[:nx])),
+        stationarity_residual_K=float(np.linalg.norm(r[nx:nx + obj.ny])),
+        complementarity_R=obj.channel.m / obj.t,
     )

@@ -46,6 +46,7 @@ __all__ = [
     "ProblemFormatError",
     "load_problem",
     "dump_problem",
+    "write_trace_csv",
     "main",
 ]
 
@@ -503,6 +504,21 @@ def cmd_batch(args) -> int:
 TRACE_COLUMNS = ("t", "iter", "residual", "f", "C", "step_size")
 
 
+def write_trace_csv(rows, path: str | None) -> None:
+    """Write trace rows (``TraceRecord.as_dict`` dicts) as CSV with a
+    ``TRACE_COLUMNS`` header and full-precision floats, to ``path`` or to
+    stdout when it is None."""
+    lines = [",".join(TRACE_COLUMNS)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                format(float(row[c]), ".17e") if c != "iter" else str(int(row[c]))
+                for c in TRACE_COLUMNS
+            )
+        )
+    _write_text("\n".join(lines) + "\n", path)
+
+
 def cmd_trace_export(args) -> int:
     if args.format != "csv":
         print(f"error: unsupported format '{args.format}'", file=sys.stderr)
@@ -515,15 +531,7 @@ def cmd_trace_export(args) -> int:
     if not res.trace:
         print("error: result has no trace", file=sys.stderr)
         return 1
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in res.trace:
-        lines.append(
-            ",".join(
-                format(float(row[c]), ".17e") if c != "iter" else str(int(row[c]))
-                for c in TRACE_COLUMNS
-            )
-        )
-    _write_text("\n".join(lines) + "\n", args.output)
+    write_trace_csv(res.trace, args.output)
     return 0
 
 

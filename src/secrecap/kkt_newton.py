@@ -56,10 +56,6 @@ class KktSystem:
     residual: np.ndarray
     kkt_matrix: np.ndarray
 
-    @property
-    def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual))
-
 
 @dataclass
 class NewtonReport:
@@ -148,14 +144,13 @@ def _trial_norm(obj, state: SaddleState, dz, dlam, s: float) -> tuple:
 
 
 def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
-                beta: float, r0_norm: float | None = None,
-                s_min: float = S_MIN):
+                beta: float, r0_norm: float | None = None):
     """Backtracking on the residual norm (accept while
     |r(w + s dw)| > (1 - alpha s)|r(w)| shrink s by beta), with trial points
     outside the barrier domain treated as infinite residual.
 
     Returns (s, new_state, new_residual_norm). Raises LineSearchError if s
-    falls below ``s_min``. Callers stop on |r| = 0 before invoking this; a
+    falls below ``S_MIN``. Callers stop on |r| = 0 before invoking this; a
     zero current residual admits no decrease and would stagnate here.
     """
     if not 0.0 < alpha < 0.5:
@@ -167,14 +162,14 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     dz, dlam = _split_step(obj, dw)
     s = 1.0
     last = np.inf
-    while s >= s_min:
+    while s >= S_MIN:
         trial, _, rnorm = _trial_norm(obj, state, dz, dlam, s)
         if rnorm <= (1.0 - alpha * s) * r0_norm:
             return s, trial, rnorm
         last = rnorm
         s *= beta
     raise LineSearchError(
-        f"line search stagnated: s < {s_min:g}, |r|={r0_norm:.3e}, "
+        f"line search stagnated: s < {S_MIN:g}, |r|={r0_norm:.3e}, "
         f"last trial |r|={last:.3e}"
     )
 

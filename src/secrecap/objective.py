@@ -47,7 +47,16 @@ __all__ = [
     "minimax_objective",
     "barrier_value",
     "derivatives",
+    "gap_bound",
 ]
+
+
+def gap_bound(m: int, n1: int, n2: int, t: float) -> float:
+    """Capacity accuracy guarantee of the barrier solution at parameter t;
+    without a K block n1 = n2 = 0, which gives m/t."""
+    if t <= 0:
+        raise ValueError("barrier parameter t must be positive")
+    return max(m, n1 + n2) / t
 
 
 def _as_matrix(r) -> np.ndarray:
@@ -230,7 +239,7 @@ class BarrierObjective:
 
     maximized over x = vech(R) subject to tr R = P and minimized over
     y = vec(K21). Provides values, gradients and the full indefinite Hessian
-    for the primal-dual Newton solver.
+    for the primal-dual Newton solver, and the gap bound of a stage solution.
 
     Two axes, which the subclasses set: without the K block (degraded) f is
     C(R) = ln|I + W1 R| - ln|I + W2 R| and there is no y; with per-antenna
@@ -241,6 +250,7 @@ class BarrierObjective:
     _k_block = True
     caps = None   # per-antenna caps P_i; None with the equality row tr R = P
     total = None  # optional total cap beside the per-antenna ones
+    gap_heuristic = False  # True when gap() is not a proven bound
 
     def __init__(self, ch: ChannelPair, t: float, power: float):
         self._setup(ch, t, power=power)
@@ -256,16 +266,20 @@ class BarrierObjective:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         self.channel = ch
         self.t = float(t)
-        n1, n2 = (ch.n1, ch.n2) if self._k_block else (0, 0)
+        self.n1, self.n2 = (ch.n1, ch.n2) if self._k_block else (0, 0)
         self.nx = vech_len(ch.m)
-        self.ny = n1 * n2
-        self._ix = sandwich_indices(ch.m, n1, n2)
+        self.ny = self.n1 * self.n2
+        self._ix = sandwich_indices(ch.m, self.n1, self.n2)
         # Factors of the last point evaluated. The Newton solver evaluates the
         # accepted line-search trial again in assemble() and in the trace row,
         # so those reuse this slot. Per-stage objectives are never shared
         # between threads.
         self._last_state = None
         self._last_factors = None
+
+    def gap(self) -> float:
+        """Capacity gap bound of a solution of this stage."""
+        return gap_bound(self.channel.m, self.n1, self.n2, self.t)
 
     # -- state unpacking ---------------------------------------------------
 
@@ -396,7 +410,13 @@ class PerAntennaBarrierObjective(BarrierObjective):
 
     and no equality constraint row: all power limits act through barriers,
     so the Newton system has no multiplier block.
+
+    Its gap bound (m + #power barriers + n1 + n2)/t counts every barrier
+    term and is heuristic: the extension inherits convergence but not the
+    exact constant of the total-power analysis.
     """
+
+    gap_heuristic = True
 
     def __init__(self, ch: ChannelPair, t: float, caps: np.ndarray,
                  total: float | None = None):
@@ -408,3 +428,8 @@ class PerAntennaBarrierObjective(BarrierObjective):
         self.total = None if total is None else float(total)
         self.constraint = None
         self._diag_idx = vech_diag_indices(ch.m)
+
+    def gap(self) -> float:
+        m = self.channel.m
+        power_terms = m + (0 if self.total is None else 1)
+        return (m + power_terms + self.n1 + self.n2) / self.t

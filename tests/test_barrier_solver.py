@@ -4,6 +4,8 @@ import pytest
 from secrecap import (
     BarrierObjective,
     ChannelPair,
+    DegradedBarrierObjective,
+    PerAntennaBarrierObjective,
     PerAntennaBudget,
     SolverConfig,
     extract_certificate,
@@ -59,6 +61,15 @@ class TestGapBound:
         with pytest.raises(ValueError):
             gap_bound(2, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("total, power_terms", [(None, 2), (8.0, 3)])
+    def test_per_antenna_counts_every_barrier_term(self, demo_channel, total,
+                                                   power_terms):
+        # (m + #power barriers + n1 + n2)/t: m = n1 = n2 = 2, caps sum to 10
+        budget = PerAntennaBudget(caps=[4.0, 6.0], total=total)
+        sol = solve_per_antenna(demo_channel, budget, SolverConfig(t_max=100.0))
+        assert sol.gap_bound == (2 + power_terms + 2 + 2) / 100.0
+        assert sol.gap_bound_heuristic
+
 
 class TestSolverConfig:
     def test_defaults_match_reference_protocol(self):
@@ -81,6 +92,31 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t0", np.inf),
+            ("t0", np.nan),
+            ("mu", np.inf),
+            ("mu", np.nan),
+            ("t_max", np.inf),
+            ("t_max", np.nan),
+            ("eps_newton", np.inf),
+            ("eps_newton", np.nan),
+            ("eps_gap", 0.0),
+            ("eps_gap", -1e-3),
+            ("eps_gap", np.nan),
+            ("eps_gap", np.inf),
+            ("max_newton_iter", 0),
+            ("max_newton_iter", 2.5),
+            ("max_newton_iter", 200.0),
+            ("max_newton_iter", True),
+        ],
+    )
+    def test_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverConfig(**{field: value})
 
 
 class TestSolveMinimax:
@@ -371,7 +407,34 @@ class TestSolveDegraded:
         np.testing.assert_allclose(sol.R_star.R, 5.0 * np.eye(2), atol=1e-6)
 
 
+def certified_solve(mode):
+    """(solution, its stage objective at t_final) on a demo-channel case."""
+    if mode == "degraded":
+        ch = ChannelPair(DEMO_H1, 0.5 * DEMO_H1)
+        sol = solve_degraded(ch, 10.0)
+        return sol, DegradedBarrierObjective(ch, sol.t_final, 10.0)
+    ch, caps = ChannelPair(DEMO_H1, DEMO_H2), [4.0, 6.0]
+    sol = solve_per_antenna(ch, PerAntennaBudget(caps=caps))
+    return sol, PerAntennaBarrierObjective(ch, sol.t_final, caps)
+
+
 class TestCertificate:
+    # the minimax case is test_certificate_at_converged_solution below
+    @pytest.mark.parametrize("mode", ["degraded", "per_antenna"])
+    def test_certificate_on_other_modes(self, mode):
+        sol, obj = certified_solve(mode)
+        assert sol.mode == mode
+        cert = extract_certificate(sol, obj)
+        assert cert.lam >= -1e-10
+        assert cert.stationarity_residual_R <= 1e-8 * (1 + cert.lam)
+        assert cert.stationarity_residual_K <= 1e-8
+        assert cert.complementarity_R == 2 / sol.t_final
+        np.testing.assert_allclose(
+            cert.M2_approx,
+            np.linalg.inv(sol.R_star.R) / sol.t_final,
+            rtol=1e-8,
+        )
+
     def test_certificate_at_converged_solution(self, demo_channel):
         sol = solve_minimax(demo_channel, 10.0)
         obj = BarrierObjective(demo_channel, sol.t_final, 10.0)

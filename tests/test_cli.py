@@ -201,6 +201,20 @@ class TestSolveCommand:
         assert res["t_final"] == 1000.0
         assert res["config"]["mu"] == 5.0
 
+    @pytest.mark.parametrize("solver, flags, field", [
+        ({"eps_newton": math.inf}, [], "eps_newton"),
+        ({}, ["--t-max", "inf"], "t_max"),
+    ])
+    def test_non_finite_setting_is_input_error(self, tmp_path, capsys, solver,
+                                               flags, field):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, solver=solver)))
+        rc = main(["solve", str(path), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert field in captured.err
+        assert captured.out == ""
+
     def test_nonconvergence_exit_code_and_partial_trace(self, tmp_path, capsys):
         # identical channels push K to the feasibility boundary; a deep
         # schedule with a strict residual target cannot converge there

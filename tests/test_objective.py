@@ -408,3 +408,16 @@ class TestConstruction:
             assert issubclass(cls, BarrierObjective)
             assert not {"newton_gradient", "newton_system", "value_ft",
                         "trace_rates", "factors"} & set(vars(cls)), cls
+
+    @pytest.mark.parametrize("cls, gap", [
+        (BarrierObjective, max(2, 2 + 3) / 10.0),  # max(m, n1 + n2)/t
+        (DegradedBarrierObjective, 2 / 10.0),      # m/t: no K block
+        # m + (m caps + 1 total) + n1 + n2 barrier terms over t
+        (PerAntennaBarrierObjective, (2 + 3 + 2 + 3) / 10.0),
+    ], ids=["minimax", "degraded", "per_antenna"])
+    def test_gap_from_own_block_sizes(self, cls, gap):
+        ch = ChannelPair(DEMO_H1, np.vstack([DEMO_H2, DEMO_H2[:1]]))  # m 2, n1 2, n2 3
+        kwargs = {f: self.GOOD[f] for f in self.FIELDS[cls] if f != "t"}
+        obj = cls(ch, 10.0, **kwargs)
+        assert obj.gap() == gap
+        assert obj.gap_heuristic is (cls is PerAntennaBarrierObjective)
