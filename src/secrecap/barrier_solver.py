@@ -5,7 +5,9 @@ The schedule solves the barrier-augmented saddle system at t = t0, mu*t0,
 mu^2*t0, ... (capped at t_max), reusing the previous primal-dual iterate as
 the start for the next stage. Stops early once the stage objective's gap
 bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
-schedule runs to t_max, mirroring the usual experiment protocol.
+schedule runs to t_max, mirroring the usual experiment protocol. A solve
+warm-started from a nearby minimax solution runs only that solution's last
+stage.
 
 Reported capacities carry the 1/2 rate factor (nats); the dual variable and
 certificate residuals live in the solver's log-det convention.
@@ -185,8 +187,8 @@ def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
     )
 
 
-def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig):
-    """Warm-started Newton solves over the t schedule.
+def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages):
+    """Warm-started Newton solves at each t of ``stages``.
 
     ``make_objective(t)`` builds the stage objective. Each accepted step adds
     a trace row with the objective's ``trace_rates`` at the new iterate; a
@@ -196,7 +198,7 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig):
     """
     trace: list[TraceRecord] = []
     reports = []
-    for t in _schedule(cfg):
+    for t in stages:
         obj = make_objective(t)
 
         def record(k, st, rnorm, s, obj=obj, t=t):
@@ -264,8 +266,23 @@ def _per_antenna_start(ch: ChannelPair, budget: PerAntennaBudget) -> SaddleState
 SOLVE_MODES = ("auto", "minimax", "degraded", "per_antenna")
 
 
+def _warm_start(ch: ChannelPair, power: float, warm: SaddleSolution) -> SaddleState:
+    """(R*·P/P0, K21*, -lambda*) of the minimax solution ``warm`` at P0."""
+    if warm.mode != "minimax":
+        raise ValueError(
+            f"warm must be a minimax-mode SaddleSolution, got mode {warm.mode!r}")
+    rm, k21 = warm.R_star.R, warm.K21_star
+    if rm.shape != (ch.m, ch.m) or k21.shape != (ch.n2, ch.n1):
+        raise ValueError(
+            f"warm has R* {rm.shape} and K21* {k21.shape}, need "
+            f"{(ch.m, ch.m)} and {(ch.n2, ch.n1)}")
+    scale = power / warm.R_star.power
+    return SaddleState(x=vech(rm * scale), y=vec(k21), lam=-float(warm.lambda_star))
+
+
 def solve(ch: ChannelPair, power: float | PerAntennaBudget,
-          cfg: SolverConfig | None = None, mode: str = "auto") -> SaddleSolution:
+          cfg: SolverConfig | None = None, mode: str = "auto",
+          warm: SaddleSolution | None = None) -> SaddleSolution:
     """Globally optimal transmit covariance via the saddle-point barrier
     method, for a total budget P or a ``PerAntennaBudget``.
 
@@ -279,6 +296,14 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     (``PerAntennaBarrierObjective.gap``). The mode only picks the stage
     objective and the start; the last stage objective supplies the gap
     bound, K21*, f and lambda*.
+
+    ``warm``, a minimax-mode solution of the same channel at a power P0,
+    starts a minimax solve from (R*·P/P0, K21*, -lambda*) and runs only the
+    stage at ``warm.t_final``, so ``t_final``, ``gap_bound`` and ``gap_met``
+    are those of a cold solve with the same config. It pays off when P is
+    within a few percent of P0; farther away a cold solve is safer. Raises
+    ValueError when ``warm`` is not a minimax-mode solution of this shape,
+    or when the solve does not resolve to ``minimax``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -286,8 +311,6 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
     if isinstance(power, PerAntennaBudget):
         mode = "per_antenna"  # the objective checks one cap per antenna
-        objective, args = PerAntennaBarrierObjective, (power.caps, power.total)
-        start = _per_antenna_start(ch, power)
     else:
         if mode == "per_antenna":
             raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
@@ -296,22 +319,28 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
         kind, eigs = classify_degraded(ch)
         if mode == "auto":
             mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"
-        if mode == "degraded":
-            if kind is not Degradedness.DEGRADED:
-                raise ValueError(
-                    f"solve_degraded requires a degraded channel, got {kind.value} "
-                    f"(difference eigenvalues {eigs})"
-                )
-            objective, args = DegradedBarrierObjective, (power,)
-            start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
-        else:
-            if kind is Degradedness.REVERSELY_DEGRADED:
-                return _zero_solution(ch, power, mode="zero")
-            objective, args = BarrierObjective, (power,)
-            start = initial_point(ch, power)
+        if mode == "degraded" and kind is not Degradedness.DEGRADED:
+            raise ValueError(
+                f"solve_degraded requires a degraded channel, got {kind.value} "
+                f"(difference eigenvalues {eigs})"
+            )
+    if warm is not None and mode != "minimax":
+        raise ValueError(f"warm starts only a minimax solve, not mode {mode!r}")
+    if mode == "per_antenna":
+        objective, args = PerAntennaBarrierObjective, (power.caps, power.total)
+        start = _per_antenna_start(ch, power)
+    elif mode == "degraded":
+        objective, args = DegradedBarrierObjective, (power,)
+        start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
+    else:
+        objective, args = BarrierObjective, (power,)
+        start = _warm_start(ch, power, warm) if warm else initial_point(ch, power)
+        if kind is Degradedness.REVERSELY_DEGRADED:
+            return _zero_solution(ch, power, mode="zero")
 
     state, obj, gap_met, trace, reports = _run_schedule(
-        lambda t: objective(ch, t, *args), start, cfg
+        lambda t: objective(ch, t, *args), start, cfg,
+        _schedule(cfg) if warm is None else (warm.t_final,),
     )
 
     rm, k21 = obj.unpack(state)
@@ -343,10 +372,11 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     )
 
 
-def solve_minimax(ch: ChannelPair, power: float,
-                  cfg: SolverConfig | None = None) -> SaddleSolution:
-    """``solve`` in ``minimax`` mode: works for any channel."""
-    return solve(ch, power, cfg, mode="minimax")
+def solve_minimax(ch: ChannelPair, power: float, cfg: SolverConfig | None = None,
+                  warm: SaddleSolution | None = None) -> SaddleSolution:
+    """``solve`` in ``minimax`` mode: works for any channel; ``warm`` as in
+    ``solve``."""
+    return solve(ch, power, cfg, mode="minimax", warm=warm)
 
 
 def solve_degraded(ch: ChannelPair, power: float,

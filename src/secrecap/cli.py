@@ -378,14 +378,18 @@ def cmd_solve(args) -> int:
 
 def cmd_dual(args) -> int:
     def run(prob, ch, cfg):
+        if prob.per_antenna:
+            raise ProblemFormatError(
+                "field 'power' must be one total power for the dual, which "
+                "minimizes total power; per-antenna caps do not apply")
         rate = args.rate if args.rate is not None else prob.dual_rate
         if rate is None:
             raise ProblemFormatError("dual mode needs --rate or a 'dual_rate' field")
         tol = args.tol_rate
         if tol is None:
             tol = prob.dual_tol_rate if prob.dual_tol_rate is not None else 1e-6
-        p_hi = float(prob.power) if not prob.per_antenna else None
-        target = DualTarget(rate=float(rate), p_hi=p_hi, tol_rate=float(tol))
+        target = DualTarget(rate=float(rate), p_hi=float(prob.power),
+                            tol_rate=float(tol))
         return solve_dual(ch, target, cfg)
 
     return _run_problem(args, run)

@@ -9,7 +9,10 @@ one minimax solve per step. Cs(P) is concave and nondecreasing, so a tangent
 taken below the target rate crosses it at or before P*, and its slope
 dCs/dP = lambda*/2 comes with each solve. Steps therefore approach P* from
 below; a step that leaves the bracket, or whose solve fails, falls back to
-the bracket midpoint.
+the bracket midpoint. A point within ``WARM_SHARE`` of the nearer bracket
+end is solved warm from that end's saddle point, which runs only the last
+barrier stage; if that solve fails, the point is solved cold. Every inner
+solve goes through ``solve_minimax``.
 """
 
 from __future__ import annotations
@@ -65,9 +68,20 @@ def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
 
 _BRACKET_CAP = 2.0**40
 _MAX_SEARCH = 200
+WARM_SHARE = 0.05  # |p - p_end| <= WARM_SHARE * p starts warm from p_end
 
 
-def _capacity_at(ch: ChannelPair, power: float, cfg: SolverConfig):
+def _capacity_at(ch: ChannelPair, power: float, cfg: SolverConfig, *ends):
+    """(Cs(power), solution). ``ends`` are (p, solution at p or None) pairs;
+    within ``WARM_SHARE`` of the nearest p the solve starts warm from its
+    solution, and a warm solve that fails is repeated cold."""
+    p_end, sol_end = min(ends, key=lambda end: abs(power - end[0]), default=(0.0, None))
+    if sol_end is not None and abs(power - p_end) <= WARM_SHARE * power:
+        try:
+            sol = solve_minimax(ch, power, cfg, warm=sol_end)
+            return sol.capacity_achievable, sol
+        except (SingularKktError, SolverError):
+            pass
     sol = solve_minimax(ch, power, cfg)
     return sol.capacity_achievable, sol
 
@@ -92,6 +106,13 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
     to it, so lo always moves. After a failed Newton point, or a lengthened
     one that still falls short, the search bisects until a new point below
     the rate gives a new tangent.
+
+    The solutions at lo and hi are kept. Every earlier point lies at or
+    below lo or at or above hi, so the nearer end is the nearest solved
+    power; a point within 5% of it (``WARM_SHARE``) starts warm from its
+    saddle point. A warm solve that fails is repeated cold before the
+    safeguards above apply. A warm solve agrees with a cold one to within
+    the Newton tolerance, so the search takes a cold search's steps.
 
     Raises BracketError when the rate is unattainable within the bracket
     (or within the automatic doubling cap when p_hi is not given).
@@ -126,8 +147,9 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
         return hi, sol_hi
 
     # Tangent at the last point below the rate: (lo, c_lo) with its slope.
+    # P = 0 needs no solve, so there is no solution at lo yet.
     lo, c_lo, slope = 0.0, 0.0, 0.5 * float(eigs.max())
-    best_p, best_sol = hi, sol_hi
+    sol_lo = None
     for _ in range(_MAX_SEARCH):
         # A lengthened step ends next to P*, and a point above the rate
         # there collapses the bracket at once.
@@ -137,23 +159,23 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
         sol = None
         if p < hi:
             try:
-                c, sol = _capacity_at(ch, p, cfg)
+                c, sol = _capacity_at(ch, p, cfg, (lo, sol_lo), (hi, sol_hi))
             except (SingularKktError, SolverError):
                 slope = 0.0  # bisect until a new point below the rate
         if sol is None:
             p, step = 0.5 * (lo + hi), math.inf
-            c, sol = _capacity_at(ch, p, cfg)
+            c, sol = _capacity_at(ch, p, cfg, (lo, sol_lo), (hi, sol_hi))
         if abs(c - target.rate) <= target.tol_rate:
             return p, sol
         if c < target.rate:
             # A lengthened step that still falls short means the tangent
             # overestimated the slope: bisect until the next point below.
-            lo, c_lo = p, c
+            lo, c_lo, sol_lo = p, c, sol
             slope = 0.5 * float(sol.lambda_star) if step >= floor else 0.0
         else:
-            hi, best_p, best_sol = p, p, sol
+            hi, sol_hi = p, sol
         if (hi - lo) <= 1e-12 * max(1.0, hi):
             break
     # Bracket collapsed before the rate tolerance was met; the upper edge
     # satisfies the rate constraint and is returned as the conservative P*.
-    return best_p, best_sol
+    return hi, sol_hi

@@ -286,6 +286,17 @@ class TestDualCommand:
         res = json.loads(capsys.readouterr().out)
         assert res["capacity_nats"] == pytest.approx(0.2, abs=1e-6)
 
+    def test_per_antenna_power_rejected(self, tmp_path, capsys):
+        # the dual minimizes total power, so per-antenna caps cannot bound it
+        prob = dict(DEMO_PROBLEM, power=[0.5, 0.5])
+        path = tmp_path / "pa_dual.json"
+        path.write_text(json.dumps(prob))
+        rc = main(["dual", str(path), "--rate", "0.3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "field 'power'" in captured.err
+        assert captured.out == ""
+
     def test_unattainable_rate(self, tmp_path, capsys):
         prob = dict(DEMO_PROBLEM, H1=DEMO_H2.tolist(), H2=(2 * DEMO_H2).tolist())
         path = tmp_path / "revd.json"

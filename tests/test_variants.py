@@ -6,6 +6,7 @@ import pytest
 from scipy import linalg as sla
 from scipy.optimize import brentq
 
+import secrecap.barrier_solver as barrier_solver
 import secrecap.variants as variants
 from secrecap import (
     BracketError,
@@ -20,7 +21,7 @@ from secrecap import (
 from secrecap.channel import classify_degraded
 from secrecap.errors import SingularKktError, SolverError
 
-from conftest import DEMO_H1, DEMO_H2
+from conftest import DEMO_H1, DEMO_H2, random_channel
 
 
 def parallel_channel(w1_diag, w2_diag):
@@ -196,12 +197,12 @@ def _spy_solves(monkeypatch, fail_at=()):
     powers = []
     real = variants.solve_minimax
 
-    def spy(ch, power, cfg=None):
+    def spy(ch, power, cfg=None, **kwargs):
         powers.append(power)
         for p_fail, exc in fail_at:
             if power == pytest.approx(p_fail, rel=1e-12):
                 raise exc("injected failure")
-        return real(ch, power, cfg)
+        return real(ch, power, cfg, **kwargs)
 
     monkeypatch.setattr(variants, "solve_minimax", spy)
     return powers
@@ -245,7 +246,7 @@ class TestNewtonSearch:
         rate = 0.3
         powers = []
 
-        def plateau(ch, power, cfg=None):
+        def plateau(ch, power, cfg=None, **kwargs):
             powers.append(power)
             gap = 1e-6 if power >= 1.0 else -1e-6
             return SimpleNamespace(capacity_achievable=rate + gap, lambda_star=2e7)
@@ -263,6 +264,68 @@ class TestNewtonSearch:
                                           (5.0, SingularKktError)])
         with pytest.raises(SingularKktError, match="injected"):
             solve_dual(demo_channel, DualTarget(rate=0.30, p_hi=10.0))
+
+
+def _record_solves(monkeypatch, drop_warm=False, fail_warm=0):
+    """Record (power, warm solution or None) of every solve ``solve_dual``
+    makes; with ``drop_warm`` every solve runs cold, and the first
+    ``fail_warm`` warm solves raise SolverError."""
+    calls = []
+    real = barrier_solver.solve_minimax
+
+    def spy(ch, power, cfg=None, warm=None):
+        calls.append((power, warm))
+        if warm is not None and sum(w is not None for _, w in calls) <= fail_warm:
+            raise SolverError("injected warm failure")
+        return real(ch, power, cfg, warm=None if drop_warm else warm)
+
+    monkeypatch.setattr(variants, "solve_minimax", spy)
+    return calls
+
+
+def _dual_case(name):
+    if name.startswith("demo"):
+        return ChannelPair(DEMO_H1, DEMO_H2), DualTarget(
+            rate=0.30, p_hi=10.0, tol_rate=1e-6 if name == "demo" else 1e-12)
+    ch = random_channel(np.random.default_rng([20261019, int(name[-1])]), 4, 3, 3)
+    rate = 0.5 * solve_minimax(ch, 10.0).capacity_achievable
+    return ch, DualTarget(rate=rate, p_hi=1e3)
+
+
+class TestWarmNearAnswer:
+    @pytest.mark.parametrize("name", ["demo", "demo_tight", "rng0", "rng1", "rng2"])
+    def test_same_search_as_cold(self, monkeypatch, name):
+        ch, target = _dual_case(name)
+        cold_calls = _record_solves(monkeypatch, drop_warm=True)
+        p_cold, _ = solve_dual(ch, target)
+        calls = _record_solves(monkeypatch)
+        p_star, sol = solve_dual(ch, target)
+        # the same steps; a warm solve's C differs from the cold one's in
+        # the last digits, which moves a tight tolerance's points by ~1e-12
+        assert [p for p, _ in calls] == pytest.approx([p for p, _ in cold_calls],
+                                                      rel=1e-10)
+        assert p_star == pytest.approx(p_cold, rel=1e-12)
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
+        assert any(w is not None for _, w in calls)
+        # every earlier point lies outside the bracket, so the nearest solved
+        # power is a bracket end: a point within 5% of it starts warm from it
+        for i, (p, warm) in enumerate(calls):
+            nearest = min((q for q, _ in calls[:i]), key=lambda q: abs(p - q),
+                          default=None)
+            if nearest is not None and abs(p - nearest) <= 0.05 * p:
+                assert warm is not None and warm.R_star.power == nearest
+            else:
+                assert warm is None
+
+    def test_failed_warm_solve_is_repeated_cold(self, monkeypatch):
+        ch, target = _dual_case("demo")
+        p_ref, _ = solve_dual(ch, target)
+        calls = _record_solves(monkeypatch, fail_warm=1)
+        p_star, sol = solve_dual(ch, target)
+        i = next(i for i, (_, w) in enumerate(calls) if w is not None)
+        assert calls[i + 1] == (calls[i][0], None)
+        assert p_star == pytest.approx(p_ref, rel=1e-12)
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
 
 
 def miso_capacity(h1, h2, power):
