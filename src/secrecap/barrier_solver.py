@@ -29,7 +29,7 @@ from .channel import (
     classify_degraded,
     initial_point,
 )
-from .errors import SingularKktError, SolverError
+from .errors import SolverError
 from .kkt_newton import newton_solve, residual
 from .matcalc import vec, vech
 from .objective import (
@@ -118,7 +118,8 @@ class TraceRecord:
 
 @dataclass
 class SaddleSolution:
-    """Converged saddle point plus diagnostics.
+    """Converged saddle point plus diagnostics; a solve that cannot reach a
+    stage's Newton tolerance raises SolverError instead.
 
     capacity_achievable is C(R*) clamped at zero; capacity_upper is the
     saddle functional f(R*, K*) (both in nats). For the degraded fast path
@@ -133,12 +134,14 @@ class SaddleSolution:
     gap_bound: float
     trace: list[TraceRecord]
     t_final: float
-    converged: bool
     gap_met: bool | None
-    newton_steps_total: int
     mode: str
     gap_bound_heuristic: bool = False
     stage_reports: list = field(default_factory=list)  # (t, NewtonReport) pairs
+
+    @property
+    def newton_steps_total(self) -> int:
+        return len(self.trace)
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,7 @@ def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
         gap_bound=0.0,
         trace=[],
         t_final=math.inf,
-        converged=True,
         gap_met=True,
-        newton_steps_total=0,
         mode=mode,
     )
 
@@ -192,9 +193,8 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
 
     ``make_objective(t)`` builds the stage objective. Each accepted step adds
     a trace row with the objective's ``trace_rates`` at the new iterate; a
-    SolverError or SingularKktError leaving this function carries the rows
-    recorded so far. Returns (state, last stage objective, gap_met, trace,
-    stage_reports).
+    SolverError leaving this function carries the rows recorded so far.
+    Returns (state, last stage objective, gap_met, trace, stage_reports).
     """
     trace: list[TraceRecord] = []
     reports = []
@@ -216,14 +216,12 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
                 beta=cfg.beta,
                 callback=record,
             )
-        except SingularKktError as exc:
+            if not report.converged:
+                raise SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
+        except SolverError as exc:  # a SingularKktError too
             exc.trace = trace
             raise
         reports.append((t, report))
-        if not report.converged:
-            raise SolverError(
-                f"Newton stage at t={t:g} failed: {report.failure}", trace
-            )
         if cfg.eps_gap is not None and obj.gap() <= cfg.eps_gap:
             break
     gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
@@ -295,7 +293,9 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     barrier terms with no equality row, and its gap bound is heuristic
     (``PerAntennaBarrierObjective.gap``). The mode only picks the stage
     objective and the start; the last stage objective supplies the gap
-    bound, K21*, f and lambda*.
+    bound, K21*, f and lambda*. A stage that misses its Newton tolerance
+    raises SolverError (SingularKktError for a singular KKT system) with
+    the trace recorded so far.
 
     ``warm``, a minimax-mode solution of the same channel at a power P0,
     starts a minimax solve from (R*·P/P0, K21*, -lambda*) and runs only the
@@ -363,9 +363,7 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
         gap_bound=bound,
         trace=trace,
         t_final=obj.t,
-        converged=True,
         gap_met=gap_met,
-        newton_steps_total=len(trace),
         mode=mode,
         gap_bound_heuristic=obj.gap_heuristic,
         stage_reports=reports,

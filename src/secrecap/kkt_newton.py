@@ -59,12 +59,25 @@ class KktSystem:
 
 @dataclass
 class NewtonReport:
-    iterations: int = 0
-    final_residual_norm: float = np.inf
-    step_sizes: list = field(default_factory=list)
+    """What one Newton solve observed: the residual norm at the start and
+    after each accepted step, the accepted step sizes, and why it stopped
+    short of the tolerance (None once it met it)."""
+
     residual_norms: list = field(default_factory=list)
-    converged: bool = False
+    step_sizes: list = field(default_factory=list)
     failure: str | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_sizes)
+
+    @property
+    def final_residual_norm(self) -> float:
+        return self.residual_norms[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.failure is None
 
 
 def residual(obj, state: SaddleState) -> np.ndarray:
@@ -187,32 +200,19 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     report = NewtonReport()
     rnorm = float(np.linalg.norm(residual(obj, state)))
     report.residual_norms.append(rnorm)
-    if rnorm <= eps:
-        report.converged = True
-        report.final_residual_norm = rnorm
-        return state, report
-
-    for k in range(1, max_iter + 1):
-        sys = assemble(obj, state)
-        dw = newton_step(sys)
+    while not rnorm <= eps:  # a NaN residual has not converged either
+        if report.iterations == max_iter:
+            report.failure = f"not converged after {max_iter} iterations"
+            break
+        dw = newton_step(assemble(obj, state))
         try:
             s, state, rnorm = line_search(obj, state, dw, alpha, beta,
                                           r0_norm=rnorm)
         except LineSearchError as exc:
-            report.iterations = k - 1
-            report.final_residual_norm = rnorm
             report.failure = str(exc)
-            return state, report
-        report.iterations = k
+            break
         report.step_sizes.append(s)
         report.residual_norms.append(rnorm)
         if callback is not None:
-            callback(k, state, rnorm, s)
-        if rnorm <= eps:
-            report.converged = True
-            break
-
-    report.final_residual_norm = rnorm
-    if not report.converged and report.failure is None:
-        report.failure = f"not converged after {report.iterations} iterations"
+            callback(report.iterations, state, rnorm, s)
     return state, report

@@ -29,7 +29,7 @@ from .barrier_solver import (
     solve_minimax,
 )
 from .channel import ChannelPair, Degradedness, classify_degraded
-from .errors import BracketError, SingularKktError, SolverError
+from .errors import BracketError, SolverError
 
 __all__ = [
     "PerAntennaBudget",
@@ -80,7 +80,7 @@ def _capacity_at(ch: ChannelPair, power: float, cfg: SolverConfig, *ends):
         try:
             sol = solve_minimax(ch, power, cfg, warm=sol_end)
             return sol.capacity_achievable, sol
-        except (SingularKktError, SolverError):
+        except SolverError:
             pass
     sol = solve_minimax(ch, power, cfg)
     return sol.capacity_achievable, sol
@@ -100,12 +100,12 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
     the rate, with slope lambda*/2 (envelope theorem). At finite t that
     slope overestimates dCs/dP by about m/(2tP), which only shortens the
     step. Points below the rate raise lo, points above it lower hi. A
-    Newton point at or beyond hi, or one whose solve raises SingularKktError
-    or SolverError, is replaced by the bracket midpoint, whose own failures
-    propagate. A step shorter than half the collapse tolerance is lengthened
-    to it, so lo always moves. After a failed Newton point, or a lengthened
-    one that still falls short, the search bisects until a new point below
-    the rate gives a new tangent.
+    Newton point at or beyond hi, or one whose solve raises SolverError, is
+    replaced by the bracket midpoint, whose own failures propagate. A step
+    shorter than half the collapse tolerance is lengthened to it, so lo
+    always moves. After a failed Newton point, or a lengthened one that
+    still falls short, the search bisects until a new point below the rate
+    gives a new tangent.
 
     The solutions at lo and hi are kept. Every earlier point lies at or
     below lo or at or above hi, so the nearer end is the nearest solved
@@ -123,25 +123,17 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
             "reversely degraded channel has zero secrecy capacity at any power"
         )
 
-    if target.p_hi is not None:
-        hi = float(target.p_hi)
+    grow = target.p_hi is None
+    hi = 1.0 if grow else float(target.p_hi)
+    c_hi, sol_hi = _capacity_at(ch, hi, cfg)
+    while grow and c_hi < target.rate and hi < _BRACKET_CAP:
+        hi *= 2.0
         c_hi, sol_hi = _capacity_at(ch, hi, cfg)
-        if c_hi < target.rate - target.tol_rate:
-            raise BracketError(
-                f"target rate unattainable within bracket: Cs({hi:g}) = "
-                f"{c_hi:.6g} < {target.rate:.6g}"
-            )
-    else:
-        hi = 1.0
-        c_hi, sol_hi = _capacity_at(ch, hi, cfg)
-        while c_hi < target.rate and hi < _BRACKET_CAP:
-            hi *= 2.0
-            c_hi, sol_hi = _capacity_at(ch, hi, cfg)
-        if c_hi < target.rate - target.tol_rate:
-            raise BracketError(
-                f"target rate unattainable: Cs({hi:g}) = {c_hi:.6g} < "
-                f"{target.rate:.6g} at the bracket growth cap"
-            )
+    if c_hi < target.rate - target.tol_rate:
+        raise BracketError(
+            f"target rate unattainable within the bracket: Cs({hi:g}) = "
+            f"{c_hi:.6g} < {target.rate:.6g}"
+        )
 
     if abs(c_hi - target.rate) <= target.tol_rate:
         return hi, sol_hi
@@ -160,7 +152,7 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
         if p < hi:
             try:
                 c, sol = _capacity_at(ch, p, cfg, (lo, sol_lo), (hi, sol_hi))
-            except (SingularKktError, SolverError):
+            except SolverError:
                 slope = 0.0  # bisect until a new point below the rate
         if sol is None:
             p, step = 0.5 * (lo + hi), math.inf

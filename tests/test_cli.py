@@ -88,6 +88,24 @@ class TestProblemParsing:
         assert main([command, str(path)]) == 1
         assert f"field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, patch, field", [
+        ("solve", {"power": True}, "power"),
+        ("solve", {"power": [True, 2.0]}, "power"),
+        ("solve", {"H1": [[True, -0.3], [-0.32, -0.64]]}, "H1"),
+        ("solve", {"H2": [[0.54, -0.11], [-0.93, False]]}, "H2"),
+        ("solve", {"power": [2.0, 3.0], "power_total": True}, "power_total"),
+        ("dual", {"dual_rate": True}, "dual_rate"),
+        ("dual", {"dual_rate": 0.3, "dual_tol_rate": True}, "dual_tol_rate"),
+    ] + [("solve", {"solver": {key: True}}, key) for key in cli.SOLVER_KEYS])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, command, patch,
+                                          field):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, **patch)))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"'{field}'" in captured.err
+        assert captured.out == ""
+
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
             parse_problem(dict(DEMO_PROBLEM, mode="fastest"))
@@ -193,6 +211,17 @@ class TestSolveCommand:
         assert res["lambda"] is None
         r = np.array(res["R_star"])
         assert np.all(np.diag(r) < np.array([2.0, 3.0]))
+
+    def test_config_echoes_power_total(self, demo_problem_file, tmp_path, capsys):
+        path = tmp_path / "pa_total.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, power=[2.0, 3.0],
+                                        power_total=4.0)))
+        assert main(["solve", str(path)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["power"] == [2.0, 3.0]
+        assert config["power_total"] == 4.0
+        assert main(["solve", demo_problem_file]) == 0
+        assert "power_total" not in json.loads(capsys.readouterr().out)["config"]
 
     def test_cli_flag_overrides(self, demo_problem_file, capsys):
         rc = main(["solve", demo_problem_file, "--t-max", "1000", "--mu", "5"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from secrecap import (
 )
 from secrecap.kkt_newton import (
     KktSystem,
+    NewtonReport,
     assemble,
     line_search,
     newton_solve,
@@ -212,6 +215,26 @@ class TestNewtonSolve:
         assert not rep.converged
         assert rep.failure is not None
         assert rep.iterations == 2
+
+    @pytest.mark.parametrize("eps, max_iter, failure", [
+        (1e-10, 200, None),
+        (1e-30, 200, "line search stagnated"),
+        (1e-10, 2, "not converged after 2 iterations"),
+    ], ids=["converged", "stagnated", "iteration-limited"])
+    def test_report_counts_follow_its_lists(self, demo_channel, eps, max_iter,
+                                            failure):
+        obj = BarrierObjective(demo_channel, 1e3, 10.0)
+        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=eps,
+                              max_iter=max_iter)
+        assert [f.name for f in dataclasses.fields(NewtonReport)] == [
+            "residual_norms", "step_sizes", "failure"]
+        if failure is None:
+            assert rep.failure is None
+        else:
+            assert failure in rep.failure
+        assert rep.iterations == len(rep.step_sizes) > 0
+        assert rep.final_residual_norm == rep.residual_norms[-1]
+        assert rep.converged == (rep.failure is None)
 
     @pytest.mark.parametrize("t", [1e2, 1e3, 1e5])
     def test_one_factor_build_per_trial(self, demo_channel, monkeypatch, t):
