@@ -294,7 +294,7 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     (``PerAntennaBarrierObjective.gap``). The mode only picks the stage
     objective and the start; the last stage objective supplies the gap
     bound, K21*, f and lambda*. A stage that misses its Newton tolerance
-    raises SolverError (SingularKktError for a singular KKT system) with
+    raises SolverError (SingularKktError for an unsolved KKT system) with
     the trace recorded so far.
 
     ``warm``, a minimax-mode solution of the same channel at a power P0,

@@ -89,6 +89,12 @@ class ProblemFile:
         return SolverConfig(**merged)
 
 
+def _is_number(raw) -> bool:
+    """Whether ``raw`` is a JSON number: an int or a float, but not a bool
+    (float(True) is 1.0) and not a string such as "10"."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _matrix_field(data: dict, name: str) -> np.ndarray:
     if name not in data:
         raise ProblemFormatError(f"missing field '{name}'")
@@ -98,14 +104,9 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
     widths = {len(r) for r in raw}
     if len(widths) != 1 or 0 in widths:
         raise ProblemFormatError(f"field '{name}' has ragged or empty rows")
-    if any(isinstance(x, bool) for r in raw for x in r):  # float(True) is 1.0
-        raise ProblemFormatError(f"field '{name}' has non-numeric entries")
-    try:
-        mat = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}' has non-numeric entries") from exc
-    if mat.ndim != 2:
+    if not all(_is_number(x) for r in raw for x in r):
         raise ProblemFormatError(f"field '{name}' must be a list of rows of numbers")
+    mat = np.array(raw, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ProblemFormatError(f"field '{name}' has non-finite entries")
     return mat
@@ -113,12 +114,9 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
 
 def _positive_number(raw, name: str) -> float:
     """``raw`` as a finite positive float; the error names field ``name``."""
-    if isinstance(raw, bool):  # float(True) is 1.0
+    if not _is_number(raw):
         raise ProblemFormatError(f"field '{name}' must be a number")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}' must be a number") from exc
+    value = float(raw)
     if not math.isfinite(value) or value <= 0:
         raise ProblemFormatError(f"field '{name}' must be finite and positive")
     return value
@@ -166,8 +164,7 @@ def parse_problem(data: dict) -> ProblemFile:
     if unknown:
         raise ProblemFormatError(f"unknown solver override(s): {sorted(unknown)}")
     for key, val in solver.items():
-        numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
-        if val is not None and not numeric:
+        if val is not None and not _is_number(val):
             raise ProblemFormatError(f"solver override '{key}' must be numeric")
 
     dual_rate = data.get("dual_rate")
@@ -301,6 +298,13 @@ def result_from_dict(data: dict) -> ResultFile:
     data.setdefault("p_star", None)
     if missing := {f.name for f in fields(ResultFile)} - data.keys():
         raise KeyError(f"result lacks {sorted(missing)}")
+    if not isinstance(data["trace"], list):
+        raise ValueError("trace must be a list of rows")
+    for i, row in enumerate(data["trace"]):
+        for col in TRACE_COLUMNS:
+            if not isinstance(row, dict) or not _is_number(row.get(col)):
+                raise ValueError(
+                    f"trace row {i}: column '{col}' is missing or not a number")
     return ResultFile(**data)
 
 

@@ -20,10 +20,10 @@ class SolverError(RuntimeError):
 
 
 class SingularKktError(SolverError):
-    """KKT matrix numerically singular. At interior points this contradicts
-    the non-singularity guarantee and indicates a bug or extreme
-    ill-conditioning; diagnostics are attached to the message. An outer
-    solve attaches the convergence trace recorded before the failure."""
+    """A Newton step does not solve its KKT system: the LU factor has a zero
+    pivot, or the step's backward error is above 1e-10. A badly scaled but
+    solvable system does not raise it. An outer solve attaches the
+    convergence trace recorded before the failure."""
 
 
 class BracketError(ValueError):

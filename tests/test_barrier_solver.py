@@ -559,3 +559,49 @@ class TestWarmStart:
         ch = degraded_channel(np.random.default_rng(66), m=2, n2=2, rank=1)
         with pytest.raises(ValueError, match="'degraded'"):
             solve(ch, 1.0, warm=warm)  # auto resolves to degraded
+
+
+UNIT_POWERS = (1e-6, 1e-4, 1e-2, 1.0, 1e2)
+
+
+def unit_power_pair(kind, shape, j, power):
+    """(solve at ``power``, solve of (sqrt(P) H, 1)) for the j-th seeded
+    channel of a shape; per-antenna caps and total scale with the power."""
+    m, n1, n2 = shape
+    rng = np.random.default_rng([20261019, m, j])
+    ch = random_channel(rng, m, n1, n2)
+    if kind == "degraded":  # H2 = G H1 with |G|_2 = 0.7
+        g = rng.standard_normal((n2, n1))
+        ch = ChannelPair(ch.H1, (0.7 / np.linalg.norm(g, 2)) * g @ ch.H1)
+    root = np.sqrt(power)
+    unit = ChannelPair(root * ch.H1, root * ch.H2)
+    if kind in ("minimax", "degraded"):
+        return solve(ch, power, mode=kind), solve(unit, 1.0, mode=kind)
+    caps = rng.uniform(0.5, 1.5, m) / m
+    total = 0.8 * caps.sum() if kind == "per_antenna_total" else None
+    raw = PerAntennaBudget(power * caps, None if total is None else power * total)
+    return solve(ch, raw), solve(unit, PerAntennaBudget(caps, total))
+
+
+class TestUnitsOfPower:
+    # (H, P) and (sqrt(P) H, 1) are the same problem, so the answer must not
+    # depend on the units of P.
+    @pytest.mark.parametrize("power", UNIT_POWERS)
+    @pytest.mark.parametrize("kind", ["minimax", "degraded", "per_antenna",
+                                      "per_antenna_total"])
+    def test_same_value_as_unit_power(self, kind, power):
+        for shape in ((4, 3, 3), (2, 2, 2)):
+            for j in range(4):
+                raw, unit = unit_power_pair(kind, shape, j, power)
+                assert abs(raw.capacity_upper - unit.capacity_upper) <= (
+                    raw.gap_bound + unit.gap_bound)
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+        "known: at P = 1e-8 the line search stagnates at |r| = 7.4e-10 at "
+        "t = 100, a residual floor set by rounding (ROADMAP item 1c)"))
+    def test_residual_floor_at_tiny_power(self, demo_channel):
+        root = np.sqrt(1e-8)
+        raw = solve_minimax(demo_channel, 1e-8)
+        unit = solve_minimax(ChannelPair(root * DEMO_H1, root * DEMO_H2), 1.0)
+        assert abs(raw.capacity_upper - unit.capacity_upper) <= (
+            raw.gap_bound + unit.gap_bound)

@@ -106,6 +106,24 @@ class TestProblemParsing:
         assert f"'{field}'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, patch, field", [
+        ("solve", {"power": "10"}, "power"),
+        ("solve", {"power": ["4.0", 6.0]}, "power"),
+        ("solve", {"H1": [["0.77", -0.30], [-0.32, -0.64]]}, "H1"),
+        ("solve", {"H2": [[0.54, -0.11], [-0.93, "-1.71"]]}, "H2"),
+        ("solve", {"power": [4.0, 6.0], "power_total": "8"}, "power_total"),
+        ("dual", {"dual_rate": "0.3"}, "dual_rate"),
+        ("dual", {"dual_rate": 0.3, "dual_tol_rate": "1e-6"}, "dual_tol_rate"),
+    ] + [("solve", {"solver": {key: "1"}}, key) for key in cli.SOLVER_KEYS])
+    def test_json_string_is_not_a_number(self, tmp_path, capsys, command, patch,
+                                         field):
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, **patch)))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"'{field}'" in captured.err
+        assert captured.out == ""
+
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
             parse_problem(dict(DEMO_PROBLEM, mode="fastest"))
@@ -474,6 +492,25 @@ class TestTraceExport:
         out.write_text(json.dumps(res))
         assert main(["trace-export", str(out)]) == 1
         assert "capacity_bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda res: res["trace"][2].pop("iter"), "trace row 2: column 'iter'"),
+        (lambda res: res.update(trace="abc"), "trace must be a list of rows"),
+        (lambda res: res["trace"][1].update(f="x"), "trace row 1: column 'f'"),
+    ], ids=["missing_iter", "string_trace", "string_f"])
+    def test_malformed_trace_rejected(self, demo_problem_file, tmp_path, capsys,
+                                      corrupt, message):
+        out = tmp_path / "result.json"
+        main(["solve", demo_problem_file, "-o", str(out)])
+        res = json.loads(out.read_text())
+        corrupt(res)
+        out.write_text(json.dumps(res))
+        capsys.readouterr()
+        assert main(["trace-export", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read result file: ")
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_missing_trace_rejected(self, tmp_path, capsys):
         res_path = tmp_path / "empty.json"

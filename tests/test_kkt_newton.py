@@ -7,6 +7,7 @@ from secrecap import (
     BarrierObjective,
     ChannelPair,
     SaddleState,
+    SingularKktError,
     initial_point,
 )
 from secrecap.kkt_newton import (
@@ -121,6 +122,34 @@ class TestNewtonStep:
 
         with pytest.raises(SingularKktError):
             newton_step(bad)
+
+    def test_zero_pivot_is_named(self):
+        bad = KktSystem(residual=np.ones(2), kkt_matrix=np.ones((2, 2)))
+        with pytest.raises(SingularKktError, match="pivot 2 of 2 is zero"):
+            newton_step(bad)
+
+    def test_tiny_power_system_solves(self, demo_channel):
+        # At P = 1e-6 the first system's one-norm condition estimate is near
+        # 6e-22, set by the units of P, yet LU solves it to full accuracy.
+        obj = BarrierObjective(demo_channel, 100.0, 1e-6)
+        sys = assemble(obj, initial_point(demo_channel, 1e-6))
+        dw = newton_step(sys)
+        t, r = sys.kkt_matrix, sys.residual
+        assert np.all(np.isfinite(dw))
+        back_err = np.linalg.norm(t @ dw + r) / (
+            np.linalg.norm(t, 1) * np.linalg.norm(dw) + np.linalg.norm(r))
+        assert back_err <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["matrix", "residual"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, demo_channel, where, bad):
+        sys = assemble(BarrierObjective(demo_channel, 100.0, 10.0),
+                       initial_point(demo_channel, 10.0))
+        t, r = sys.kkt_matrix.copy(), sys.residual.copy()
+        (t[0] if where == "matrix" else r)[1] = bad
+        with pytest.raises(SingularKktError):
+            newton_step(KktSystem(residual=r, kkt_matrix=t))
 
 
 class TestLineSearch:

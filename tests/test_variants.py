@@ -257,6 +257,28 @@ class TestNewtonSearch:
         assert 1.0 <= p_star <= 1.0 + 1e-11
         assert len(powers) <= 100
 
+    def test_tiny_rate_solves_every_point(self, demo_channel, monkeypatch):
+        # The first Newton point, P = 5.06e-5, has badly scaled KKT systems.
+        # They solve, so the search needs no bisection down from p_hi (which
+        # took 23 solves).
+        failed = []
+        powers = _spy_solves(monkeypatch)
+        spy = variants.solve_minimax
+
+        def record_failures(ch, power, cfg=None, **kwargs):
+            try:
+                return spy(ch, power, cfg, **kwargs)
+            except SolverError as exc:
+                failed.append((power, exc))
+                raise
+
+        monkeypatch.setattr(variants, "solve_minimax", record_failures)
+        target = DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
+        _, sol = solve_dual(demo_channel, target)
+        assert failed == []
+        assert len(powers) <= 10
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
+
     def test_failed_midpoint_propagates(self, demo_channel, monkeypatch):
         _, eigs = classify_degraded(demo_channel)
         first_newton = 0.30 / (0.5 * eigs.max())
