@@ -172,10 +172,11 @@ def _schedule(cfg: SolverConfig):
         t = min(t * cfg.mu, cfg.t_max)
 
 
-def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
-    r0 = TransmitCovariance(np.zeros((ch.m, ch.m)), power)
+def _zero_solution(ch: ChannelPair, power: float,
+                   cfg: SolverConfig) -> SaddleSolution:
+    """R* = 0 of a reversely degraded channel, whose capacity is zero."""
     return SaddleSolution(
-        R_star=r0,
+        R_star=TransmitCovariance(np.zeros((ch.m, ch.m)), power),
         K21_star=np.zeros((ch.n2, ch.n1)),
         lambda_star=0.0,
         capacity_upper=0.0,
@@ -183,8 +184,8 @@ def _zero_solution(ch: ChannelPair, power: float, mode: str) -> SaddleSolution:
         gap_bound=0.0,
         trace=[],
         t_final=math.inf,
-        gap_met=True,
-        mode=mode,
+        gap_met=None if cfg.eps_gap is None else True,
+        mode="zero",
     )
 
 
@@ -336,7 +337,7 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
         objective, args = BarrierObjective, (power,)
         start = _warm_start(ch, power, warm) if warm else initial_point(ch, power)
         if kind is Degradedness.REVERSELY_DEGRADED:
-            return _zero_solution(ch, power, mode="zero")
+            return _zero_solution(ch, power, cfg)
 
     state, obj, gap_met, trace, reports = _run_schedule(
         lambda t: objective(ch, t, *args), start, cfg,

@@ -11,10 +11,8 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
-from .errors import DomainError
-from .matcalc import psd_sqrt, sym, vech
+from .matcalc import chol, chol_solve, noise_matrix, psd_sqrt, sym, vech
 
 __all__ = [
     "ChannelPair",
@@ -37,13 +35,16 @@ class Degradedness(enum.Enum):
 @dataclass
 class ChannelPair:
     """Legitimate (H1: n1 x m) and eavesdropper (H2: n2 x m) channel matrices
-    with derived Gram matrices W1 = H1'H1, W2 = H2'H2 and the row-stacked
+    with derived Gram matrices W1 = H1'H1, W2 = H2'H2, their symmetric square
+    roots, which every objective evaluation reuses, and the row-stacked
     H = [H1; H2]."""
 
     H1: np.ndarray
     H2: np.ndarray
     W1: np.ndarray = field(init=False, repr=False)
     W2: np.ndarray = field(init=False, repr=False)
+    sqrt_W1: np.ndarray = field(init=False, repr=False)
+    sqrt_W2: np.ndarray = field(init=False, repr=False)
     Hstack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -58,10 +59,9 @@ class ChannelPair:
             )
         self.W1 = sym(self.H1.T @ self.H1)
         self.W2 = sym(self.H2.T @ self.H2)
+        self.sqrt_W1 = psd_sqrt(self.W1)
+        self.sqrt_W2 = psd_sqrt(self.W2)
         self.Hstack = np.vstack([self.H1, self.H2])
-        # Symmetric square roots reused by every objective evaluation.
-        self._sqrt_W1 = psd_sqrt(self.W1)
-        self._sqrt_W2 = psd_sqrt(self.W2)
 
     @property
     def m(self) -> int:
@@ -74,18 +74,6 @@ class ChannelPair:
     @property
     def n2(self) -> int:
         return self.H2.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def sqrt_W1(self) -> np.ndarray:
-        return self._sqrt_W1
-
-    @property
-    def sqrt_W2(self) -> np.ndarray:
-        return self._sqrt_W2
 
 
 @dataclass
@@ -112,11 +100,7 @@ class NoiseCovariance:
 
     @property
     def K(self) -> np.ndarray:
-        n1, n2 = self.n1, self.n2
-        k = np.eye(n1 + n2)
-        k[n1:, :n1] = self.K21
-        k[:n1, n1:] = self.K21.T
-        return k
+        return noise_matrix(self.K21)
 
     def spectral_norm(self) -> float:
         if self.K21.size == 0:
@@ -136,16 +120,6 @@ class TransmitCovariance:
 
     def __post_init__(self):
         self.R = sym(np.atleast_2d(np.asarray(self.R, dtype=float)))
-
-    @property
-    def m(self) -> int:
-        return self.R.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.R))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.R)
 
 
 @dataclass
@@ -170,21 +144,15 @@ class SaddleState:
         return SaddleState(x=z[:nx], y=z[nx:], lam=self.lam + s * dlam)
 
 
-def degraded_tolerance(ch: ChannelPair) -> float:
-    """Relative tolerance for eigenvalue sign tests on W1 - W2."""
-    scale = 1.0 + np.linalg.norm(ch.W1, 2) + np.linalg.norm(ch.W2, 2)
-    return 1e-9 * scale
-
-
-def classify_degraded(ch: ChannelPair, tol: float | None = None):
+def classify_degraded(ch: ChannelPair):
     """Classify the channel by the eigenvalues of W1 - W2.
 
-    Returns (Degradedness, eigenvalues). Degraded when all eigenvalues are
+    Returns (Degradedness, eigenvalues). With the relative tolerance
+    tol = 1e-9 (1 + |W1|_2 + |W2|_2), degraded when all eigenvalues are
     >= -tol, reversely degraded when all are <= tol, indefinite otherwise.
     A zero difference counts as degraded.
     """
-    if tol is None:
-        tol = degraded_tolerance(ch)
+    tol = 1e-9 * (1.0 + np.linalg.norm(ch.W1, 2) + np.linalg.norm(ch.W2, 2))
     eigs = np.linalg.eigvalsh(sym(ch.W1 - ch.W2))
     if eigs.min() >= -tol:
         return Degradedness.DEGRADED, eigs
@@ -200,12 +168,8 @@ def effective_gram(ch: ChannelPair, K: NoiseCovariance) -> np.ndarray:
     """
     if K.n1 != ch.n1 or K.n2 != ch.n2:
         raise ValueError("noise covariance block dims do not match the channel")
-    try:
-        c, low = sla.cho_factor(K.K, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("noise covariance is not positive definite") from exc
-    solved = sla.cho_solve((c, low), ch.Hstack, check_finite=False)
-    return sym(ch.Hstack.T @ solved)
+    c = chol(K.K, "noise covariance")
+    return sym(ch.Hstack.T @ chol_solve(c, ch.Hstack))
 
 
 def initial_point(ch: ChannelPair, power: float) -> SaddleState:

@@ -90,9 +90,15 @@ class ProblemFile:
 
 
 def _is_number(raw) -> bool:
-    """Whether ``raw`` is a JSON number: an int or a float, but not a bool
-    (float(True) is 1.0) and not a string such as "10"."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    """Whether ``raw`` is a JSON number that converts to a finite float: an
+    int or a float, but not a bool (float(True) is 1.0), not a string such as
+    "10", not NaN or infinite, and not an integer beyond the float range."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:  # an integer such as 10**400
+        return False
 
 
 def _matrix_field(data: dict, name: str) -> np.ndarray:
@@ -105,21 +111,17 @@ def _matrix_field(data: dict, name: str) -> np.ndarray:
     if len(widths) != 1 or 0 in widths:
         raise ProblemFormatError(f"field '{name}' has ragged or empty rows")
     if not all(_is_number(x) for r in raw for x in r):
-        raise ProblemFormatError(f"field '{name}' must be a list of rows of numbers")
-    mat = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise ProblemFormatError(f"field '{name}' has non-finite entries")
-    return mat
+        raise ProblemFormatError(
+            f"field '{name}' must be a list of rows of numbers, with no non-finite "
+            "or out-of-range entries")
+    return np.array(raw, dtype=float)
 
 
 def _positive_number(raw, name: str) -> float:
     """``raw`` as a finite positive float; the error names field ``name``."""
-    if not _is_number(raw):
-        raise ProblemFormatError(f"field '{name}' must be a number")
-    value = float(raw)
-    if not math.isfinite(value) or value <= 0:
-        raise ProblemFormatError(f"field '{name}' must be finite and positive")
-    return value
+    if not _is_number(raw) or raw <= 0:
+        raise ProblemFormatError(f"field '{name}' must be a finite positive number")
+    return float(raw)
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -165,7 +167,7 @@ def parse_problem(data: dict) -> ProblemFile:
         raise ProblemFormatError(f"unknown solver override(s): {sorted(unknown)}")
     for key, val in solver.items():
         if val is not None and not _is_number(val):
-            raise ProblemFormatError(f"solver override '{key}' must be numeric")
+            raise ProblemFormatError(f"solver override '{key}' must be a finite number")
 
     dual_rate = data.get("dual_rate")
     if dual_rate is not None:
@@ -499,10 +501,16 @@ def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
 
 
 def cmd_batch(args) -> int:
-    for flag, value in (("--count", args.count), ("--jobs", args.jobs)):
-        if value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
+    for flag, value, least in (("--m", args.m, 1), ("--n1", args.n1, 0),
+                               ("--n2", args.n2, 0), ("--count", args.count, 1),
+                               ("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}", file=sys.stderr)
             return 1
+    if not 0 < args.power < math.inf:
+        print(f"error: --power must be finite and positive, got {args.power}",
+              file=sys.stderr)
+        return 1
     try:
         cfg = SolverConfig(**_cli_overrides(args))
     except ValueError as exc:

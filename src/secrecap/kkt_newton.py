@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .channel import SaddleState
 from .errors import DomainError, LineSearchError, SingularKktError
+from .matcalc import getrf, getrs
 
 __all__ = [
     "KktSystem",
@@ -43,10 +43,6 @@ __all__ = [
 
 S_MIN = 1e-12                # line-search stagnation floor
 DEFAULT_MAX_ITER = 200
-
-# The LAPACK routines behind scipy's lu_factor/lu_solve, fetched once and
-# called without the per-call wrapper overhead (same routines, same bits).
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,14 +114,14 @@ def newton_step(sys: KktSystem) -> np.ndarray:
     """
     t = sys.kkt_matrix
     r = sys.residual
-    lu, piv, info = _getrf(t)
+    lu, piv, info = getrf(t)
     if info > 0:
         raise SingularKktError(
             f"KKT matrix singular: LU pivot {info} of {t.shape[0]} is zero")
-    dw = _getrs(lu, piv, -r)[0]
+    dw = getrs(lu, piv, -r)[0]
     # one refinement step; cheap insurance on ill-conditioned systems
     res = t @ dw + r
-    dw -= _getrs(lu, piv, res)[0]
+    dw -= getrs(lu, piv, res)[0]
     back_err = np.linalg.norm(t @ dw + r) / max(
         np.linalg.norm(t, 1) * np.linalg.norm(dw) + np.linalg.norm(r), 1e-300
     )

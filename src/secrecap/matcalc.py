@@ -8,6 +8,11 @@ Conventions (frozen, all index maps depend on them):
 The solver gathers the duplication-matrix products of its derivatives from
 the cached index arrays of :func:`sandwich_indices`; the dense 0/1 matrices
 (dimensions up to 64) are the test oracle for those formulas.
+
+This is the one module that binds LAPACK: the Cholesky helpers and the
+``getrf``/``getrs`` pair of the Newton step call the routines behind scipy's
+cho_factor/cho_solve and lu_factor/lu_solve, fetched once and called without
+the per-call wrapper overhead (same routines, same bits).
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+
+from .errors import DomainError
 
 __all__ = [
     "vec",
@@ -31,9 +39,19 @@ __all__ = [
     "kron",
     "sym",
     "psd_sqrt",
+    "noise_matrix",
+    "chol",
+    "chol_solve",
+    "chol_logdet",
+    "chol_inv",
+    "getrf",
+    "getrs",
 ]
 
 _MAX_DIM = 64
+
+_potrf, _potrs, getrf, getrs = get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -201,3 +219,36 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(sym(np.asarray(s, dtype=float)))
     w = np.clip(w, 0.0, None)
     return sym((v * np.sqrt(w)) @ v.T)
+
+
+def noise_matrix(k21: np.ndarray) -> np.ndarray:
+    """Noise covariance K = [[I, K21'], [K21, I]] of the n2 x n1 cross block."""
+    n2, n1 = k21.shape
+    k = np.eye(n1 + n2)
+    k[n1:, :n1] = k21
+    k[:n1, n1:] = k21.T
+    return k
+
+
+def chol(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix (upper triangle left
+    unreferenced) or DomainError naming ``what``."""
+    c, info = _potrf(a, lower=1, clean=0)
+    if info > 0:
+        raise DomainError(f"{what} is not strictly positive definite")
+    return c
+
+
+def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b from the lower Cholesky factor ``c`` of A."""
+    return _potrs(c, b, lower=1)[0]
+
+
+def chol_logdet(c: np.ndarray) -> float:
+    """ln|A| from the lower Cholesky factor ``c`` of A."""
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
+
+
+def chol_inv(c: np.ndarray) -> np.ndarray:
+    """A^{-1}, exactly symmetric, from the lower Cholesky factor ``c`` of A."""
+    return sym(chol_solve(c, np.eye(c.shape[0])))

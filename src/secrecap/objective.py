@@ -22,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .channel import ChannelPair, NoiseCovariance, SaddleState, TransmitCovariance
 from .errors import DomainError
 from .matcalc import (
+    chol,
+    chol_inv,
+    chol_logdet,
+    chol_solve,
     kron,
+    noise_matrix,
     psd_sqrt,
     sandwich_indices,
     sym,
@@ -74,44 +78,11 @@ def _as_k21(k, ch: ChannelPair) -> np.ndarray:
     return k
 
 
-# The LAPACK routines behind scipy's cho_factor/cho_solve, fetched once and
-# called without the per-call wrapper overhead (same routines, same bits).
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
-def _chol(a: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix (upper triangle left
-    unreferenced) or DomainError."""
-    c, info = _potrf(a, lower=1, clean=0)
-    if info > 0:
-        raise DomainError(f"{what} is not strictly positive definite")
-    return c
-
-
-def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _potrs(c, b, lower=1)[0]
-
-
-def _chol_logdet(c: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
-
-
-def _chol_inv(c: np.ndarray, n: int) -> np.ndarray:
-    return sym(_chol_solve(c, np.eye(n)))
-
-
-def _assemble_K(k21: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    k = np.eye(n1 + n2)
-    k[n1:, :n1] = k21
-    k[:n1, n1:] = k21.T
-    return k
-
-
 def _logdet_capacity_term(h: np.ndarray, r: np.ndarray) -> float:
     """ln |I + H' H R| computed as ln |I + H R H'| via Cholesky."""
     n = h.shape[0]
     a = np.eye(n) + h @ r @ h.T
-    return _chol_logdet(_chol(sym(a), "capacity log-det argument"))
+    return chol_logdet(chol(sym(a), "capacity log-det argument"))
 
 
 def secrecy_rate(ch: ChannelPair, r) -> float:
@@ -126,10 +97,10 @@ def minimax_objective(ch: ChannelPair, r, k) -> float:
     feasible K. ``k`` may be a NoiseCovariance or the raw K21 block."""
     rm = _as_matrix(r)
     k21 = _as_k21(k, ch)
-    kf = _assemble_K(k21, ch.n1, ch.n2)
+    kf = noise_matrix(k21)
     q = sym(ch.Hstack @ rm @ ch.Hstack.T)
-    ld_kq = _chol_logdet(_chol(kf + q, "K + Q"))
-    ld_k = _chol_logdet(_chol(kf, "noise covariance"))
+    ld_kq = chol_logdet(chol(kf + q, "K + Q"))
+    ld_k = chol_logdet(chol(kf, "noise covariance"))
     ld_2 = _logdet_capacity_term(ch.H2, rm)
     return 0.5 * (ld_kq - ld_k - ld_2)
 
@@ -177,20 +148,19 @@ class _Factors:
                     raise DomainError("total power cap violated")
         self.R = rm
         self.K21 = k21
-        self.cf_R = _chol(rm, "transmit covariance")
-        self.Rinv = _chol_inv(self.cf_R, ch.m)
+        self.cf_R = chol(rm, "transmit covariance")
+        self.Rinv = chol_inv(self.cf_R)
 
         if k21 is None:
             self.Z1, self.cf_1 = _z_matrix(ch.sqrt_W1, rm)
         else:
-            n = ch.n1 + ch.n2
-            self.K = _assemble_K(k21, ch.n1, ch.n2)
-            self.cf_K = _chol(self.K, "noise covariance")
-            self.Kinv = _chol_inv(self.cf_K, n)
+            self.K = noise_matrix(k21)
+            self.cf_K = chol(self.K, "noise covariance")
+            self.Kinv = chol_inv(self.cf_K)
 
             self.Q = sym(ch.Hstack @ rm @ ch.Hstack.T)
-            self.cf_KQ = _chol(self.K + self.Q, "K + Q")
-            self.G = _chol_inv(self.cf_KQ, n)
+            self.cf_KQ = chol(self.K + self.Q, "K + Q")
+            self.G = chol_inv(self.cf_KQ)
             self.B = ch.Hstack.T @ self.G
 
             self.W = sym(ch.Hstack.T @ (self.Kinv @ ch.Hstack))
@@ -199,13 +169,13 @@ class _Factors:
 
     def logdet_K(self) -> float:
         """ln|K|; 0 without a K block, which has no -(1/t) ln|K| term."""
-        return 0.0 if self.K21 is None else _chol_logdet(self.cf_K)
+        return 0.0 if self.K21 is None else chol_logdet(self.cf_K)
 
     def value_f(self) -> float:
         """f without the 1/2 factor; without a K block f is C."""
         if self.K21 is None:
-            return _chol_logdet(self.cf_1) - _chol_logdet(self.cf_2)
-        return _chol_logdet(self.cf_KQ) - self.logdet_K() - _chol_logdet(self.cf_2)
+            return chol_logdet(self.cf_1) - chol_logdet(self.cf_2)
+        return chol_logdet(self.cf_KQ) - self.logdet_K() - chol_logdet(self.cf_2)
 
 
 def _hxx(ix, z1, z2, rinv, tinv: float) -> np.ndarray:
@@ -228,8 +198,8 @@ def _z_matrix(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with S = W^{1/2}; always symmetric and valid for singular W. Also returns
     the Cholesky factor of I + S R S, whose log-det is ln|I + W R|."""
     m = s.shape[0]
-    cf = _chol(np.eye(m) + sym(s @ r @ s), "I + S R S")
-    return sym(s @ _chol_solve(cf, s)), cf
+    cf = chol(np.eye(m) + sym(s @ r @ s), "I + S R S")
+    return sym(s @ chol_solve(cf, s)), cf
 
 
 class BarrierObjective:
@@ -307,13 +277,13 @@ class BarrierObjective:
         c = 0.5 * (_logdet_capacity_term(ch.H1, fac.R) - ld_2)
         if not self.ny:
             return c, c
-        return 0.5 * (_chol_logdet(fac.cf_KQ) - fac.logdet_K() - ld_2), c
+        return 0.5 * (chol_logdet(fac.cf_KQ) - fac.logdet_K() - ld_2), c
 
     # -- values ------------------------------------------------------------
 
     def value_ft(self, state: SaddleState) -> float:
         fac, t = self.factors(state), self.t
-        v = fac.value_f() + (_chol_logdet(fac.cf_R) - fac.logdet_K()) / t
+        v = fac.value_f() + (chol_logdet(fac.cf_R) - fac.logdet_K()) / t
         if fac.slack is not None:
             v += float(np.sum(np.log(fac.slack))) / t
         if fac.tslack is not None:

@@ -146,6 +146,14 @@ class TestSolveMinimax:
         assert sol.newton_steps_total == 0
         np.testing.assert_array_equal(sol.R_star.R, 0.0)
 
+    @pytest.mark.parametrize("eps_gap, gap_met", [(None, None), (1e-3, True)])
+    def test_reversely_degraded_gap_met_follows_eps_gap(self, eps_gap, gap_met):
+        # like every other solve, no gap tolerance means no gap verdict
+        sol = solve(ChannelPair(0.5 * DEMO_H1, DEMO_H1), 10.0,
+                    SolverConfig(eps_gap=eps_gap))
+        assert sol.mode == "zero"
+        assert sol.gap_met is gap_met
+
     def test_demo_channel_full_run(self, demo_channel):
         sol = solve_minimax(demo_channel, 10.0)
         assert sol.t_final == 1e5

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from secrecap import (
+    BarrierObjective,
     ChannelPair,
     Degradedness,
     DomainError,
     NoiseCovariance,
+    SaddleState,
     classify_degraded,
     effective_gram,
     initial_point,
 )
-from secrecap.matcalc import sym
+from secrecap.matcalc import sym, vec, vech
 
 from conftest import DEMO_H1, DEMO_H2, random_channel, random_feasible_k21
 
@@ -82,6 +85,15 @@ class TestNoiseCovariance:
         np.testing.assert_array_equal(k[2:, :2], k21)
         np.testing.assert_array_equal(k, k.T)
 
+    def test_K_is_the_barrier_objective_K(self):
+        # one function builds K for the channel model and the objective
+        rng = np.random.default_rng(23)
+        ch = random_channel(rng, 3, 2, 3)
+        k21 = random_feasible_k21(rng, ch.n1, ch.n2)
+        obj = BarrierObjective(ch, 100.0, 3.0)
+        state = SaddleState(x=vech(np.eye(3)), y=vec(k21))
+        np.testing.assert_array_equal(NoiseCovariance(k21).K, obj.factors(state).K)
+
     def test_feasibility_threshold(self):
         assert NoiseCovariance(np.array([[0.99]])).is_feasible()
         assert not NoiseCovariance(np.array([[1.0]])).is_feasible()
@@ -108,6 +120,17 @@ class TestEffectiveGram:
             w = effective_gram(ch, NoiseCovariance(k21))
             diff = sym(w - ch.W2)
             assert np.linalg.eigvalsh(diff).min() >= -1e-10
+
+    def test_same_bits_as_scipy_cho_solve(self):
+        # the same LAPACK routines as scipy's cho_factor/cho_solve
+        rng = np.random.default_rng(24)
+        for m, n1, n2 in ((2, 2, 2), (4, 3, 3), (3, 2, 1), (5, 4, 4)):
+            ch = random_channel(rng, m, n1, n2)
+            for _ in range(20):
+                nc = NoiseCovariance(random_feasible_k21(rng, n1, n2))
+                cf = sla.cho_factor(nc.K, lower=True)
+                expected = sym(ch.Hstack.T @ sla.cho_solve(cf, ch.Hstack))
+                np.testing.assert_array_equal(effective_gram(ch, nc), expected)
 
     def test_infeasible_noise_rejected(self, demo_channel):
         k21 = np.eye(2) * 1.5

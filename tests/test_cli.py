@@ -124,6 +124,37 @@ class TestProblemParsing:
         assert f"'{field}'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, patch, field", [
+        ("solve", {"power": 10**400}, "'power'"),
+        ("solve", {"power": [1.0, 10**400]}, "'power'"),
+        ("solve", {"power": [1.0, 2.0], "power_total": 10**400}, "'power_total'"),
+        ("dual", {"dual_rate": 10**400}, "'dual_rate'"),
+        ("solve", {"H1": [[10**400, 0.0], [0.0, 1.0]]}, "'H1'"),
+        ("solve", {"H2": [[1.0, 0.0], [0.0, -10**400]]}, "'H2'"),
+        ("solve", {"solver": {"t_max": 10**400}}, "'t_max'"),
+        ("solve", {"solver": {"mu": 10**400}}, "'mu'"),
+        ("solve", {"solver": {"eps_newton": 10**400}}, "'eps_newton'"),
+        ("solve", {"solver": {"t0": 10**400}}, "'t0'"),
+        ("trace-export", {"t": 10**400}, "trace row 0: column 't'"),
+    ])
+    def test_integer_beyond_float_range_is_input_error(self, demo_problem_file,
+                                                       tmp_path, capsys, command,
+                                                       patch, field):
+        path = tmp_path / "input.json"
+        if command == "trace-export":  # a result whose first trace row is patched
+            main(["solve", demo_problem_file, "-o", str(path)])
+            res = json.loads(path.read_text())
+            res["trace"][0].update(patch)
+            path.write_text(json.dumps(res))
+        else:
+            path.write_text(json.dumps(dict(DEMO_PROBLEM, **patch)))
+        capsys.readouterr()
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert captured.out == ""
+
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
             parse_problem(dict(DEMO_PROBLEM, mode="fastest"))
@@ -403,6 +434,29 @@ class TestBatchCommand:
                    "--count", "2", "--seed", "1", "--jobs", jobs])
         assert rc == 1
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m", "0"), ("--n1", "-1"), ("--n2", "-1"), ("--seed", "-1"),
+        ("--power", "-1"), ("--power", "0"), ("--power", "nan"), ("--power", "inf"),
+    ])
+    def test_bad_flag_is_input_error(self, capsys, flag, value):
+        flags = {"--m": "2", "--n1": "1", "--n2": "1", "--count": "1", "--seed": "1",
+                 flag: value}
+        rc = main(["batch", *(x for item in flags.items() for x in item)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 0)])
+    def test_receiver_free_shapes_still_run(self, capsys, n1, n2):
+        rc = main(["batch", "--m", "2", "--n1", str(n1), "--n2", str(n2),
+                   "--count", "2", "--seed", "1"])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["per_channel"]
+        assert all(r["converged"] for r in rows)
+        if n2 == 0:  # no eavesdropper: every channel has a positive capacity
+            assert all(r["capacity_nats"] > 0 for r in rows)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_exception_keeps_its_type(self, monkeypatch, jobs):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,3 +179,18 @@ class TestPsdSqrt:
         w = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         s = psd_sqrt(w)
         np.testing.assert_allclose(s @ s, w, atol=1e-12)
+
+
+class TestLapackBinding:
+    def test_only_matcalc_imports_scipy(self):
+        # one module binds LAPACK, so a switch of BLAS kernels touches one file
+        src = Path(__file__).resolve().parents[1] / "src" / "secrecap"
+        importers = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    importers.add(path.name)
+        assert importers == {"matcalc.py"}
