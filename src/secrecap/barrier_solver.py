@@ -16,6 +16,7 @@ certificate residuals live in the solver's log-det convention.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -93,7 +94,7 @@ class SolverConfig:
             raise ValueError(f"max_newton_iter must be an integer >= 1, got {it!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One accepted Newton step: barrier parameter, per-stage step index,
     residual norm after the step, rates (nats) and the accepted step size."""
@@ -190,43 +191,72 @@ def _zero_solution(ch: ChannelPair, power: float,
 
 
 def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages):
-    """Warm-started Newton solves at each t of ``stages``.
+    """Warm-started Newton solves of one iterate, or of a stack of them with
+    one row per channel, at each t of ``stages``; the channels move in
+    lockstep.
 
-    ``make_objective(t)`` builds the stage objective. Each accepted step adds
-    a trace row with the objective's ``trace_rates`` at the new iterate; a
-    SolverError leaving this function carries the rows recorded so far.
-    Returns (state, last stage objective, gap_met, trace, stage_reports).
+    ``make_objective(t)`` builds the stage objective over every channel.
+    Each accepted step adds a trace row to its channel, with the objective's
+    ``trace_rates`` at the new iterate. A channel whose stage misses its
+    Newton tolerance leaves the schedule with a SolverError (the
+    SingularKktError itself for an unsolved KKT system) that carries the
+    rows recorded so far; the other channels go on. Returns (state of the
+    channels that solved every stage, last stage objective, gap_met, and per
+    channel its trace, its (t, NewtonReport) pairs and its error or None).
     """
-    trace: list[TraceRecord] = []
-    reports = []
+    single = state.x.ndim == 1
+    n = 1 if single else len(state.x)
+    traces = [[] for _ in range(n)]
+    reports = [[] for _ in range(n)]
+    errors = [None] * n
+    knobs = dict(eps=cfg.eps_newton, max_iter=cfg.max_newton_iter, alpha=cfg.alpha,
+                 beta=cfg.beta)
     for t in stages:
         obj = make_objective(t)
 
         def record(k, st, rnorm, s, obj=obj, t=t):
             f, c = obj.trace_rates(st)
-            trace.append(TraceRecord(t=t, iteration=k, residual=rnorm, f=f, C=c,
-                                     step_size=s))
+            if single:
+                traces[0].append(TraceRecord(t, k, rnorm, f, c, s))
+                return
+            for row, *vals in zip(_rows(st), rnorm, f.tolist(), c.tolist(), s):
+                traces[row].append(TraceRecord(t, k, *vals))
 
-        try:
-            state, report = newton_solve(
-                obj,
-                state,
-                eps=cfg.eps_newton,
-                max_iter=cfg.max_newton_iter,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
-                callback=record,
-            )
-            if not report.converged:
-                raise SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
-        except SolverError as exc:  # a SingularKktError too
-            exc.trace = trace
-            raise
-        reports.append((t, report))
+        # newton_solve raises the SingularKktError of one iterate and returns
+        # those of a stack, one per row
+        if single:
+            try:
+                state, report = newton_solve(obj, state, callback=record, **knobs)
+                stage = [report], [None]
+            except SolverError as exc:
+                stage = [None], [exc]
+        else:
+            state, *stage = newton_solve(obj, state, callback=record, **knobs)
+        failed = []
+        for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
+            if exc is None and not report.converged:
+                exc = SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
+            if exc is None:
+                reports[row].append((t, report))
+            else:
+                exc.trace = traces[row]
+                errors[row] = exc
+                failed.append(i)
+        if len(failed) == len(stage[0]):  # no channel is left
+            break
+        if failed:
+            state = state.take(np.delete(np.arange(len(state.x)), failed))
         if cfg.eps_gap is not None and obj.gap() <= cfg.eps_gap:
             break
     gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
-    return state, obj, gap_met, trace, reports
+    return state, obj, gap_met, traces, reports, errors
+
+
+def _rows(state: SaddleState) -> list:
+    """The channel of each row of a stack, [0] for one iterate."""
+    if state.x.ndim == 1:
+        return [0]
+    return list(range(len(state.x))) if state.rows is None else state.rows.tolist()
 
 
 @dataclass
@@ -279,9 +309,9 @@ def _warm_start(ch: ChannelPair, power: float, warm: SaddleSolution) -> SaddleSt
     return SaddleState(x=vech(rm * scale), y=vec(k21), lam=-float(warm.lambda_star))
 
 
-def solve(ch: ChannelPair, power: float | PerAntennaBudget,
+def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudget,
           cfg: SolverConfig | None = None, mode: str = "auto",
-          warm: SaddleSolution | None = None) -> SaddleSolution:
+          warm: SaddleSolution | None = None):
     """Globally optimal transmit covariance via the saddle-point barrier
     method, for a total budget P or a ``PerAntennaBudget``.
 
@@ -298,25 +328,40 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     raises SolverError (SingularKktError for an unsolved KKT system) with
     the trace recorded so far.
 
+    In ``minimax`` mode with a total budget P, ``ch`` may also be a
+    sequence of channels of one shape. They then iterate in lockstep, one
+    stack of Newton systems per round (``kkt_newton.newton_solve``), and
+    the result is a list with each channel's SaddleSolution, or the
+    SolverError its solve would raise, bit for bit what the channel gives
+    alone. Input errors (ValueError) still raise for the whole call.
+
     ``warm``, a minimax-mode solution of the same channel at a power P0,
     starts a minimax solve from (R*·P/P0, K21*, -lambda*) and runs only the
     stage at ``warm.t_final``, so ``t_final``, ``gap_bound`` and ``gap_met``
     are those of a cold solve with the same config. It pays off when P is
     within a few percent of P0; farther away a cold solve is safer. Raises
     ValueError when ``warm`` is not a minimax-mode solution of this shape,
-    or when the solve does not resolve to ``minimax``.
+    when the solve does not resolve to ``minimax``, or when ``ch`` is a
+    sequence.
     """
     if cfg is None:
         cfg = SolverConfig()
     if mode not in SOLVE_MODES:
         raise ValueError(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
-    if isinstance(power, PerAntennaBudget):
-        mode = "per_antenna"  # the objective checks one cap per antenna
-    else:
+    budget = isinstance(power, PerAntennaBudget)
+    if not budget:
         if mode == "per_antenna":
             raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
         if not 0 < power < np.inf:
             raise ValueError(f"power must be finite and positive, got {power}")
+    if not isinstance(ch, ChannelPair):
+        if mode != "minimax" or budget or warm is not None:
+            raise ValueError("a sequence of channels solves only in minimax mode, "
+                             "with a total power and no warm start")
+        return _solve_lockstep(list(ch), power, cfg)
+    if budget:
+        mode = "per_antenna"  # the objective checks one cap per antenna
+    else:
         kind, eigs = classify_degraded(ch)
         if mode == "auto":
             mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"
@@ -338,12 +383,52 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
         start = _warm_start(ch, power, warm) if warm else initial_point(ch, power)
         if kind is Degradedness.REVERSELY_DEGRADED:
             return _zero_solution(ch, power, cfg)
+    (result,) = _solve_together(
+        objective, args, [ch], [start], mode, cfg,
+        _schedule(cfg) if warm is None else (warm.t_final,))
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
-    state, obj, gap_met, trace, reports = _run_schedule(
-        lambda t: objective(ch, t, *args), start, cfg,
-        _schedule(cfg) if warm is None else (warm.t_final,),
-    )
 
+def _solve_lockstep(channels: list, power: float, cfg: SolverConfig) -> list:
+    """Each channel's minimax solution or SolverError, the channels that are
+    not reversely degraded solved together."""
+    results, members = [None] * len(channels), []
+    for i, c in enumerate(channels):
+        if classify_degraded(c)[0] is Degradedness.REVERSELY_DEGRADED:
+            results[i] = _zero_solution(c, power, cfg)
+        else:
+            members.append(i)
+    if members:
+        group = [channels[i] for i in members]
+        solved = _solve_together(BarrierObjective, (power,), group,
+                                 [initial_point(c, power) for c in group], "minimax",
+                                 cfg, _schedule(cfg))
+        for i, result in zip(members, solved):
+            results[i] = result
+    return results
+
+
+def _solve_together(objective, args: tuple, channels: list, starts: list, mode: str,
+                    cfg: SolverConfig, stages) -> list:
+    """The schedule ``stages`` of ``objective`` over ``channels`` from
+    ``starts``, in lockstep; each channel's SaddleSolution or SolverError.
+    One channel iterates without a leading axis."""
+    one = len(channels) == 1
+    stacked = channels[0] if one else channels
+    state, obj, gap_met, traces, reports, errors = _run_schedule(
+        lambda t: objective(stacked, t, *args),
+        starts[0] if one else SaddleState.stack(starts), cfg, stages)
+    row_of = {row: j for j, row in enumerate(_rows(state))}
+    return [errors[i] or _solution(obj, state if one else state.row(row_of[i]), c,
+                                   mode, gap_met, traces[i], reports[i])
+            for i, c in enumerate(channels)]
+
+
+def _solution(obj: BarrierObjective, state: SaddleState, ch: ChannelPair, mode: str,
+              gap_met, trace: list, reports: list) -> SaddleSolution:
+    """The SaddleSolution of a channel's last stage iterate ``state``."""
     rm, k21 = obj.unpack(state)
     c_raw = secrecy_rate(ch, rm)
     bound = obj.gap()
@@ -371,10 +456,10 @@ def solve(ch: ChannelPair, power: float | PerAntennaBudget,
     )
 
 
-def solve_minimax(ch: ChannelPair, power: float, cfg: SolverConfig | None = None,
-                  warm: SaddleSolution | None = None) -> SaddleSolution:
-    """``solve`` in ``minimax`` mode: works for any channel; ``warm`` as in
-    ``solve``."""
+def solve_minimax(ch: ChannelPair | Sequence[ChannelPair], power: float,
+                  cfg: SolverConfig | None = None, warm: SaddleSolution | None = None):
+    """``solve`` in ``minimax`` mode: works for any channel, and for a list
+    of same-shape channels in lockstep; ``warm`` as in ``solve``."""
     return solve(ch, power, cfg, mode="minimax", warm=warm)
 
 

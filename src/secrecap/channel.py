@@ -128,20 +128,67 @@ class SaddleState:
 
     y is empty in the eavesdropper-free (degraded) reduction; lam is unused
     when no equality constraint is active.
+
+    A stack of iterates, one per channel of a stacked objective, gives x and
+    y a leading axis and lam one entry per row; ``rows`` names the
+    objective's channel of each row (None: row i is channel i; one iterate
+    taken from a stack keeps its channel as a one-entry ``rows``). ``cache``
+    is what an objective keeps for this iterate, as (objective, value);
+    ``take``, ``concat`` and ``row`` carry it along.
     """
 
     x: np.ndarray
     y: np.ndarray
-    lam: float = 0.0
+    lam: float | np.ndarray = 0.0
+    rows: np.ndarray | None = None
+    cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def z(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y])
+        return np.concatenate([self.x, self.y], axis=-1)
 
-    def stepped(self, dz: np.ndarray, dlam: float, s: float) -> "SaddleState":
-        nx = self.x.size
+    def stepped(self, dz: np.ndarray, dlam, s: float) -> "SaddleState":
+        nx = self.x.shape[-1]
         z = self.z + s * dz
-        return SaddleState(x=z[:nx], y=z[nx:], lam=self.lam + s * dlam)
+        return SaddleState(x=z[..., :nx], y=z[..., nx:], lam=self.lam + s * dlam,
+                           rows=self.rows)
+
+    def take(self, idx) -> "SaddleState":
+        """The rows at positions ``idx`` of a stack."""
+        idx = np.asarray(idx)
+        rows = np.arange(len(self.x)) if self.rows is None else self.rows
+        cache = self.cache and (self.cache[0], self.cache[1].take(idx))
+        return SaddleState(self.x[idx], self.y[idx], self.lam[idx], rows[idx], cache)
+
+    @staticmethod
+    def concat(parts: list) -> "SaddleState":
+        """One stack of the rows of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        owner = parts[0].cache and parts[0].cache[0]
+        cache = None
+        if owner is not None and all(p.cache and p.cache[0] is owner for p in parts):
+            cache = (owner, type(parts[0].cache[1]).concat([p.cache[1] for p in parts]))
+        return SaddleState(
+            np.concatenate([p.x for p in parts]), np.concatenate([p.y for p in parts]),
+            np.concatenate([p.lam for p in parts]),
+            np.concatenate([np.arange(len(p.x)) if p.rows is None else p.rows
+                            for p in parts]), cache)
+
+    @staticmethod
+    def stack(states: list) -> "SaddleState":
+        """One stack of the single iterates ``states``."""
+        return SaddleState(np.stack([s.x for s in states]), np.stack([s.y for s in states]),
+                           np.array([s.lam for s in states], dtype=float))
+
+    def row(self, i: int) -> "SaddleState":
+        """Row ``i`` of a stack as one iterate."""
+        cache = self.cache and (self.cache[0], self.cache[1].take(i))
+        if self.rows is None:  # row i is channel i, and None names channel 0
+            rows = None if i == 0 else np.array([i])
+        else:
+            rows = self.rows[i:i + 1]
+        return SaddleState(self.x[i], self.y[i], float(self.lam[i]), rows, cache)
 
 
 def classify_degraded(ch: ChannelPair):

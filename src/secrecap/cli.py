@@ -426,43 +426,51 @@ def _batch_channels(m: int, n1: int, n2: int, count: int, seed: int):
     return out
 
 
-def _solve_one_batch(idx_ch_pw_cfg):
-    idx, ch, power, cfg = idx_ch_pw_cfg
-    try:
-        sol = solve_minimax(ch, power, cfg)
-        return {
-            "index": idx,
-            "steps": sol.newton_steps_total,
-            "converged": True,
-            "capacity_nats": sol.capacity_achievable,
-        }
-    except SolverError as exc:
-        return {
-            "index": idx,
-            "steps": len(exc.trace),
-            "converged": False,
-            "capacity_nats": None,
-        }
+def _solve_batch(channels_power_cfg) -> list[dict]:
+    """Rows of channels solved together: one lockstep minimax solve."""
+    channels, power, cfg = channels_power_cfg
+    rows = []
+    for sol in solve_minimax(channels, power, cfg):
+        failed = isinstance(sol, SolverError)
+        rows.append({
+            "steps": len(sol.trace) if failed else sol.newton_steps_total,
+            "converged": not failed,
+            "capacity_nats": None if failed else sol.capacity_achievable,
+        })
+    return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
               cfg: SolverConfig, jobs: int = 1) -> dict:
     """Seeded random-channel sweep; deterministic summary for a fixed seed.
 
-    With ``jobs > 1`` the channels are solved by forked worker processes, at
-    most one per channel and per CPU; the summary is the same for every
+    The channels are solved in lockstep (``solve_minimax`` of a list): each
+    Newton round advances every channel still iterating by one stacked step,
+    and each channel's row is bit for bit its serial solve. With
+    ``jobs > 1`` the channels are split into that many contiguous blocks,
+    at most one per channel and per usable CPU, and each block is solved in
+    lockstep by a forked worker process; the summary is the same for every
     ``jobs``. Without the ``fork`` start method they are solved in-process.
     """
     channels = _batch_channels(m, n1, n2, count, seed)
-    work = [(i, ch, power, cfg) for i, ch in enumerate(channels)]
-    workers = min(jobs, count, os.cpu_count() or 1)
+    workers = min(jobs, count, _usable_cpus())
     # fork, not spawn: a spawned worker would import numpy and scipy again,
     # and forked workers see the same module state as an in-process solve.
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        bounds = np.linspace(0, count, workers + 1).round().astype(int)
+        work = [(channels[a:b], power, cfg) for a, b in zip(bounds, bounds[1:])]
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.map(_solve_one_batch, work)
+            rows = [row for block in pool.map(_solve_batch, work) for row in block]
     else:
-        rows = [_solve_one_batch(w) for w in work]
+        rows = _solve_batch((channels, power, cfg))
+    rows = [{"index": i, **row} for i, row in enumerate(rows)]
 
     steps = [r["steps"] for r in rows if r["converged"]]
     failures = sum(1 for r in rows if not r["converged"])

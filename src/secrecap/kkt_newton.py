@@ -19,10 +19,17 @@ which makes residual decrease a structural property of the iteration; trial
 points outside the barrier domain count as infinite residual. A step that does
 not solve its system (a zero LU pivot, or a backward error above 1e-10) raises
 SingularKktError.
+
+Every function also takes a stack of iterates, one row per channel of a
+stacked objective (see ``newton_solve``): the channels then move in
+lockstep through one loop, and each row's numbers are bit for bit those of
+its channel solved alone. A row that fails leaves the stack with its own
+error; no row's failure moves another row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,34 +83,48 @@ class NewtonReport:
         return self.failure is None
 
 
-def residual(obj, state: SaddleState) -> np.ndarray:
-    """Stationarity + equality residual at ``state``. DomainError if the
-    point is outside the barrier domain."""
-    g = obj.newton_gradient(state)
+def _norms(v: np.ndarray) -> np.ndarray:
+    """2-norm of a vector or of each row, bit for bit ``np.linalg.norm``."""
+    if v.ndim == 1:
+        return np.sqrt(v.dot(v))
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _bordered(obj, state: SaddleState, g: np.ndarray) -> np.ndarray:
+    """The residual from the gradient ``g``: with an equality row, the
+    multiplier term and the row's own residual."""
     if obj.constraint is None:
         return g
     a, b = obj.constraint
-    top = g + state.lam * a
-    eq = float(a @ state.z - b)
-    return np.concatenate([top, [eq]])
+    if g.ndim == 1:
+        return np.concatenate([g + state.lam * a, [float(a @ state.z - b)]])
+    eq = (a @ state.z[..., None])[:, 0] - b
+    return np.concatenate([g + state.lam[:, None] * a, eq[:, None]], axis=1)
+
+
+def residual(obj, state: SaddleState) -> np.ndarray:
+    """Stationarity + equality residual at ``state``. DomainError if the
+    point is outside the barrier domain; for a stack, rows outside it are
+    infinite, and DomainError means that no row is inside."""
+    return _bordered(obj, state, obj.newton_gradient(state))
 
 
 def assemble(obj, state: SaddleState) -> KktSystem:
-    """Build the Newton residual and KKT matrix at ``state``."""
+    """Build the Newton residual and KKT matrix at ``state`` (stacks of them
+    for a stack of iterates)."""
     g, h = obj.newton_system(state)
     if obj.constraint is None:
         return KktSystem(residual=g, kkt_matrix=h)
-    a, b = obj.constraint
-    n = g.size
-    t = np.zeros((n + 1, n + 1))
-    t[:n, :n] = h
-    t[:n, n] = a
-    t[n, :n] = a
-    r = np.concatenate([g + state.lam * a, [float(a @ state.z - b)]])
-    return KktSystem(residual=r, kkt_matrix=t)
+    a, _ = obj.constraint
+    n = g.shape[-1]
+    t = np.zeros(g.shape[:-1] + (n + 1, n + 1))
+    t[..., :n, :n] = h
+    t[..., :n, n] = a
+    t[..., n, :n] = a
+    return KktSystem(residual=_bordered(obj, state, g), kkt_matrix=t)
 
 
-def newton_step(sys: KktSystem) -> np.ndarray:
+def newton_step(sys: KktSystem):
     """Solve T dw = -r by LU with partial pivoting and one refinement pass.
 
     Raises SingularKktError when the step does not solve its system: the LU
@@ -111,44 +132,97 @@ def newton_step(sys: KktSystem) -> np.ndarray:
     |T dw + r| / (|T|_1 |dw| + |r|) is not at most 1e-10 (a NaN or infinite
     entry fails it too). No condition estimate gates the step: the estimate
     follows the units of P, and a badly scaled system solves to full accuracy.
+
+    A stack of systems (a leading axis) returns (dw, errors) instead: the
+    steps row by row, and per row None or the SingularKktError of a system
+    it could not solve, whose row of dw is NaN. The LU runs once per row;
+    the refinement products and norms run over the stack.
     """
-    t = sys.kkt_matrix
-    r = sys.residual
-    lu, piv, info = getrf(t)
-    if info > 0:
-        raise SingularKktError(
-            f"KKT matrix singular: LU pivot {info} of {t.shape[0]} is zero")
-    dw = getrs(lu, piv, -r)[0]
-    # one refinement step; cheap insurance on ill-conditioned systems
-    res = t @ dw + r
-    dw -= getrs(lu, piv, res)[0]
-    back_err = np.linalg.norm(t @ dw + r) / max(
-        np.linalg.norm(t, 1) * np.linalg.norm(dw) + np.linalg.norm(r), 1e-300
-    )
-    if not back_err <= 1e-10:
-        raise SingularKktError(
-            f"Newton step backward error {back_err:.3e} exceeds 1e-10"
-        )
+    dw, errors = _solve(sys.kkt_matrix, sys.residual)
+    if sys.kkt_matrix.ndim > 2:
+        return dw, errors
+    if errors[0] is not None:
+        raise errors[0]
     return dw
 
 
-def _split_step(obj, dw: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve(t: np.ndarray, r: np.ndarray):
+    """(dw, errors) of one system or of a stack; see ``newton_step``."""
+    if t.ndim == 2:  # one system, without the bookkeeping of a stack
+        lu, piv, info = getrf(t)
+        if info > 0:
+            return None, [_pivot_error(info, t)]
+        dw = getrs(lu, piv, -r)[0]
+        # one refinement step; cheap insurance on ill-conditioned systems
+        dw -= getrs(lu, piv, t @ dw + r)[0]
+        back_err = _backward_error(t, dw, r)
+        return dw, [None if back_err <= 1e-10 else _refinement_error(back_err)]
+    errors, lus, steps = [None] * len(t), [], []
+    for i in range(len(t)):
+        lu, piv, info = getrf(t[i])
+        if info > 0:
+            errors[i] = _pivot_error(info, t)
+            continue
+        lus.append((lu, piv))
+        steps.append(getrs(lu, piv, -r[i])[0])
+    if not lus:
+        return np.full(r.shape, np.nan), errors
+    ok = [i for i, e in enumerate(errors) if e is None]
+    ts, rs = (t, r) if len(ok) == len(t) else (t[ok], r[ok])
+    dw = np.array(steps)
+    res = (ts @ dw[..., None])[..., 0] + rs
+    for dw_i, res_i, (lu, piv) in zip(dw, res, lus):
+        dw_i -= getrs(lu, piv, res_i)[0]
+    for j, back_err in enumerate(_backward_error(ts, dw, rs).tolist()):
+        if not back_err <= 1e-10:
+            errors[ok[j]] = _refinement_error(back_err)
+    if errors.count(None) == len(errors):
+        return dw, errors
+    out = np.full(r.shape, np.nan)
+    for j, i in enumerate(ok):
+        if errors[i] is None:
+            out[i] = dw[j]
+    return out, errors
+
+
+def _backward_error(t: np.ndarray, dw: np.ndarray, r: np.ndarray):
+    """|T dw + r| / (|T|_1 |dw| + |r|) of one system or of each of a stack."""
+    res = t @ dw + r if dw.ndim == 1 else (t @ dw[..., None])[..., 0] + r
+    return _norms(res) / np.maximum(
+        np.abs(t).sum(axis=-2).max(axis=-1) * _norms(dw) + _norms(r), 1e-300)
+
+
+def _pivot_error(info: int, t: np.ndarray) -> SingularKktError:
+    return SingularKktError(f"KKT matrix singular: LU pivot {info} of {t.shape[-1]} is zero")
+
+
+def _refinement_error(back_err: float) -> SingularKktError:
+    return SingularKktError(f"Newton step backward error {back_err:.3e} exceeds 1e-10")
+
+
+def _split_step(obj, dw: np.ndarray) -> tuple:
     if obj.constraint is None:
         return dw, 0.0
-    return dw[:-1], float(dw[-1])
+    if dw.ndim == 1:
+        return dw[:-1], float(dw[-1])
+    return dw[:, :-1], dw[:, -1]
 
 
 def _trial_norm(obj, state: SaddleState, dz, dlam, s: float) -> tuple:
+    """``state`` stepped by s, its residual and the list of residual norms
+    (one per row of a stack, infinite outside the barrier domain); no trial
+    or residual when every row is outside."""
     trial = state.stepped(dz, dlam, s)
     try:
         r = residual(obj, trial)
     except DomainError:
-        return None, None, np.inf
-    return trial, r, float(np.linalg.norm(r))
+        return None, None, [math.inf] * (1 if state.x.ndim == 1 else len(state.x))
+    norms = _norms(r)
+    return trial, r, [float(norms)] if r.ndim == 1 else norms.tolist()
 
 
 def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
-                beta: float, r0_norm: float | None = None):
+                beta: float, r0_norm=None):
     """Backtracking on the residual norm (accept while
     |r(w + s dw)| > (1 - alpha s)|r(w)| shrink s by beta), with trial points
     outside the barrier domain treated as infinite residual.
@@ -156,26 +230,106 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     Returns (s, new_state, new_residual_norm). Raises LineSearchError if s
     falls below ``S_MIN``. Callers stop on |r| = 0 before invoking this; a
     zero current residual admits no decrease and would stagnate here.
+
+    For a stack of iterates every row backtracks on its own norm, and all
+    rows still searching share s, so one trial evaluates them together.
+    ``r0_norm`` is then a sequence, and the result is (s, new_state,
+    new_residual_norm, errors) with lists aligned with the rows of
+    ``state``: a row whose s fell below ``S_MIN`` keeps its iterate, has s
+    NaN and its LineSearchError in ``errors`` (None for the other rows).
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    single = state.x.ndim == 1
     if r0_norm is None:
-        r0_norm = float(np.linalg.norm(residual(obj, state)))
+        r0 = np.atleast_1d(_norms(residual(obj, state))).tolist()
+    else:
+        r0 = [r0_norm] if single else list(r0_norm)
+    s, new, rnorm, errors = _backtrack(obj, state, dw, alpha, beta, r0)
+    if not single:
+        return s, new, rnorm, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return s[0], new, rnorm[0]
+
+
+def _backtrack(obj, state: SaddleState, dw: np.ndarray, alpha: float,
+               beta: float, r0: list):
+    n = len(r0)
     dz, dlam = _split_step(obj, dw)
+    pieces = []  # (positions, s, residual norms, accepted trial rows)
+    pos = None  # positions still searching, once a trial rejected one
+    base = state
     s = 1.0
-    last = np.inf
     while s >= S_MIN:
-        trial, _, rnorm = _trial_norm(obj, state, dz, dlam, s)
-        if rnorm <= (1.0 - alpha * s) * r0_norm:
-            return s, trial, rnorm
-        last = rnorm
+        trial, _, rnorm = _trial_norm(obj, base, dz, dlam, s)
+        ok = [rn <= (1.0 - alpha * s) * r0_i for rn, r0_i in zip(rnorm, r0)]
+        if all(ok):
+            if pos is None:  # the first trial accepted every row
+                return [s] * n, trial, rnorm, [None] * n
+            pieces.append((pos, s, rnorm, trial))
+            pos = []
+            break
+        if pos is None:
+            pos, last = list(range(n)), [math.inf] * n
+        for p, rn in zip(pos, rnorm):
+            last[p] = rn
+        if any(ok):  # some rows of a stack
+            acc = [i for i, o in enumerate(ok) if o]
+            keep = [i for i, o in enumerate(ok) if not o]
+            pieces.append(([pos[i] for i in acc], s, [rnorm[i] for i in acc],
+                           trial.take(acc)))
+            # the rows still searching, without the factors they no longer need
+            base = SaddleState(base.x, base.y, base.lam, base.rows).take(keep)
+            pos, r0 = [pos[i] for i in keep], [r0[i] for i in keep]
+            dz = dz[keep]
+            dlam = dlam if np.ndim(dlam) == 0 else dlam[keep]
         s *= beta
-    raise LineSearchError(
-        f"line search stagnated: s < {S_MIN:g}, |r|={r0_norm:.3e}, "
-        f"last trial |r|={last:.3e}"
-    )
+    s_out, rn_out, errors = [math.nan] * n, [math.nan] * n, [None] * n
+    for p, r0_i in zip(pos, r0):  # the rows that stagnated
+        errors[p] = LineSearchError(
+            f"line search stagnated: s < {S_MIN:g}, |r|={r0_i:.3e}, "
+            f"last trial |r|={last[p]:.3e}")
+    rows = []
+    for p_acc, s_acc, rn_acc, trial in pieces:
+        for p, rn in zip(p_acc, rn_acc):
+            s_out[p], rn_out[p] = s_acc, rn
+        rows.append((p_acc, trial))
+    if pos:
+        rows.append((pos, state if state.x.ndim == 1 else state.take(pos)))
+    return s_out, _in_order(rows), rn_out, errors
+
+
+def _in_order(pieces: list) -> SaddleState:
+    """One stack of the (positions, rows) pieces, row p at position p."""
+    if len(pieces) == 1:
+        return pieces[0][1]
+    order = np.argsort(np.concatenate([pos for pos, _ in pieces]))
+    return SaddleState.concat([rows for _, rows in pieces]).take(order)
+
+
+def _steps(sys: KktSystem):
+    """``newton_step`` as (dw, errors), for one system too."""
+    if sys.kkt_matrix.ndim > 2:
+        return newton_step(sys)
+    try:
+        return newton_step(sys), [None]
+    except SingularKktError as exc:
+        return None, [exc]
+
+
+def _search(obj, state: SaddleState, dw, alpha: float, beta: float, rnorm: list):
+    """``line_search`` as lists (s, state, residual norms, errors), for one
+    iterate too."""
+    if state.x.ndim > 1:
+        return line_search(obj, state, dw, alpha, beta, r0_norm=rnorm)
+    try:
+        s, state, rn = line_search(obj, state, dw, alpha, beta, r0_norm=rnorm[0])
+    except LineSearchError as exc:
+        return [math.nan], state, rnorm, [exc]
+    return [s], state, [rn], [None]
 
 
 def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
@@ -187,23 +341,83 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     exhaustion yield a non-converged report rather than an exception; the
     caller decides how to proceed. ``callback(k, state, r_norm, s)`` runs
     after each accepted step.
+
+    This is the one Newton loop. A stack of iterates (``SaddleState`` rows,
+    one per channel of a stacked ``obj``) moves through it in lockstep: each
+    round assembles, solves and searches every row still iterating at once,
+    and a row leaves when it converges or fails; no row's failure moves
+    another. For a stack it returns (state, reports, errors), aligned with
+    the rows of ``state``: the final iterates, one NewtonReport per row, and
+    per row None or the SingularKktError that ended it (one iterate raises
+    it). The callback then gets the rows that accepted a step, as a stack,
+    with lists of their residual norms and step sizes; k is the same for
+    all of them.
     """
-    report = NewtonReport()
-    rnorm = float(np.linalg.norm(residual(obj, state)))
-    report.residual_norms.append(rnorm)
-    while not rnorm <= eps:  # a NaN residual has not converged either
-        if report.iterations == max_iter:
-            report.failure = f"not converged after {max_iter} iterations"
+    single = state.x.ndim == 1
+    n = 1 if single else len(state.x)
+    reports = [NewtonReport() for _ in range(n)]
+    errors = [None] * n
+    rnorm = np.atleast_1d(_norms(residual(obj, state))).tolist()
+    if math.inf in rnorm:
+        raise DomainError("a start point is outside the barrier domain")
+    for rep, rn in zip(reports, rnorm):
+        rep.residual_norms.append(rn)
+    pos = list(range(n))  # input positions of the rows still iterating
+    done = []  # (positions, final rows)
+
+    def leave(mask: list) -> list:
+        """Moves the rows where ``mask`` holds to ``done``; returns the
+        positions in the current rows of those that stay."""
+        nonlocal state, pos, rnorm
+        keep = [i for i, m in enumerate(mask) if not m]
+        if not keep:
+            done.append((pos, state))
+            pos = []
+        else:
+            gone = [i for i, m in enumerate(mask) if m]
+            done.append(([pos[i] for i in gone], state.take(gone)))
+            state = state.take(keep)
+            pos, rnorm = [pos[i] for i in keep], [rnorm[i] for i in keep]
+        return keep
+
+    k = 0
+    while True:
+        stop = [rn <= eps for rn in rnorm]  # a NaN residual has not converged
+        if any(stop):
+            leave(stop)
+        if not pos:
             break
-        dw = newton_step(assemble(obj, state))
-        try:
-            s, state, rnorm = line_search(obj, state, dw, alpha, beta,
-                                          r0_norm=rnorm)
-        except LineSearchError as exc:
-            report.failure = str(exc)
+        if k == max_iter:
+            for p in pos:
+                reports[p].failure = f"not converged after {max_iter} iterations"
+            leave([True] * len(pos))
             break
-        report.step_sizes.append(s)
-        report.residual_norms.append(rnorm)
+        dw, step_errors = _steps(assemble(obj, state))
+        if step_errors.count(None) < len(step_errors):
+            for p, e in zip(pos, step_errors):
+                errors[p] = e
+            keep = leave([e is not None for e in step_errors])
+            if not keep:
+                break
+            dw = dw[keep]
+        s, state, rnorm, ls_errors = _search(obj, state, dw, alpha, beta, rnorm)
+        k += 1
+        if ls_errors.count(None) < len(ls_errors):
+            for p, e in zip(pos, ls_errors):
+                if e is not None:
+                    reports[p].failure = str(e)
+            keep = leave([e is not None for e in ls_errors])
+            if not keep:
+                break
+            s = [s[i] for i in keep]
+        for p, si, rn in zip(pos, s, rnorm):
+            reports[p].step_sizes.append(si)
+            reports[p].residual_norms.append(rn)
         if callback is not None:
-            callback(report.iterations, state, rnorm, s)
-    return state, report
+            callback(k, state, *((rnorm[0], s[0]) if single else (rnorm, s)))
+    final = _in_order(done) if not single else done[0][1]
+    if not single:
+        return final, reports, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return final, reports[0]

@@ -13,6 +13,14 @@ This is the one module that binds LAPACK: the Cholesky helpers and the
 ``getrf``/``getrs`` pair of the Newton step call the routines behind scipy's
 cho_factor/cho_solve and lu_factor/lu_solve, fetched once and called without
 the per-call wrapper overhead (same routines, same bits).
+
+Stacks: ``unvech``, ``sym``, ``kron``, ``psd_sqrt``, ``noise_matrix``,
+``chol_solve``, ``chol_logdet`` and ``chol_inv`` also take a stack of
+matrices (a leading axis) and treat each slice as they treat one matrix, bit
+for bit: LAPACK runs once per slice, and every slice a LAPACK routine returns
+keeps the column-major layout it has for one matrix, because the BLAS
+products that consume it round differently for the two layouts at some
+sizes. ``chol_rows`` is the stacked ``chol``.
 """
 
 from __future__ import annotations
@@ -38,9 +46,11 @@ __all__ = [
     "sandwich_indices",
     "kron",
     "sym",
+    "identity",
     "psd_sqrt",
     "noise_matrix",
     "chol",
+    "chol_rows",
     "chol_solve",
     "chol_logdet",
     "chol_inv",
@@ -54,9 +64,17 @@ _potrf, _potrs, getrf, getrs = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
 
 
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The n x n identity matrix, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def sym(a: np.ndarray) -> np.ndarray:
     """Exact symmetrization, (A + A') / 2."""
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -73,6 +91,7 @@ def vech_len(m: int) -> int:
     return m * (m + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def vech_dim(length: int) -> int:
     """Matrix dimension m with m(m+1)/2 == length."""
     m = int(round((np.sqrt(8 * length + 1) - 1) / 2))
@@ -99,13 +118,13 @@ def vech(s: np.ndarray) -> np.ndarray:
 
 
 def unvech(v: np.ndarray) -> np.ndarray:
-    """Rebuild the symmetric matrix S with vech(S) == v."""
+    """Rebuild the symmetric matrix S with vech(S) == v (over the last axis)."""
     v = np.asarray(v)
-    m = vech_dim(v.size)
+    m = vech_dim(v.shape[-1])
     rows, cols = _vech_indices(m)
-    s = np.zeros((m, m), dtype=float)
-    s[rows, cols] = v
-    s[cols, rows] = v
+    s = np.zeros(v.shape[:-1] + (m, m), dtype=float)
+    s[..., rows, cols] = v
+    s[..., cols, rows] = v
     return s
 
 
@@ -207,8 +226,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its call overhead."""
     a = np.asarray(a)
     b = np.asarray(b)
-    (p, q), (r, s) = a.shape, b.shape
-    return (a.reshape(p, 1, q, 1) * b.reshape(r, 1, s)).reshape(p * r, q * s)
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    if a.ndim == 2:
+        return (a.reshape(p, 1, q, 1) * b.reshape(r, 1, s)).reshape(p * r, q * s)
+    lead = a.shape[:-2]
+    return (a.reshape(lead + (p, 1, q, 1)) * b.reshape(lead + (1, r, 1, s))).reshape(
+        lead + (p * r, q * s))
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
@@ -218,15 +241,15 @@ def psd_sqrt(s: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(sym(np.asarray(s, dtype=float)))
     w = np.clip(w, 0.0, None)
-    return sym((v * np.sqrt(w)) @ v.T)
+    return sym((v * np.sqrt(w)[..., None, :]) @ v.mT)
 
 
 def noise_matrix(k21: np.ndarray) -> np.ndarray:
     """Noise covariance K = [[I, K21'], [K21, I]] of the n2 x n1 cross block."""
-    n2, n1 = k21.shape
-    k = np.eye(n1 + n2)
-    k[n1:, :n1] = k21
-    k[:n1, n1:] = k21.T
+    n2, n1 = k21.shape[-2:]
+    k = identity(n1 + n2) + np.zeros(k21.shape[:-2] + (n1 + n2, n1 + n2))
+    k[..., n1:, :n1] = k21
+    k[..., :n1, n1:] = k21.mT
     return k
 
 
@@ -239,16 +262,46 @@ def chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
+def _slices(results) -> np.ndarray:
+    """Stack the column-major matrices that LAPACK returned, one per slice,
+    keeping each slice column-major."""
+    return np.stack([r.T for r in results]).mT
+
+
+def chol_rows(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Lower Cholesky factors of a stack of symmetric matrices and the
+    positions of the slices that are not strictly positive definite, whose
+    factors are undefined; for one matrix, its factor and [0] if it is not
+    strictly positive definite."""
+    if a.ndim == 2:
+        c, info = _potrf(a, lower=1, clean=0)
+        return c, [0] if info > 0 else []
+    results, bad = [], []
+    for i in range(len(a)):
+        c, info = _potrf(a[i], lower=1, clean=0)
+        results.append(c)
+        if info > 0:
+            bad.append(i)
+    return _slices(results), bad
+
+
 def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b from the lower Cholesky factor ``c`` of A."""
-    return _potrs(c, b, lower=1)[0]
+    """A^{-1} b from the lower Cholesky factor ``c`` of A; for a stack of
+    factors, per slice, with one ``b`` for all or a stack of them."""
+    if c.ndim == 2:
+        return _potrs(c, b, lower=1)[0]
+    return _slices([_potrs(c[i], b if b.ndim == 2 else b[i], lower=1)[0]
+                    for i in range(len(c))])
 
 
-def chol_logdet(c: np.ndarray) -> float:
-    """ln|A| from the lower Cholesky factor ``c`` of A."""
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+def chol_logdet(c: np.ndarray):
+    """ln|A| from the lower Cholesky factor ``c`` of A; an array of them for
+    a stack."""
+    if c.ndim == 2:
+        return 2.0 * float(np.sum(np.log(np.diag(c))))
+    return 2.0 * np.log(c.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def chol_inv(c: np.ndarray) -> np.ndarray:
     """A^{-1}, exactly symmetric, from the lower Cholesky factor ``c`` of A."""
-    return sym(chol_solve(c, np.eye(c.shape[0])))
+    return sym(chol_solve(c, identity(c.shape[-1])))

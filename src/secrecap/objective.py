@@ -15,10 +15,18 @@ with K21 the n2 x n1 cross block of the noise covariance.
 ``BarrierObjective`` is the one barrier objective of every solve path, with
 two axes: a K block or none (the degraded path), and the power limit as the
 equality row tr R = P or as per-antenna barrier rows.
+
+An objective covers one channel at one t; ``BarrierObjective`` (the minimax
+objective) may also cover a stack of same-shape channels. Its Newton methods
+take one iterate, or a stack of iterates (``SaddleState`` with a leading
+axis, one row per channel) and then return every result with that axis.
+Each row is bit for bit what the same iterate gives alone: the math runs
+over the stack, and each LAPACK factorization once per row (``matcalc``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +37,9 @@ from .matcalc import (
     chol,
     chol_inv,
     chol_logdet,
+    chol_rows,
     chol_solve,
+    identity,
     kron,
     noise_matrix,
     psd_sqrt,
@@ -58,8 +68,8 @@ __all__ = [
 def gap_bound(m: int, n1: int, n2: int, t: float) -> float:
     """Capacity accuracy guarantee of the barrier solution at parameter t;
     without a K block n1 = n2 = 0, which gives m/t."""
-    if t <= 0:
-        raise ValueError("barrier parameter t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     return max(m, n1 + n2) / t
 
 
@@ -78,11 +88,17 @@ def _as_k21(k, ch: ChannelPair) -> np.ndarray:
     return k
 
 
-def _logdet_capacity_term(h: np.ndarray, r: np.ndarray) -> float:
-    """ln |I + H' H R| computed as ln |I + H R H'| via Cholesky."""
-    n = h.shape[0]
-    a = np.eye(n) + h @ r @ h.T
-    return chol_logdet(chol(sym(a), "capacity log-det argument"))
+def _logdet_capacity_term(h: np.ndarray, r: np.ndarray):
+    """ln |I + H' H R| computed as ln |I + H R H'| via Cholesky; an array of
+    them for stacks of H and R."""
+    what = "capacity log-det argument"
+    a = sym(identity(h.shape[-2]) + h @ r @ h.mT)
+    if a.ndim == 2:
+        return chol_logdet(chol(a, what))
+    c, bad = chol_rows(a)
+    if bad:
+        raise DomainError(f"{what} is not strictly positive definite")
+    return chol_logdet(c)
 
 
 def secrecy_rate(ch: ChannelPair, r) -> float:
@@ -124,19 +140,37 @@ class DerivativeBundle:
     value_C: float
 
 
+def _not_pd(what: str) -> str:
+    return f"{what} is not strictly positive definite"
+
+
 class _Factors:
-    """Per-point matrix factors of a barrier objective: the R side always,
-    the K side only with a K block (otherwise Z1 comes from the channel's
-    W1^{1/2}), and the power slacks only with per-antenna caps. Log-dets are
-    taken from the Cholesky factors ``cf_*`` only when a value needs them."""
+    """Matrix factors of a barrier objective at a point or a stack of points:
+    the R side always, the K side only with a K block (otherwise Z1 comes
+    from the channel's W1^{1/2}), and the power slacks only with per-antenna
+    caps. Log-dets are taken from the Cholesky factors ``cf_*`` only when a
+    value needs them.
+
+    The fields are matrices for one point and stacks of them (a leading
+    axis) for a stack of points of the minimax objective, computed by the
+    same code. In a stack, a row that leaves the barrier domain is dropped
+    at the check it fails, before the next kernel runs (a stacked ``eigh``
+    would fail for the whole stack); ``kept`` lists the positions of the
+    rows left (None: all). DomainError names the check when no row is
+    left."""
 
     __slots__ = (
-        "R", "K21", "K", "Q", "Rinv", "Kinv", "G", "B", "W", "Z1", "Z2",
+        "kept", "R", "K21", "K", "Q", "Rinv", "Kinv", "G", "B", "W", "Z1", "Z2",
         "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "tslack",
     )
 
-    def __init__(self, obj: "BarrierObjective", rm: np.ndarray, k21: np.ndarray | None):
-        ch = obj.channel
+    def __init__(self, obj: "BarrierObjective", rm: np.ndarray,
+                 k21: np.ndarray | None, rows):
+        h, s1, s2 = obj._channel_rows(rows, rm.ndim == 2, "Hstack", "sqrt_W1",
+                                      "sqrt_W2")
+        self.kept = None
+        self.R = rm
+        self.K21 = k21
         self.slack = self.tslack = None
         if obj.caps is not None:
             self.slack = obj.caps - np.diag(rm)
@@ -146,32 +180,87 @@ class _Factors:
                 self.tslack = obj.total - float(np.trace(rm))
                 if self.tslack <= 0:
                     raise DomainError("total power cap violated")
-        self.R = rm
-        self.K21 = k21
-        self.cf_R = chol(rm, "transmit covariance")
+        self.cf_R, bad = chol_rows(self.R)
+        if bad:
+            h, s1, s2 = self._drop(bad, _not_pd("transmit covariance"), h, s1, s2)
         self.Rinv = chol_inv(self.cf_R)
 
-        if k21 is None:
-            self.Z1, self.cf_1 = _z_matrix(ch.sqrt_W1, rm)
+        if k21 is None:  # degraded, or minimax with n1 or n2 zero
+            self.Z1, self.cf_1, s2 = self._z_matrix(s1, s2)
         else:
-            self.K = noise_matrix(k21)
-            self.cf_K = chol(self.K, "noise covariance")
+            self.K = noise_matrix(self.K21)
+            self.cf_K, bad = chol_rows(self.K)
+            if bad:
+                h, s2 = self._drop(bad, _not_pd("noise covariance"), h, s2)
             self.Kinv = chol_inv(self.cf_K)
 
-            self.Q = sym(ch.Hstack @ rm @ ch.Hstack.T)
-            self.cf_KQ = chol(self.K + self.Q, "K + Q")
+            ht = h.mT
+            self.Q = sym(h @ self.R @ ht)
+            self.cf_KQ, bad = chol_rows(self.K + self.Q)
+            if bad:
+                h, ht, s2 = self._drop(bad, _not_pd("K + Q"), h, ht, s2)
             self.G = chol_inv(self.cf_KQ)
-            self.B = ch.Hstack.T @ self.G
+            self.B = ht @ self.G
 
-            self.W = sym(ch.Hstack.T @ (self.Kinv @ ch.Hstack))
-            self.Z1, _ = _z_matrix(psd_sqrt(self.W), rm)
-        self.Z2, self.cf_2 = _z_matrix(ch.sqrt_W2, rm)
+            self.W = sym(ht @ (self.Kinv @ h))
+            self.Z1, _, s2 = self._z_matrix(psd_sqrt(self.W), s2)
+        self.Z2, self.cf_2 = self._z_matrix(s2)
 
-    def logdet_K(self) -> float:
+    def _drop(self, bad, message: str, *local):
+        """Drops the rows at positions ``bad`` from every field set so far
+        and from the arrays ``local``, which it returns; DomainError(message)
+        when no row is left."""
+        if self.R.ndim == 2:
+            raise DomainError(message)
+        ok = np.ones(len(self.R), dtype=bool)
+        ok[bad] = False
+        if not ok.any():
+            raise DomainError(message)
+        self.kept = np.flatnonzero(ok) if self.kept is None else self.kept[ok]
+        for name in self.__slots__[1:]:
+            value = getattr(self, name, None)
+            if value is not None:
+                setattr(self, name, value[ok])
+        return tuple(a[ok] for a in local)
+
+    def _z_matrix(self, s: np.ndarray, *local):
+        """Z = (I + W R)^{-1} W through the symmetric form S (I + S R S)^{-1} S
+        with S = W^{1/2}; always symmetric and valid for singular W. Also
+        returns the Cholesky factor of I + S R S, whose log-det is
+        ln|I + W R|, and ``local`` after any row drop."""
+        cf, bad = chol_rows(identity(s.shape[-1]) + sym(s @ self.R @ s))
+        if bad:
+            cf, s, *local = self._drop(bad, _not_pd("I + S R S"), cf, s, *local)
+        return (sym(s @ chol_solve(cf, s)), cf, *local)
+
+    def take(self, idx) -> "_Factors":
+        """The factors of the rows at positions ``idx`` of the stack they were
+        built for (rows inside the domain only); of one point for an integer
+        ``idx``, without the leading axis."""
+        if self.kept is not None:
+            idx = np.searchsorted(self.kept, idx)
+        out = object.__new__(type(self))
+        out.kept = None
+        for name in self.__slots__[1:]:
+            value = getattr(self, name, None)
+            setattr(out, name, None if value is None else value[idx])
+        return out
+
+    @classmethod
+    def concat(cls, parts: list) -> "_Factors":
+        """One stack of the rows of ``parts``, in order."""
+        out = object.__new__(cls)
+        out.kept = None
+        for name in cls.__slots__[1:]:
+            values = [getattr(p, name, None) for p in parts]
+            setattr(out, name, None if values[0] is None else np.concatenate(values))
+        return out
+
+    def logdet_K(self):
         """ln|K|; 0 without a K block, which has no -(1/t) ln|K| term."""
         return 0.0 if self.K21 is None else chol_logdet(self.cf_K)
 
-    def value_f(self) -> float:
+    def value_f(self):
         """f without the 1/2 factor; without a K block f is C."""
         if self.K21 is None:
             return chol_logdet(self.cf_1) - chol_logdet(self.cf_2)
@@ -180,26 +269,33 @@ class _Factors:
 
 def _hxx(ix, z1, z2, rinv, tinv: float) -> np.ndarray:
     """-D'(Z1 (x) Z1 - Z2 (x) Z2 + (1/t) R^{-1} (x) R^{-1}) D, bit for bit, by
-    one gather over the stacked factors."""
-    g = np.concatenate((z1, z2, rinv)).ravel()[ix.xx]
-    p1, p2, pr = g[0] * g[1]
-    terms = p1 - p2 + tinv * pr  # the sandwiched matrix at the X and Y entries
-    return -(ix.xx_weight * (terms[0] + terms[1]))
+    gathers over the stacked factors (per row for stacks of them)."""
+    a = np.concatenate((z1, z2, rinv), axis=-2)
+    p = _gather(a, ix.xx[0])  # in place from here: a stack's gathers are large
+    p *= _gather(a, ix.xx[1])
+    p[2] *= tinv
+    terms = np.subtract(p[0], p[1], out=p[0])
+    terms += p[2]  # Z1 (x) Z1 - Z2 (x) Z2 + (1/t) R^{-1} (x) R^{-1} at X and Y
+    if z1.ndim == 2:
+        return -(ix.xx_weight * (terms[0] + terms[1]))
+    return np.moveaxis(-(ix.xx_weight[..., None] * (terms[0] + terms[1])), -1, 0)
 
 
 def _gradient(ix, *grads: np.ndarray) -> np.ndarray:
     """(D' vec(grad_R), Dt' vec(grad_K)) of exactly symmetric gradient
-    matrices, bit for bit (``matcalc.sandwich_indices``)."""
-    return ix.grad_weight * np.concatenate([a.ravel() for a in grads])[ix.grad]
+    matrices (per row for stacks of them), bit for bit
+    (``matcalc.sandwich_indices``)."""
+    if grads[0].ndim == 2:
+        return ix.grad_weight * np.concatenate([a.ravel() for a in grads])[ix.grad]
+    flat = np.concatenate([a.reshape(len(a), -1) for a in grads], axis=1)
+    return ix.grad_weight * flat[:, ix.grad]
 
 
-def _z_matrix(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z = (I + W R)^{-1} W through the symmetric form S (I + S R S)^{-1} S
-    with S = W^{1/2}; always symmetric and valid for singular W. Also returns
-    the Cholesky factor of I + S R S, whose log-det is ln|I + W R|."""
-    m = s.shape[0]
-    cf = chol(np.eye(m) + sym(s @ r @ s), "I + S R S")
-    return sym(s @ chol_solve(cf, s)), cf
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The entries of a matrix at the flat (C-order) indices ``idx``; for a
+    stack of matrices, with the stack's axis last, so that the formulas
+    index the gathered axes alike for one matrix and for a stack."""
+    return a.ravel()[idx] if a.ndim == 2 else a.reshape(len(a), -1).T[idx]
 
 
 class BarrierObjective:
@@ -211,78 +307,130 @@ class BarrierObjective:
     y = vec(K21). Provides values, gradients and the full indefinite Hessian
     for the primal-dual Newton solver, and the gap bound of a stage solution.
 
+    ``ch`` is one ChannelPair, or a sequence of ChannelPairs of one shape
+    that Newton iterates in lockstep; ``channels`` holds them, and
+    ``channel`` is the channel of a one-channel objective (None for more).
+    A stacked iterate's ``rows`` say which channel each row belongs to.
+
     Two axes, which the subclasses set: without the K block (degraded) f is
     C(R) = ln|I + W1 R| - ln|I + W2 R| and there is no y; with per-antenna
     ``caps`` the barrier rows (1/t) sum_i ln(P_i - r_ii) [+ (1/t) ln(P_tot -
-    tr R)] replace the equality row tr R = P.
+    tr R)] replace the equality row tr R = P. The subclasses take one
+    ChannelPair only.
     """
 
     _k_block = True
+    _lockstep = True  # takes a sequence of channels too
     caps = None   # per-antenna caps P_i; None with the equality row tr R = P
     total = None  # optional total cap beside the per-antenna ones
     gap_heuristic = False  # True when gap() is not a proven bound
 
-    def __init__(self, ch: ChannelPair, t: float, power: float):
+    def __init__(self, ch, t: float, power: float):
         self._setup(ch, t, power=power)
         self.power = float(power)
         a = np.zeros(self.nx + self.ny)
-        a[: self.nx] = vech(np.eye(ch.m))
+        a[: self.nx] = vech(np.eye(self.m))
         self.constraint = (a, self.power)
 
-    def _setup(self, ch: ChannelPair, t: float, **limits) -> None:
-        """Checks t and the power limits, and sets the dimensions."""
+    def _setup(self, ch, t: float, **limits) -> None:
+        """Checks t and the power limits, and sets the channels and the
+        dimensions."""
         for name, value in (("t", t), *limits.items()):
             if value is not None and not np.all(np.isfinite(value) & (value > 0)):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        self.channel = ch
+        if isinstance(ch, ChannelPair):
+            self.channels = (ch,)
+        elif self._lockstep:
+            self.channels = tuple(ch)
+        else:
+            raise ValueError(f"{type(self).__name__} takes one ChannelPair")
+        first = self.channels[0]
+        if any((c.m, c.n1, c.n2) != (first.m, first.n1, first.n2)
+               for c in self.channels):
+            raise ValueError("the channels of one objective must share one shape")
+        self.channel = first if len(self.channels) == 1 else None
         self.t = float(t)
-        self.n1, self.n2 = (ch.n1, ch.n2) if self._k_block else (0, 0)
-        self.nx = vech_len(ch.m)
+        self.m = first.m
+        self.n1, self.n2 = (first.n1, first.n2) if self._k_block else (0, 0)
+        self.nx = vech_len(self.m)
         self.ny = self.n1 * self.n2
-        self._ix = sandwich_indices(ch.m, self.n1, self.n2)
-        # Factors of the last point evaluated. The Newton solver evaluates the
-        # accepted line-search trial again in assemble() and in the trace row,
-        # so those reuse this slot. Per-stage objectives are never shared
-        # between threads.
-        self._last_state = None
-        self._last_factors = None
+        self._ix = sandwich_indices(self.m, self.n1, self.n2)
+        self._stacks = {}
+
+    def _channel_rows(self, rows, single: bool, *names: str) -> list:
+        """The channel matrices ``names`` of the channels ``rows`` (None:
+        all), stacked; for one point, the matrices of its channel."""
+        if single:
+            ch = self.channels[0 if rows is None else rows[0]]
+            return [getattr(ch, name) for name in names]
+        out = []
+        for name in names:
+            stack = self._stacks.get(name)
+            if stack is None:
+                stack = self._stacks[name] = np.stack(
+                    [getattr(ch, name) for ch in self.channels])
+            out.append(stack if rows is None else stack[rows])
+        return out
 
     def gap(self) -> float:
         """Capacity gap bound of a solution of this stage."""
-        return gap_bound(self.channel.m, self.n1, self.n2, self.t)
+        return gap_bound(self.m, self.n1, self.n2, self.t)
 
     # -- state unpacking ---------------------------------------------------
 
     def unpack(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray | None]:
-        """(R, K21) at ``state``; K21 is None without a K block."""
+        """(R, K21) at ``state`` (stacks of them for a stack); K21 is None
+        without a K block."""
         rm = unvech(state.x)
         if not self.ny:
             return rm, None
-        return rm, state.y.reshape((self.channel.n2, self.channel.n1), order="F")
+        y = state.y  # vec(K21) is column-major: K21[r, c] = y[c * n2 + r]
+        return rm, y.reshape(y.shape[:-1] + (self.n1, self.n2)).mT
 
     def factors(self, state: SaddleState) -> _Factors:
-        """Factors at ``state``, built once per SaddleState object."""
-        if state is not self._last_state:
-            self._last_factors = _Factors(self, *self.unpack(state))
-            self._last_state = state
-        return self._last_factors
+        """Factors at ``state``, built once per SaddleState object. They do
+        not depend on t, so the next stage's objective reuses them."""
+        cache = state.cache
+        if cache is not None and (cache[0] is self or self._same_factors(cache[0])):
+            return cache[1]
+        fac = _Factors(self, *self.unpack(state), state.rows)
+        state.cache = (self, fac)
+        return fac
 
-    def trace_rates(self, state: SaddleState) -> tuple[float, float]:
+    def _same_factors(self, other) -> bool:
+        """Whether ``other`` builds the factors this objective builds at a
+        point: the same class, channels and power caps, whatever its t."""
+        return (type(other) is type(self) and len(other.channels) == len(self.channels)
+                and all(a is b for a, b in zip(other.channels, self.channels))
+                and (self.caps is None or np.array_equal(self.caps, other.caps))
+                and self.total == other.total)
+
+    def _inside(self, state: SaddleState) -> _Factors:
+        """Factors at ``state``, every row of which must be inside the
+        barrier domain."""
+        fac = self.factors(state)
+        if fac.kept is not None:
+            raise DomainError(f"{len(state.x) - len(fac.kept)} of {len(state.x)} "
+                              "rows are outside the barrier domain")
+        return fac
+
+    def trace_rates(self, state: SaddleState):
         """(f, C) in nats at ``state`` for the convergence trace, equal bit for
         bit to :func:`minimax_objective` and :func:`secrecy_rate` there:
         ln|K + Q| and ln|K| come from the factors, and ln|I + H2 R H2'| is
         shared by f and C. Without a K block f is C."""
-        ch, fac = self.channel, self.factors(state)
-        ld_2 = _logdet_capacity_term(ch.H2, fac.R)
-        c = 0.5 * (_logdet_capacity_term(ch.H1, fac.R) - ld_2)
+        fac = self._inside(state)
+        h1, h2 = self._channel_rows(state.rows, fac.R.ndim == 2, "H1", "H2")
+        ld_2 = _logdet_capacity_term(h2, fac.R)
+        c = 0.5 * (_logdet_capacity_term(h1, fac.R) - ld_2)
         if not self.ny:
             return c, c
         return 0.5 * (chol_logdet(fac.cf_KQ) - fac.logdet_K() - ld_2), c
 
     # -- values ------------------------------------------------------------
 
-    def value_ft(self, state: SaddleState) -> float:
-        fac, t = self.factors(state), self.t
+    def value_ft(self, state: SaddleState):
+        fac, t = self._inside(state), self.t
         v = fac.value_f() + (chol_logdet(fac.cf_R) - fac.logdet_K()) / t
         if fac.slack is not None:
             v += float(np.sum(np.log(fac.slack))) / t
@@ -293,10 +441,18 @@ class BarrierObjective:
     # -- Newton interface ----------------------------------------------------
 
     def newton_gradient(self, state: SaddleState) -> np.ndarray:
-        return self._gradient_from(self.factors(state))
+        """The gradient; for a stack, a row outside the barrier domain gets
+        an infinite one, and DomainError is raised when no row is inside."""
+        fac = self.factors(state)
+        g = self._gradient_from(fac)
+        if fac.kept is None:
+            return g
+        out = np.full((len(state.x), g.shape[-1]), np.inf)
+        out[fac.kept] = g
+        return out
 
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
-        fac = self.factors(state)
+        fac = self._inside(state)
         return self._gradient_from(fac), self._hessian_from(fac)
 
     def _gradient_from(self, fac: _Factors) -> np.ndarray:
@@ -312,22 +468,27 @@ class BarrierObjective:
         return g
 
     def _hessian_from(self, fac: _Factors) -> np.ndarray:
-        ix, n1, nx, ny = self._ix, self.channel.n1, self.nx, self.ny
+        ix, n1, nx, ny = self._ix, self.n1, self.nx, self.ny
         tinv = 1.0 / self.t
         h = _hxx(ix, fac.Z1, fac.Z2, fac.Rinv, tinv)
         if ny:
-            f = fac.B.ravel()[ix.xy]
+            f = _gather(fac.B, ix.xy)
             p = f[0] * f[1]
-            hxy = -(ix.xy_weight * (p[0] + p[1]))
+            if fac.B.ndim == 2:
+                hxy = -(ix.xy_weight * (p[0] + p[1]))
+            else:
+                hxy = np.moveaxis(-(ix.xy_weight[..., None] * (p[0] + p[1])), -1, 0)
             # Dt'((1 + 1/t) K^{-1} (x) K^{-1} - G (x) G) Dt from the n1 / n2 blocks
             ck, k, g = 1.0 + tinv, fac.Kinv, fac.G
-            same = ck * kron(k[:n1, :n1], k[n1:, n1:]) - kron(g[:n1, :n1], g[n1:, n1:])
-            cross = ck * kron(k[:n1, n1:], k[n1:, :n1]) - kron(g[:n1, n1:], g[n1:, :n1])
-            hxx, h = h, np.empty((nx + ny, nx + ny))
-            h[:nx, :nx] = hxx
-            h[:nx, nx:] = hxy
-            h[nx:, :nx] = hxy.T
-            h[nx:, nx:] = 2.0 * (same + cross[:, ix.k21_transpose])
+            same = (ck * kron(k[..., :n1, :n1], k[..., n1:, n1:])
+                    - kron(g[..., :n1, :n1], g[..., n1:, n1:]))
+            cross = (ck * kron(k[..., :n1, n1:], k[..., n1:, :n1])
+                     - kron(g[..., :n1, n1:], g[..., n1:, :n1]))
+            hxx, h = h, np.empty(h.shape[:-2] + (nx + ny, nx + ny))
+            h[..., :nx, :nx] = hxx
+            h[..., :nx, nx:] = hxy
+            h[..., nx:, :nx] = hxy.mT
+            h[..., nx:, nx:] = 2.0 * (same + cross[..., ix.k21_transpose])
         if fac.slack is not None:
             d = self._diag_idx
             h[d, d] -= 1.0 / (self.t * fac.slack**2)
@@ -371,6 +532,7 @@ class DegradedBarrierObjective(BarrierObjective):
     over x = vech(R) with tr R = P."""
 
     _k_block = False
+    _lockstep = False
 
 
 class PerAntennaBarrierObjective(BarrierObjective):
@@ -387,19 +549,19 @@ class PerAntennaBarrierObjective(BarrierObjective):
     """
 
     gap_heuristic = True
+    _lockstep = False
 
-    def __init__(self, ch: ChannelPair, t: float, caps: np.ndarray,
-                 total: float | None = None):
+    def __init__(self, ch, t: float, caps: np.ndarray, total: float | None = None):
         caps = np.asarray(caps, dtype=float).ravel()
-        if caps.size != ch.m:
-            raise ValueError(f"need {ch.m} per-antenna caps, got {caps.size}")
         self._setup(ch, t, caps=caps, total=total)
+        if caps.size != self.m:
+            raise ValueError(f"need {self.m} per-antenna caps, got {caps.size}")
         self.caps = caps
         self.total = None if total is None else float(total)
         self.constraint = None
-        self._diag_idx = vech_diag_indices(ch.m)
+        self._diag_idx = vech_diag_indices(self.m)
 
     def gap(self) -> float:
-        m = self.channel.m
+        m = self.m
         power_terms = m + (0 if self.total is None else 1)
         return (m + power_terms + self.n1 + self.n2) / self.t

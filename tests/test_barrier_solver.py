@@ -64,6 +64,12 @@ class TestGapBound:
         with pytest.raises(ValueError):
             gap_bound(2, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_t(self, t):
+        # NaN gave a NaN bound and inf a bound of 0 before
+        with pytest.raises(ValueError, match="^t must be finite and positive, got"):
+            gap_bound(2, 2, 2, t)
+
     @pytest.mark.parametrize("total, power_terms", [(None, 2), (8.0, 3)])
     def test_per_antenna_counts_every_barrier_term(self, demo_channel, total,
                                                    power_terms):

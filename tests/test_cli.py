@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
@@ -406,7 +407,8 @@ class TestBatchCommand:
         assert summary["params"]["seed"] == 3
 
     def test_jobs_do_not_change_output(self, monkeypatch):
-        # worker processes never outnumber the channels
+        # worker processes never outnumber the channels, also where more
+        # CPUs are usable than there are channels
         started = []
 
         class SpyPool(multiprocessing.pool.Pool):
@@ -415,6 +417,8 @@ class TestBatchCommand:
                 super().__init__(processes, *args, **kwargs)
 
         monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         cfg = SolverConfig(eps_newton=1e-10)
         for count, jobs in [(4, 3), (2, 8)]:
             started.clear()
@@ -422,6 +426,24 @@ class TestBatchCommand:
             b = run_batch(2, 2, 2, count, seed=9, power=10.0, cfg=cfg, jobs=jobs)
             assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
             assert len(started) <= 1 and all(n <= count for n in started)
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
+        # the pool is sized by the CPUs this process may run on, not by the
+        # CPUs the machine has
+        started = []
+
+        class SpyPool(multiprocessing.pool.Pool):
+            def __init__(self, processes=None, *args, **kwargs):
+                started.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = SolverConfig()
+        a = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=4)
+        assert started == []
+        assert a == run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=1)
 
     def test_count_validation(self, capsys):
         rc = main(["batch", "--m", "2", "--n1", "2", "--n2", "2",
@@ -460,40 +482,44 @@ class TestBatchCommand:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_exception_keeps_its_type(self, monkeypatch, jobs):
+        # an unexpected error in the stacked Newton system of the block that
+        # holds channel 2 leaves run_batch with its type
+        from secrecap import BarrierObjective
+
         bad = cli._batch_channels(2, 2, 2, 4, 9)[2].H1
-        real_solve = cli.solve_minimax
+        real_system = BarrierObjective.newton_system
 
-        def solve(ch, power, cfg):
-            if np.array_equal(ch.H1, bad):
+        def system(self, state):
+            rows = range(len(state.x)) if state.rows is None else state.rows
+            if any(np.array_equal(self.channels[i].H1, bad) for i in rows):
                 raise ValueError("unexpected failure in one channel")
-            return real_solve(ch, power, cfg)
+            return real_system(self, state)
 
-        monkeypatch.setattr(cli, "solve_minimax", solve)
+        monkeypatch.setattr(BarrierObjective, "newton_system", system)
         with pytest.raises(ValueError, match="unexpected failure"):
             run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=SolverConfig(), jobs=jobs)
 
     def test_singular_kkt_row_reports_steps(self, monkeypatch):
         # every channel's KKT system turns singular after three accepted
-        # steps; its row counts those steps, in-process and in workers alike
+        # steps: the stacked newton_step reports each row's failure in its
+        # error list from the fourth round on, and each row counts the
+        # steps before it, in-process and in workers alike
         from secrecap import SingularKktError, kkt_newton
 
-        real_solve, real_step = cli.solve_minimax, kkt_newton.newton_step
+        real_step = kkt_newton.newton_step
         calls = []
-
-        def solve(ch, power, cfg):
-            calls.clear()
-            return real_solve(ch, power, cfg)
 
         def failing_step(sys):
             calls.append(1)
+            dw, errors = real_step(sys)
             if len(calls) > 3:
-                raise SingularKktError("forced singular KKT matrix")
-            return real_step(sys)
+                errors = [SingularKktError("forced singular KKT matrix")] * len(errors)
+            return dw, errors
 
-        monkeypatch.setattr(cli, "solve_minimax", solve)
         monkeypatch.setattr(kkt_newton, "newton_step", failing_step)
         cfg = SolverConfig()
         a = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=1)
+        calls.clear()
         b = run_batch(2, 2, 2, 4, seed=9, power=10.0, cfg=cfg, jobs=2)
         assert a == b
         assert a["failures"] == 4

@@ -1,0 +1,177 @@
+"""Channels solved together in lockstep (``solve_minimax`` of a list,
+which ``cli.run_batch`` calls) give each channel exactly its serial solve:
+the same step count, the same converged flag and the same capacity under
+``==``, the same trace rows, and a failing channel changes no other row."""
+
+import numpy as np
+import pytest
+
+from secrecap import (
+    BarrierObjective,
+    ChannelPair,
+    DegradedBarrierObjective,
+    PerAntennaBarrierObjective,
+    PerAntennaBudget,
+    SingularKktError,
+    SolverConfig,
+    SolverError,
+    initial_point,
+    solve,
+    solve_minimax,
+)
+from secrecap.kkt_newton import KktSystem, assemble, newton_step
+
+from conftest import DEMO_H1, DEMO_H2
+
+# the CI problem that must fail: identical channels and a deep schedule
+IDENTICAL = ChannelPair(DEMO_H1, DEMO_H1)
+DEEP = SolverConfig(t_max=1e7, eps_newton=1e-12)
+
+
+def random_channels(shape, count, seed):
+    rng = np.random.default_rng(seed)
+    m, n1, n2 = shape
+    return [ChannelPair(rng.standard_normal((n1, m)), rng.standard_normal((n2, m)))
+            for _ in range(count)]
+
+
+def serial(ch, power, cfg=None):
+    try:
+        return solve_minimax(ch, power, cfg)
+    except SolverError as exc:
+        return exc
+
+
+def assert_same_row(row, ref):
+    """A lockstep row against the serial solve of its channel."""
+    assert type(row) is type(ref)
+    if isinstance(ref, SolverError):
+        assert str(row) == str(ref)
+        assert row.trace == ref.trace
+        return
+    assert row.newton_steps_total == ref.newton_steps_total
+    assert row.capacity_achievable == ref.capacity_achievable
+    assert row.capacity_upper == ref.capacity_upper
+    assert row.lambda_star == ref.lambda_star
+    assert row.trace == ref.trace
+    np.testing.assert_array_equal(row.R_star.R, ref.R_star.R)
+    np.testing.assert_array_equal(row.K21_star, ref.K21_star)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("power", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 3, 3), (3, 2, 1), (5, 4, 4),
+                                   (2, 2, 0), (2, 0, 2)])
+def test_rows_equal_serial_solves(shape, power, count):
+    # (2, 2, 0) iterates without a K block (Z1 from W1^{1/2}); (2, 0, 2) is
+    # reversely degraded, so every row short-circuits
+    channels = random_channels(shape, count, seed=sum(shape) + count)
+    rows = solve_minimax(channels, power)
+    assert len(rows) == count
+    for ch, row in zip(channels, rows):
+        assert_same_row(row, serial(ch, power))
+
+
+def test_failing_channel_moves_no_other_row():
+    good = random_channels((2, 2, 2), 4, seed=21)
+    with_failure = good[:2] + [IDENTICAL] + good[2:]
+    rows = solve_minimax(with_failure, 10.0, DEEP)
+    failed = rows[2]
+    assert isinstance(failed, SolverError)
+    assert_same_row(failed, serial(IDENTICAL, 10.0, DEEP))
+    assert 0 < len(failed.trace)
+    for row, ch in zip(rows[:2] + rows[3:], good):
+        assert_same_row(row, serial(ch, 10.0, DEEP))
+    for row, alone in zip(rows[:2] + rows[3:], solve_minimax(good, 10.0, DEEP)):
+        assert_same_row(row, alone)
+
+
+@pytest.mark.parametrize("picks", [[1, 11], [11, 1], [1, 11, 3], [1, 2, 11, 3]])
+def test_rows_failing_at_successive_stages_equal_serial_solves(picks):
+    # with six iterations per stage, channels 1, 11 and 3 fail at t = 1e2,
+    # 1e3 and 1e4 of a schedule up to 1e7, and channel 2 converges: every
+    # row still equals its serial solve when no row is left before the last
+    # stage
+    cfg = SolverConfig(max_newton_iter=6, t_max=1e7)
+    pool = random_channels((2, 2, 2), 12, seed=21)
+    channels = [pool[i] for i in picks]
+    rows = solve_minimax(channels, 10.0, cfg)
+    for i, ch, row in zip(picks, channels, rows):
+        ref = serial(ch, 10.0, cfg)
+        assert isinstance(ref, SolverError) is (i != 2)
+        assert_same_row(row, ref)
+
+
+def test_reversely_degraded_channel_short_circuits_in_a_list():
+    ch = random_channels((2, 2, 2), 1, seed=3)[0]
+    reverse = ChannelPair(0.5 * DEMO_H2, DEMO_H2)
+    rows = solve_minimax([ch, reverse], 1.0)
+    assert rows[1].mode == "zero" and rows[1].newton_steps_total == 0
+    assert_same_row(rows[0], serial(ch, 1.0))
+
+
+def test_warm_needs_one_channel(demo_channel):
+    warm = solve_minimax(demo_channel, 1.0)
+    with pytest.raises(ValueError, match="no warm start"):
+        solve_minimax([demo_channel, demo_channel], 1.0, warm=warm)
+
+
+@pytest.mark.parametrize("mode", ["auto", "degraded"])
+def test_list_solves_in_minimax_mode_only(demo_channel, mode):
+    with pytest.raises(ValueError, match="minimax mode"):
+        solve([demo_channel, demo_channel], 1.0, mode=mode)
+
+
+def test_list_needs_a_total_power(demo_channel):
+    budget = PerAntennaBudget(caps=[1.0, 1.0])
+    for mode in ("minimax", "per_antenna"):
+        with pytest.raises(ValueError, match="total power"):
+            solve([demo_channel, demo_channel], budget, mode=mode)
+
+
+@pytest.mark.parametrize("make", [
+    lambda chs: DegradedBarrierObjective(chs, 100.0, 1.0),
+    lambda chs: PerAntennaBarrierObjective(chs, 100.0, [1.0, 1.0]),
+], ids=["degraded", "per_antenna"])
+def test_only_the_minimax_objective_takes_a_list(demo_channel, make):
+    with pytest.raises(ValueError, match="takes one ChannelPair"):
+        make([demo_channel, demo_channel])
+
+
+def test_objective_rejects_mixed_shapes():
+    a, = random_channels((2, 2, 2), 1, seed=1)
+    b, = random_channels((2, 2, 1), 1, seed=1)
+    with pytest.raises(ValueError, match="share one shape"):
+        BarrierObjective([a, b], 100.0, 1.0)
+
+
+def test_stacked_newton_step_reports_a_singular_row_alone(demo_channel):
+    # one singular system in a stack: its row gets the error, the other row
+    # is the single-system step bit for bit
+    sys = assemble(BarrierObjective(demo_channel, 100.0, 10.0),
+                   initial_point(demo_channel, 10.0))
+    n = sys.residual.size
+    stack = KktSystem(residual=np.stack([sys.residual, np.ones(n)]),
+                      kkt_matrix=np.stack([sys.kkt_matrix, np.ones((n, n))]))
+    dw, errors = newton_step(stack)
+    assert errors[0] is None
+    assert isinstance(errors[1], SingularKktError)
+    assert "is zero" in str(errors[1])
+    np.testing.assert_array_equal(dw[0], newton_step(sys))
+    assert np.all(np.isnan(dw[1]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_rows_equal_serial_solves(jobs):
+    # the batch's rows come from lockstep blocks; each equals its channel's
+    # serial solve under ==, on every split of the channels
+    from secrecap.cli import _batch_channels, run_batch
+
+    cfg = SolverConfig()
+    summary = run_batch(3, 2, 1, 7, 5, 1.0, cfg, jobs=jobs)
+    for row, ch in zip(summary["per_channel"], _batch_channels(3, 2, 1, 7, 5)):
+        ref = serial(ch, 1.0, cfg)
+        failed = isinstance(ref, SolverError)
+        assert row["converged"] is not failed
+        assert row["steps"] == (len(ref.trace) if failed else ref.newton_steps_total)
+        assert row["capacity_nats"] == (None if failed else ref.capacity_achievable)
