@@ -40,6 +40,7 @@ from .objective import (
     DegradedBarrierObjective,
     DerivativeBundle,
     PerAntennaBarrierObjective,
+    RateBarrierObjective,
     barrier_value,
     derivatives,
     minimax_objective,
@@ -63,6 +64,7 @@ __all__ = [
     "NoiseCovariance",
     "PerAntennaBarrierObjective",
     "PerAntennaBudget",
+    "RateBarrierObjective",
     "SaddleSolution",
     "SaddleState",
     "SingularKktError",

@@ -436,10 +436,9 @@ def _solution(obj: BarrierObjective, state: SaddleState, ch: ChannelPair, mode: 
         k21, upper = np.zeros((ch.n2, ch.n1)), c_raw + bound
     else:
         upper = minimax_objective(ch, rm, k21)
-    if obj.constraint is None:  # power barrier rows: no multiplier, budget tr R*
-        lam, budget = None, float(np.trace(rm))
-    else:
-        lam, budget = -state.lam, obj.constraint[1]
+    # barrier rows have no multiplier; a free power (per-antenna, rate) is tr R*
+    lam = None if obj.constraint is None else -state.lam
+    budget = float(np.trace(rm)) if obj.power is None else obj.power
     return SaddleSolution(
         R_star=TransmitCovariance(rm, budget),
         K21_star=k21,

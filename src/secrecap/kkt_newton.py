@@ -3,20 +3,25 @@
 Solves the stationarity system r(w) = 0 for w = (z, lam) where
 
     r = [ grad f_t(z) + lam * a ]      (stationarity block)
-        [ a' z - b            ]        (equality block, when present)
+        [ c(z)                ]        (equality block, when present)
 
 by damped Newton steps T dw = -r with the indefinite KKT matrix
 
     T = [ hess f_t   a ]
-        [ a'         0 ].
+        [ grad c'    0 ].
+
+The equality row is the power row c(z) = a' z - b, whose gradient is a, or
+the dual's rate row c(z) = f(z) - b, which makes T unsymmetric.
 
 The objective is any object exposing ``newton_gradient(state)``,
 ``newton_system(state)`` (both raising DomainError outside the barrier
 domain) and ``constraint`` (an ``(a, b)`` pair over the stacked primal
-vector, or None for unconstrained saddle systems). Backtracking accepts a
-step only when the residual norm satisfies |r_new| <= (1 - alpha*s)|r_old|,
-which makes residual decrease a structural property of the iteration; trial
-points outside the barrier domain count as infinite residual. A step that does
+vector, or None for unconstrained saddle systems); with a constraint also
+``border(state)``, the row's (c(z), grad c) at ``state``. Backtracking
+accepts a step only when the residual norm satisfies |r_new| <= (1 -
+alpha*s)|r_old|, which makes residual decrease a structural property of the
+iteration; trial points outside the barrier domain count as infinite
+residual. A step that does
 not solve its system (a zero LU pivot, or a backward error above 1e-10) raises
 SingularKktError.
 
@@ -90,15 +95,17 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _bordered(obj, state: SaddleState, g: np.ndarray) -> np.ndarray:
+def _bordered(obj, state: SaddleState, g: np.ndarray, eq=None) -> np.ndarray:
     """The residual from the gradient ``g``: with an equality row, the
-    multiplier term and the row's own residual."""
+    multiplier term and the row's own residual ``eq`` (the objective's, at
+    ``state``, when not given)."""
     if obj.constraint is None:
         return g
-    a, b = obj.constraint
+    a, _ = obj.constraint
+    if eq is None:
+        eq, _ = obj.border(state)
     if g.ndim == 1:
-        return np.concatenate([g + state.lam * a, [float(a @ state.z - b)]])
-    eq = (a @ state.z[..., None])[:, 0] - b
+        return np.concatenate([g + state.lam * a, [eq]])
     return np.concatenate([g + state.lam[:, None] * a, eq[:, None]], axis=1)
 
 
@@ -116,12 +123,13 @@ def assemble(obj, state: SaddleState) -> KktSystem:
     if obj.constraint is None:
         return KktSystem(residual=g, kkt_matrix=h)
     a, _ = obj.constraint
+    eq, row = obj.border(state)
     n = g.shape[-1]
     t = np.zeros(g.shape[:-1] + (n + 1, n + 1))
     t[..., :n, :n] = h
     t[..., :n, n] = a
-    t[..., n, :n] = a
-    return KktSystem(residual=_bordered(obj, state, g), kkt_matrix=t)
+    t[..., n, :n] = row
+    return KktSystem(residual=_bordered(obj, state, g, eq), kkt_matrix=t)
 
 
 def newton_step(sys: KktSystem):

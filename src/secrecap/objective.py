@@ -14,7 +14,8 @@ with K21 the n2 x n1 cross block of the noise covariance.
 
 ``BarrierObjective`` is the one barrier objective of every solve path, with
 two axes: a K block or none (the degraded path), and the power limit as the
-equality row tr R = P or as per-antenna barrier rows.
+equality row tr R = P or as per-antenna barrier rows. The dual's
+``RateBarrierObjective`` replaces that row by the rate row f(R, K) = 2·rate.
 
 An objective covers one channel at one t; ``BarrierObjective`` (the minimax
 objective) may also cover a stack of same-shape channels. Its Newton methods
@@ -56,6 +57,7 @@ __all__ = [
     "BarrierObjective",
     "DegradedBarrierObjective",
     "PerAntennaBarrierObjective",
+    "RateBarrierObjective",
     "DerivativeBundle",
     "secrecy_rate",
     "minimax_objective",
@@ -321,6 +323,7 @@ class BarrierObjective:
 
     _k_block = True
     _lockstep = True  # takes a sequence of channels too
+    power = None  # the budget of the row tr R = P; None when tr R is free
     caps = None   # per-antenna caps P_i; None with the equality row tr R = P
     total = None  # optional total cap beside the per-antenna ones
     gap_heuristic = False  # True when gap() is not a proven bound
@@ -328,9 +331,21 @@ class BarrierObjective:
     def __init__(self, ch, t: float, power: float):
         self._setup(ch, t, power=power)
         self.power = float(power)
+        self.constraint = (self._trace_column(), self.power)
+
+    def _trace_column(self) -> np.ndarray:
+        """a with a'z = tr R: the power row and the multiplier column."""
         a = np.zeros(self.nx + self.ny)
         a[: self.nx] = vech(np.eye(self.m))
-        self.constraint = (a, self.power)
+        return a
+
+    def border(self, state: SaddleState):
+        """The equality row at ``state`` as (residual, gradient): a'z - P and
+        a (the residuals per row for a stack)."""
+        a, b = self.constraint
+        if state.x.ndim == 1:
+            return float(a @ state.z - b), a
+        return (a @ state.z[..., None])[:, 0] - b, a
 
     def _setup(self, ch, t: float, **limits) -> None:
         """Checks t and the power limits, and sets the channels and the
@@ -533,6 +548,34 @@ class DegradedBarrierObjective(BarrierObjective):
 
     _k_block = False
     _lockstep = False
+
+
+class RateBarrierObjective(BarrierObjective):
+    """The minimax barrier objective of the dual: the rate row
+
+        f(R, K) = 2·rate   (log-det units)
+
+    replaces tr R = P, and P = tr R is an output. The multiplier column stays
+    a, so the stationarity block is the minimax one at P = tr R, and a
+    solution is the central point at which f reaches the rate, with the
+    multiplier of a minimax solve there (slope dCs/dP = lambda*/2). The
+    row's gradient is that of f without barrier terms. One channel.
+    """
+
+    _lockstep = False
+
+    def __init__(self, ch, t: float, rate: float):
+        self._setup(ch, t, rate=rate)
+        self.constraint = (self._trace_column(), 2.0 * float(rate))
+
+    def border(self, state: SaddleState):
+        """f - 2·rate and (D' vec(Z1 - Z2), Dt' vec(G - K^{-1})) at ``state``;
+        without a K block the gradient is D' vec(Z1 - Z2)."""
+        fac = self._inside(state)
+        grads = [fac.Z1 - fac.Z2]
+        if self.ny:
+            grads.append(fac.G - fac.Kinv)
+        return float(fac.value_f()) - self.constraint[1], _gradient(self._ix, *grads)
 
 
 class PerAntennaBarrierObjective(BarrierObjective):

@@ -82,6 +82,41 @@ class TestAssemble:
             assert np.linalg.norm(t @ tinv - np.eye(n)) <= 1e-8
 
 
+class TestRateRow:
+    def test_rate_row_borders_the_kkt_matrix(self, demo_channel):
+        # the column stays a, the last row is grad f, and the row's
+        # residual is f - 2 rate: the matrix is not symmetric
+        from secrecap.objective import RateBarrierObjective
+
+        rng = np.random.default_rng(56)
+        obj = RateBarrierObjective(demo_channel, 100.0, 0.3)
+        st = random_interior_state(rng, demo_channel, 4.0)
+        sys = assemble(obj, st)
+        eq, grad = obj.border(st)
+        a, _ = obj.constraint
+        n = obj.nx + obj.ny
+        np.testing.assert_array_equal(sys.kkt_matrix[:n, n], a)
+        np.testing.assert_array_equal(sys.kkt_matrix[n, :n], grad)
+        assert sys.kkt_matrix[n, n] == 0.0
+        assert sys.residual[-1] == eq
+        np.testing.assert_array_equal(residual(obj, st), sys.residual)
+        assert np.max(np.abs(sys.kkt_matrix - sys.kkt_matrix.T)) > 1e-3
+
+    def test_rate_row_solves_to_the_minimax_point(self, demo_channel):
+        # a solution of the bordered system at fixed t is the minimax
+        # barrier point at P = tr R whose f is the rate
+        from secrecap.objective import RateBarrierObjective, minimax_objective
+
+        obj = RateBarrierObjective(demo_channel, 100.0, 0.3)
+        st, report = newton_solve(obj, initial_point(demo_channel, 4.0))
+        assert report.converged
+        power = float(np.trace(obj.unpack(st)[0]))
+        rm, k21 = obj.unpack(st)
+        assert minimax_objective(demo_channel, rm, k21) == pytest.approx(0.3, abs=1e-10)
+        fixed = BarrierObjective(demo_channel, 100.0, power)
+        assert np.linalg.norm(residual(fixed, st)) <= 1e-9
+
+
 class TestNewtonStep:
     def test_zero_residual_gives_zero_step(self, demo_channel):
         rng = np.random.default_rng(53)

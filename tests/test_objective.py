@@ -20,7 +20,11 @@ from secrecap.matcalc import (
     vec,
     vech,
 )
-from secrecap.objective import DegradedBarrierObjective, PerAntennaBarrierObjective
+from secrecap.objective import (
+    DegradedBarrierObjective,
+    PerAntennaBarrierObjective,
+    RateBarrierObjective,
+)
 
 from conftest import (
     DEMO_H1,
@@ -332,6 +336,61 @@ def oracle_minimax(fac, t, dm, dt):
     return g, np.block([[hxx, hxy], [hxy.T, hyy]])
 
 
+class TestBorderRows:
+    """The equality row each objective gives the Newton system:
+    ``border(state)`` = (row residual, row gradient)."""
+
+    def test_power_row_is_linear(self, demo_channel):
+        rng = np.random.default_rng(80)
+        obj = BarrierObjective(demo_channel, 100.0, 10.0)
+        a, b = obj.constraint
+        for _ in range(5):
+            r, k21 = interior_point(rng, demo_channel, 7.0)
+            st = SaddleState(x=vech(r), y=vec(k21), lam=0.0)
+            eq, row = obj.border(st)
+            assert eq == float(a @ st.z - b)
+            assert eq == pytest.approx(np.trace(r) - 10.0, abs=1e-13)
+            assert row is a
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (3, 2, 0), (2, 0, 2)])
+    def test_rate_row_is_f_and_its_gradient(self, shape):
+        # the row is f(R, K) - 2 rate in log-det units; its gradient is that
+        # of f alone, with no barrier terms, so it does not depend on t
+        rng = np.random.default_rng([81, *shape])
+        ch = random_channel(rng, *shape)
+        rate = 0.2
+        for t in (10.0, 1e4):
+            obj = RateBarrierObjective(ch, t, rate)
+            assert obj.constraint[1] == 2 * rate
+            for _ in range(3):
+                r = random_spd(rng, ch.m, trace=5.0)
+                k21 = (random_feasible_k21(rng, ch.n1, ch.n2, max_norm=0.8) if obj.ny
+                       else np.zeros((ch.n2, ch.n1)))
+                z0 = np.concatenate([vech(r), vec(k21)])[: obj.nx + obj.ny]
+
+                def row(z):
+                    return obj.border(SaddleState(x=z[: obj.nx], y=z[obj.nx:]))
+
+                eq, grad = row(z0)
+                f = minimax_objective(ch, r, k21) if obj.ny else secrecy_rate(ch, r)
+                assert eq == pytest.approx(2 * (f - rate), abs=1e-12)
+                assert grad.shape == z0.shape
+                assert rel_err_inf(fd_gradient(lambda z: row(z)[0], z0), grad) <= 1e-6
+
+    def test_rate_objective_keeps_the_minimax_stationarity(self, demo_channel):
+        # the same gradient, Hessian and multiplier column as the minimax
+        # objective at any power: only the row differs
+        rng = np.random.default_rng(82)
+        rate_obj = RateBarrierObjective(demo_channel, 300.0, 0.3)
+        power_obj = BarrierObjective(demo_channel, 300.0, 4.0)
+        r, k21 = interior_point(rng, demo_channel, 3.0)
+        st = SaddleState(x=vech(r), y=vec(k21), lam=0.0)
+        for a, b in zip(rate_obj.newton_system(st), power_obj.newton_system(st)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rate_obj.constraint[0], power_obj.constraint[0])
+        assert rate_obj.power is None
+
+
 class TestIndexFormulas:
     """The objectives gather their derivatives from index arrays; the dense
     duplication-matrix sandwiches they replaced are the oracle."""
@@ -386,10 +445,11 @@ class TestIndexFormulas:
 
 
 class TestConstruction:
-    GOOD = dict(t=10.0, power=10.0, caps=[4.0, 6.0], total=8.0)
+    GOOD = dict(t=10.0, power=10.0, caps=[4.0, 6.0], total=8.0, rate=0.3)
     FIELDS = {BarrierObjective: ("t", "power"),
               DegradedBarrierObjective: ("t", "power"),
-              PerAntennaBarrierObjective: ("t", "caps", "total")}
+              PerAntennaBarrierObjective: ("t", "caps", "total"),
+              RateBarrierObjective: ("t", "rate")}
 
     @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -402,9 +462,10 @@ class TestConstruction:
                 cls(demo_channel, **kwargs)
 
     def test_subclasses_only_configure_the_base(self):
-        # one implementation: the degraded and per-antenna classes inherit
+        # one implementation: the degraded, per-antenna and rate classes inherit
         # every evaluation from BarrierObjective
-        for cls in (DegradedBarrierObjective, PerAntennaBarrierObjective):
+        for cls in (DegradedBarrierObjective, PerAntennaBarrierObjective,
+                    RateBarrierObjective):
             assert issubclass(cls, BarrierObjective)
             assert not {"newton_gradient", "newton_system", "value_ft",
                         "trace_rates", "factors"} & set(vars(cls)), cls

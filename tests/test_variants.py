@@ -191,6 +191,13 @@ def test_target_rejects_non_finite_fields(field, kwargs):
         DualTarget(**kwargs)
 
 
+@pytest.fixture
+def search_only(monkeypatch):
+    """``solve_dual`` as its Newton search alone, from P = 0 after the p_hi
+    solve: the bordered solve fails at both starts."""
+    monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+
+
 def _spy_solves(monkeypatch, fail_at=()):
     """Record every power ``solve_dual`` solves at; raise the paired error at
     the powers listed in ``fail_at`` as (power, exception type)."""
@@ -208,6 +215,7 @@ def _spy_solves(monkeypatch, fail_at=()):
     return powers
 
 
+@pytest.mark.usefixtures("search_only")
 class TestNewtonSearch:
     @pytest.mark.parametrize("rate, tol_rate, max_solves", [
         (0.30, 1e-6, 10), (0.30, 1e-12, 10), (0.30, 1e-15, 12),
@@ -314,6 +322,7 @@ def _dual_case(name):
     return ch, DualTarget(rate=rate, p_hi=1e3)
 
 
+@pytest.mark.usefixtures("search_only")
 class TestWarmNearAnswer:
     @pytest.mark.parametrize("name", ["demo", "demo_tight", "rng0", "rng1", "rng2"])
     def test_same_search_as_cold(self, monkeypatch, name):
@@ -377,3 +386,202 @@ def test_miso_oracle_lower_side(seed):
     h = 1e-6 * root
     slope = (miso_capacity(h1, h2, root + h) - miso_capacity(h1, h2, root - h)) / (2 * h)
     assert p_star >= root - target.tol_rate / slope
+
+
+def _bordered_starts(monkeypatch):
+    """Record what each ``solve_dual`` call's bordered solve returned: its
+    solution, or None when both starts failed."""
+    starts = []
+    real = variants._bordered_start
+
+    def spy(*args):
+        sol, failed = real(*args)
+        starts.append(sol)
+        return sol, failed
+
+    monkeypatch.setattr(variants, "_bordered_start", spy)
+    return starts
+
+
+def _bordered_case(name):
+    """(channel, DualTarget) of a bordered-path case; targets set from
+    Cs(10) are shares of it, with p_hi as the benchmark's or 100."""
+    if name.startswith("demo"):
+        return ChannelPair(DEMO_H1, DEMO_H2), DualTarget(
+            rate=float(name[5:]), p_hi=10.0, tol_rate=1e-6)
+    if name == "scalar":  # Cs(1) = 0.5 ln(5/2) exactly
+        return (ChannelPair(np.array([[2.0]]), np.array([[1.0]])),
+                DualTarget(rate=0.5 * np.log(2.5), p_hi=4.0, tol_rate=1e-8))
+    if name.startswith("miso"):  # as in test_miso_oracle_lower_side
+        rng = np.random.default_rng([20261018, int(name[-1])])
+        h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
+        rate = rng.uniform(0.2, 0.8) * miso_capacity(h1, h2, 10.0)
+        return ChannelPair(h1[None, :], h2[None, :]), DualTarget(rate=rate, p_hi=10.0)
+    if name.startswith("433"):
+        _, seed, share = name.split("-", 2)
+        ch = random_channel(np.random.default_rng([20261019, int(seed)]), 4, 3, 3)
+        share, p_hi = float(share), 1e3
+    elif name == "no_k_block":  # n2 = 0
+        ch = ChannelPair(np.random.default_rng(3).standard_normal((2, 3)), np.zeros((0, 3)))
+        share, p_hi = 0.5, 100.0
+    else:  # degraded: W1 - W2 = 0.75 W1
+        ch, share, p_hi = ChannelPair(DEMO_H1, 0.5 * DEMO_H1), 0.5, 100.0
+    rate = share * solve_minimax(ch, 10.0).capacity_achievable
+    return ch, DualTarget(rate=rate, p_hi=p_hi)
+
+
+BORDERED_CASES = ["demo-0.30", "demo-0.20", "scalar",
+                  *(f"miso-{seed}" for seed in range(5)),
+                  *(f"433-{seed}-{share}" for seed in range(3)
+                    for share in ("1e-3", "0.5", "1.0")),
+                  "no_k_block", "degraded"]
+
+
+def _failing_stages(monkeypatch, t_fail):
+    """Make every bordered stage at t >= ``t_fail`` fail."""
+    from secrecap.objective import RateBarrierObjective
+
+    class FailingStage(RateBarrierObjective):
+        def newton_system(self, state):
+            if self.t >= t_fail:
+                raise SolverError("injected stage failure")
+            return super().newton_system(state)
+
+    monkeypatch.setattr(variants, "RateBarrierObjective", FailingStage)
+
+
+class TestBorderedDual:
+    @pytest.mark.parametrize("name", BORDERED_CASES)
+    def test_agrees_with_the_search(self, monkeypatch, name):
+        ch, target = _bordered_case(name)
+        starts = _bordered_starts(monkeypatch)
+        calls = _record_solves(monkeypatch)
+        p_star, sol = solve_dual(ch, target)
+        # the bordered start solved, below p_hi, and p_hi was never solved
+        p_b = starts[0].R_star.power
+        assert p_b <= target.p_hi
+        assert target.p_hi not in [p for p, _ in calls]
+        # the answer is a warm-started minimax solve at P* that meets the rate
+        assert calls[0] == (calls[0][0], starts[0])
+        assert calls[-1][0] == p_star == sol.R_star.power
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
+        assert abs(sol.capacity_achievable - target.rate) <= target.tol_rate
+        # both answers lie within tol_rate of the rate on a slope of lambda*/2
+        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+        p_search, _ = solve_dual(ch, target)
+        band = 2 * target.tol_rate / (0.5 * sol.lambda_star)
+        assert abs(p_star - p_search) <= band + 1e-12 * p_star
+
+    def test_tiny_rate_leaves_the_warm_band(self, demo_channel, monkeypatch):
+        # at rate 1e-5 the gap m/t exceeds the rate, so C(R_b) is 0 and the
+        # first steps from P_b are too far for a warm start
+        starts = _bordered_starts(monkeypatch)
+        calls = _record_solves(monkeypatch)
+        target = DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
+        p_star, sol = solve_dual(demo_channel, target)
+        assert starts[0].capacity_achievable == 0.0
+        assert calls[0][1] is None
+        assert sol.capacity_achievable >= target.rate - target.tol_rate
+        assert starts[0].R_star.power < p_star < 0.01
+
+    @pytest.mark.parametrize("delta", [2e-6, 1e-5])
+    def test_target_above_cs_p_hi_raises(self, demo_channel, monkeypatch, delta):
+        # P_b <= p_hi, since f exceeds C at t_max: the search needs p_hi when
+        # its Newton point passes it, and only then solves it
+        cs = solve_minimax(demo_channel, 10.0).capacity_achievable
+        starts = _bordered_starts(monkeypatch)
+        calls = _record_solves(monkeypatch)
+        with pytest.raises(BracketError, match="unattainable within the bracket"):
+            solve_dual(demo_channel, DualTarget(rate=cs + delta, p_hi=10.0))
+        assert starts[0].R_star.power <= 10.0
+        assert calls[-1][0] == 10.0
+
+    def test_target_above_cs_p_hi_raises_beyond_p_hi(self, monkeypatch):
+        # Cs(8) = 0.5 ln(33/9) < 0.68: P_b > p_hi, so the search runs as
+        # before and raises after its p_hi solve
+        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
+        starts = _bordered_starts(monkeypatch)
+        powers = _spy_solves(monkeypatch)
+        with pytest.raises(BracketError, match="unattainable within the bracket"):
+            solve_dual(ch, DualTarget(rate=0.68, p_hi=8.0, tol_rate=1e-6))
+        assert starts[0].R_star.power > 8.0
+        assert powers == [8.0]
+
+    def test_grows_the_bracket_without_p_hi(self, monkeypatch):
+        # Cs(P) = 0.5 ln((1 + 4P)/(1 + P)) reaches 0.55 at P* = 2.012
+        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
+        target = DualTarget(rate=0.55, tol_rate=1e-6)
+        root = brentq(lambda p: 0.5 * math.log((1 + 4 * p) / (1 + p)) - 0.55, 0.1, 10)
+        band = target.tol_rate / (0.5 * (4 / (1 + 4 * root) - 1 / (1 + root)))
+        starts = _bordered_starts(monkeypatch)
+        powers = []
+        real = barrier_solver.solve_minimax
+
+        def first_fails(ch, power, cfg=None, **kwargs):
+            # the failed Newton point (warm, then cold) sends the search to a
+            # midpoint, which needs the upper end: 1, 2, 4, ... grown past P_b
+            powers.append(power)
+            if power == powers[0]:
+                raise SolverError("injected failure")
+            return real(ch, power, cfg, **kwargs)
+
+        monkeypatch.setattr(variants, "solve_minimax", first_fails)
+        p_star, sol = solve_dual(ch, target)
+        assert 2.0 < starts[0].R_star.power < 4.0
+        assert powers[1:3] == [powers[0], 4.0]
+        assert sol.capacity_achievable == pytest.approx(0.55, abs=1e-6)
+        assert abs(p_star - root) <= band
+        # the search alone grows the bracket from 1 up front
+        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+        monkeypatch.setattr(variants, "solve_minimax", real)
+        powers = _spy_solves(monkeypatch)
+        p_search, _ = solve_dual(ch, target)
+        assert powers[:3] == [1.0, 2.0, 4.0]
+        assert abs(p_search - root) <= band
+
+    def test_no_p_hi_needs_no_bracket(self, demo_channel, monkeypatch):
+        # the finish's Newton points stay below P*, so without p_hi it
+        # takes the same steps as with one and never grows a bracket
+        powers = _spy_solves(monkeypatch)
+        p_10, _ = solve_dual(demo_channel, DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7))
+        with_p_hi = list(powers)
+        powers.clear()
+        target = DualTarget(rate=1e-5, tol_rate=1e-7)
+        p_star, sol = solve_dual(demo_channel, target)
+        assert len(powers) > 2
+        assert powers == with_p_hi
+        assert p_star == p_10
+        assert abs(sol.capacity_achievable - target.rate) <= target.tol_rate
+
+    @pytest.mark.parametrize("t_fail", [1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("name", ["demo-0.30", "433-0-0.5"])
+    def test_failed_bordered_solve_falls_back_to_the_search(self, monkeypatch,
+                                                             t_fail, name):
+        # a stage at t >= t_fail fails from both starts: the answer is the
+        # search's, bit for bit
+        ch, target = _bordered_case(name)
+        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+        p_ref, ref = solve_dual(ch, target)
+        monkeypatch.undo()
+        _failing_stages(monkeypatch, t_fail)
+        starts = _bordered_starts(monkeypatch)
+        p_star, sol = solve_dual(ch, target)
+        assert starts == [None]
+        assert p_star == p_ref
+        assert sol.capacity_achievable == ref.capacity_achievable
+        assert sol.lambda_star == ref.lambda_star
+        np.testing.assert_array_equal(sol.R_star.R, ref.R_star.R)
+        np.testing.assert_array_equal(sol.K21_star, ref.K21_star)
+        assert sol.trace == ref.trace
+
+    def test_failed_dual_carries_the_bordered_rows(self, demo_channel, monkeypatch):
+        # both starts fail at t = 1e3 and every minimax solve fails: the
+        # error leaves with the rows each start recorded at t = 100 first
+        _failing_stages(monkeypatch, 1e3)
+        _spy_solves(monkeypatch, fail_at=[(10.0, SolverError)])
+        with pytest.raises(SolverError, match="injected failure") as info:
+            solve_dual(demo_channel, DualTarget(rate=0.30, p_hi=10.0))
+        rows = info.value.trace
+        assert rows and all(row.t == 100.0 for row in rows)
+        restarts = [i for i, row in enumerate(rows) if row.iteration == 1]
+        assert len(restarts) == 2  # the tangent start, then p_hi
