@@ -38,11 +38,8 @@ from .errors import (
 from .objective import (
     BarrierObjective,
     DegradedBarrierObjective,
-    DerivativeBundle,
     PerAntennaBarrierObjective,
     RateBarrierObjective,
-    barrier_value,
-    derivatives,
     minimax_objective,
     secrecy_rate,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "ChannelPair",
     "Degradedness",
     "DegradedBarrierObjective",
-    "DerivativeBundle",
     "DomainError",
     "DualTarget",
     "KktCertificate",
@@ -72,9 +68,7 @@ __all__ = [
     "SolverError",
     "TraceRecord",
     "TransmitCovariance",
-    "barrier_value",
     "classify_degraded",
-    "derivatives",
     "effective_gram",
     "extract_certificate",
     "gap_bound",

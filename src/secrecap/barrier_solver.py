@@ -322,7 +322,7 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
     m/t; ``auto`` takes the degraded path whenever it applies. A budget
     always solves per-antenna: r_ii <= P_i and an optional total cap act as
     barrier terms with no equality row, and its gap bound is heuristic
-    (``PerAntennaBarrierObjective.gap``). The mode only picks the stage
+    (``BarrierObjective.gap``). The mode only picks the stage
     objective and the start; the last stage objective supplies the gap
     bound, K21*, f and lambda*. A stage that misses its Newton tolerance
     raises SolverError (SingularKktError for an unsolved KKT system) with

@@ -3,8 +3,8 @@
 
 class DomainError(ValueError):
     """A point left the barrier domain (R or K not strictly positive definite,
-    or a linear power cap violated). The line search treats this as an
-    infinite residual."""
+    or an inequality power row a x <= b with no slack left). The line search
+    treats this as an infinite residual."""
 
 
 class LineSearchError(RuntimeError):

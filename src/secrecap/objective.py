@@ -4,18 +4,18 @@ Two value conventions coexist deliberately:
 
   * ``secrecy_rate`` and ``minimax_objective`` report rates in nats and carry
     the 1/2 factor of the log-det rate formulas.
-  * everything the Newton solver touches (``barrier_value``, ``derivatives``
-    and the objective classes below) works on plain log-det differences with
-    NO 1/2 factor, so the gradient/Hessian expressions stay in their simplest
-    form. Rates reported by the outer solver multiply by 0.5 at the end.
+  * everything the Newton solver touches (the objective classes below)
+    works on plain log-det differences with NO 1/2 factor, so the
+    gradient/Hessian expressions stay in their simplest form. Rates reported
+    by the outer solver multiply by 0.5 at the end.
 
 Coordinates: x = vech(R) with R the m x m transmit covariance, y = vec(K21)
 with K21 the n2 x n1 cross block of the noise covariance.
 
-``BarrierObjective`` is the one barrier objective of every solve path, with
-two axes: a K block or none (the degraded path), and the power limit as the
-equality row tr R = P or as per-antenna barrier rows. The dual's
-``RateBarrierObjective`` replaces that row by the rate row f(R, K) = 2·rate.
+``BarrierObjective`` is the one barrier objective of every solve path: a K
+block or none (the degraded path), the equality row tr R = P (the dual's
+``RateBarrierObjective``: f(R, K) = 2·rate) or none, and power limits as
+linear inequality rows A x <= b, each adding a log barrier term.
 
 An objective covers one channel at one t; ``BarrierObjective`` (the minimax
 objective) may also cover a stack of same-shape channels. Its Newton methods
@@ -28,7 +28,6 @@ over the stack, and each LAPACK factorization once per row (``matcalc``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .matcalc import (
     sandwich_indices,
     sym,
     unvech,
-    vec,
     vech,
     vech_diag_indices,
     vech_len,
@@ -58,11 +56,8 @@ __all__ = [
     "DegradedBarrierObjective",
     "PerAntennaBarrierObjective",
     "RateBarrierObjective",
-    "DerivativeBundle",
     "secrecy_rate",
     "minimax_objective",
-    "barrier_value",
-    "derivatives",
     "gap_bound",
 ]
 
@@ -123,25 +118,6 @@ def minimax_objective(ch: ChannelPair, r, k) -> float:
     return 0.5 * (ld_kq - ld_k - ld_2)
 
 
-@dataclass
-class DerivativeBundle:
-    """Gradients and Hessians of the barrier objective at one interior point.
-
-    Values are log-det differences without the 1/2 rate factor (value_C is
-    twice the rate returned by :func:`secrecy_rate`, and so on). hess_xx is
-    negative definite and hess_yy positive definite at every interior point.
-    """
-
-    grad_x: np.ndarray
-    grad_y: np.ndarray
-    hess_xx: np.ndarray
-    hess_yy: np.ndarray
-    hess_xy: np.ndarray
-    value_f: float
-    value_ft: float
-    value_C: float
-
-
 def _not_pd(what: str) -> str:
     return f"{what} is not strictly positive definite"
 
@@ -149,9 +125,9 @@ def _not_pd(what: str) -> str:
 class _Factors:
     """Matrix factors of a barrier objective at a point or a stack of points:
     the R side always, the K side only with a K block (otherwise Z1 comes
-    from the channel's W1^{1/2}), and the power slacks only with per-antenna
-    caps. Log-dets are taken from the Cholesky factors ``cf_*`` only when a
-    value needs them.
+    from the channel's W1^{1/2}), and the slacks b - A x of the inequality
+    rows only with such rows (which take one point). Log-dets are taken from
+    the Cholesky factors ``cf_*`` only when a value needs them.
 
     The fields are matrices for one point and stacks of them (a leading
     axis) for a stack of points of the minimax objective, computed by the
@@ -163,25 +139,22 @@ class _Factors:
 
     __slots__ = (
         "kept", "R", "K21", "K", "Q", "Rinv", "Kinv", "G", "B", "W", "Z1", "Z2",
-        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "tslack",
+        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack",
     )
 
-    def __init__(self, obj: "BarrierObjective", rm: np.ndarray,
-                 k21: np.ndarray | None, rows):
-        h, s1, s2 = obj._channel_rows(rows, rm.ndim == 2, "Hstack", "sqrt_W1",
+    def __init__(self, obj: "BarrierObjective", state: SaddleState):
+        rm, k21 = obj.unpack(state)
+        h, s1, s2 = obj._channel_rows(state.rows, rm.ndim == 2, "Hstack", "sqrt_W1",
                                       "sqrt_W2")
         self.kept = None
         self.R = rm
         self.K21 = k21
-        self.slack = self.tslack = None
-        if obj.caps is not None:
-            self.slack = obj.caps - np.diag(rm)
-            if np.any(self.slack <= 0):
-                raise DomainError("per-antenna power cap violated")
-            if obj.total is not None:
-                self.tslack = obj.total - float(np.trace(rm))
-                if self.tslack <= 0:
-                    raise DomainError("total power cap violated")
+        self.slack = None
+        if obj.limits:  # summed in order: tr R and r_ii bit for bit, unlike BLAS a @ x
+            self.slack = np.concatenate([b - (a * state.x[cols]).sum(axis=1)
+                                         for cols, a, b in obj.limits])
+            if not (self.slack > 0).all():
+                raise DomainError("power cap violated")
         self.cf_R, bad = chol_rows(self.R)
         if bad:
             h, s1, s2 = self._drop(bad, _not_pd("transmit covariance"), h, s1, s2)
@@ -314,19 +287,18 @@ class BarrierObjective:
     ``channel`` is the channel of a one-channel objective (None for more).
     A stacked iterate's ``rows`` say which channel each row belongs to.
 
-    Two axes, which the subclasses set: without the K block (degraded) f is
-    C(R) = ln|I + W1 R| - ln|I + W2 R| and there is no y; with per-antenna
-    ``caps`` the barrier rows (1/t) sum_i ln(P_i - r_ii) [+ (1/t) ln(P_tot -
-    tr R)] replace the equality row tr R = P. The subclasses take one
-    ChannelPair only.
+    The subclasses configure it: without the K block (degraded) f is
+    C(R) = ln|I + W1 R| - ln|I + W2 R| and there is no y; ``limits``, blocks
+    of inequality rows A x <= b, add (1/t) sum ln(b - A x) to f_t, with
+    gradient -A'(1/(t s)) and Hessian -A' diag(1/(t s^2)) A at s = b - A x
+    (Boyd & Vandenberghe, Convex Optimization, §11.2). The subclasses take
+    one ChannelPair only.
     """
 
     _k_block = True
     _lockstep = True  # takes a sequence of channels too
     power = None  # the budget of the row tr R = P; None when tr R is free
-    caps = None   # per-antenna caps P_i; None with the equality row tr R = P
-    total = None  # optional total cap beside the per-antenna ones
-    gap_heuristic = False  # True when gap() is not a proven bound
+    limits = ()   # blocks (cols, a, b): rows A x <= b, A zero off cols; one point only
 
     def __init__(self, ch, t: float, power: float):
         self._setup(ch, t, power=power)
@@ -347,10 +319,10 @@ class BarrierObjective:
             return float(a @ state.z - b), a
         return (a @ state.z[..., None])[:, 0] - b, a
 
-    def _setup(self, ch, t: float, **limits) -> None:
-        """Checks t and the power limits, and sets the channels and the
+    def _setup(self, ch, t: float, **fields) -> None:
+        """Checks t and the power fields, and sets the channels and the
         dimensions."""
-        for name, value in (("t", t), *limits.items()):
+        for name, value in (("t", t), *fields.items()):
             if value is not None and not np.all(np.isfinite(value) & (value > 0)):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if isinstance(ch, ChannelPair):
@@ -388,8 +360,26 @@ class BarrierObjective:
         return out
 
     def gap(self) -> float:
-        """Capacity gap bound of a solution of this stage."""
-        return gap_bound(self.m, self.n1, self.n2, self.t)
+        """Capacity gap bound of a solution of this stage; with inequality
+        rows (m + #rows + n1 + n2)/t, which counts every barrier term and is
+        heuristic (it lacks the exact constant of the total-power analysis)."""
+        if not self.limits:
+            return gap_bound(self.m, self.n1, self.n2, self.t)
+        rows = sum(len(b) for _, _, b in self.limits)
+        return (self.m + rows + self.n1 + self.n2) / self.t
+
+    @property
+    def gap_heuristic(self) -> bool:
+        """Whether gap() is not a proven bound: exactly with inequality rows."""
+        return bool(self.limits)
+
+    def _limit_blocks(self, values: np.ndarray):
+        """(cols, a, v) of each block of inequality rows, v the block's part
+        of ``values``, one per row."""
+        start = 0
+        for cols, a, b in self.limits:
+            yield cols, a, values[start:start + len(b)]
+            start += len(b)
 
     # -- state unpacking ---------------------------------------------------
 
@@ -408,17 +398,18 @@ class BarrierObjective:
         cache = state.cache
         if cache is not None and (cache[0] is self or self._same_factors(cache[0])):
             return cache[1]
-        fac = _Factors(self, *self.unpack(state), state.rows)
+        fac = _Factors(self, state)
         state.cache = (self, fac)
         return fac
 
     def _same_factors(self, other) -> bool:
         """Whether ``other`` builds the factors this objective builds at a
-        point: the same class, channels and power caps, whatever its t."""
+        point: the same class, channels and inequality rows, whatever its t."""
         return (type(other) is type(self) and len(other.channels) == len(self.channels)
                 and all(a is b for a, b in zip(other.channels, self.channels))
-                and (self.caps is None or np.array_equal(self.caps, other.caps))
-                and self.total == other.total)
+                and len(other.limits) == len(self.limits)
+                and all(np.array_equal(p, q) for u, v in zip(self.limits, other.limits)
+                        for p, q in zip(u, v)))
 
     def _inside(self, state: SaddleState) -> _Factors:
         """Factors at ``state``, every row of which must be inside the
@@ -447,10 +438,9 @@ class BarrierObjective:
     def value_ft(self, state: SaddleState):
         fac, t = self._inside(state), self.t
         v = fac.value_f() + (chol_logdet(fac.cf_R) - fac.logdet_K()) / t
-        if fac.slack is not None:
-            v += float(np.sum(np.log(fac.slack))) / t
-        if fac.tslack is not None:
-            v += np.log(fac.tslack) / t
+        if self.limits:
+            for _, _, ln_s in self._limit_blocks(np.log(fac.slack)):
+                v += ln_s.sum() / t
         return v
 
     # -- Newton interface ----------------------------------------------------
@@ -476,10 +466,9 @@ class BarrierObjective:
         if self.ny:
             grads.append(fac.G - (1.0 + tinv) * fac.Kinv)
         g = _gradient(self._ix, *grads)
-        if fac.slack is not None:
-            g[self._diag_idx] -= 1.0 / (self.t * fac.slack)
-        if fac.tslack is not None:
-            g[self._diag_idx] -= 1.0 / (self.t * fac.tslack)
+        if self.limits:
+            for cols, a, w in self._limit_blocks(1.0 / (self.t * fac.slack)):
+                g[cols] -= w @ a
         return g
 
     def _hessian_from(self, fac: _Factors) -> np.ndarray:
@@ -504,38 +493,10 @@ class BarrierObjective:
             h[..., :nx, nx:] = hxy
             h[..., nx:, :nx] = hxy.mT
             h[..., nx:, nx:] = 2.0 * (same + cross[..., ix.k21_transpose])
-        if fac.slack is not None:
-            d = self._diag_idx
-            h[d, d] -= 1.0 / (self.t * fac.slack**2)
-            if fac.tslack is not None:
-                h[np.ix_(d, d)] -= 1.0 / (self.t * fac.tslack**2)
+        if self.limits:  # block by block: one product rounds shared entries differently
+            for cols, a, w in self._limit_blocks(1.0 / (self.t * fac.slack**2)):
+                h[cols[:, None], cols] -= (a.T * w) @ a
         return h
-
-
-def _point(obj: BarrierObjective, r, k) -> SaddleState:
-    return SaddleState(x=vech(_as_matrix(r)), y=vec(_as_k21(k, obj.channel)), lam=0.0)
-
-
-def barrier_value(obj: BarrierObjective, r, k) -> float:
-    """f_t at (R, K) in the solver's log-det convention (no 1/2 factor)."""
-    return obj.value_ft(_point(obj, r, k))
-
-
-def derivatives(obj: BarrierObjective, r, k) -> DerivativeBundle:
-    """Exact gradients and Hessians of f_t at an interior point (R, K)."""
-    state = _point(obj, r, k)
-    g, h = obj.newton_system(state)
-    fac, nx = obj.factors(state), obj.nx
-    return DerivativeBundle(
-        grad_x=g[:nx],
-        grad_y=g[nx:],
-        hess_xx=h[:nx, :nx],
-        hess_yy=h[nx:, nx:],
-        hess_xy=h[:nx, nx:],
-        value_f=fac.value_f(),
-        value_ft=obj.value_ft(state),
-        value_C=2.0 * secrecy_rate(obj.channel, fac.R),
-    )
 
 
 class DegradedBarrierObjective(BarrierObjective):
@@ -579,19 +540,14 @@ class RateBarrierObjective(BarrierObjective):
 
 
 class PerAntennaBarrierObjective(BarrierObjective):
-    """The minimax barrier objective with per-antenna power barriers
+    """The minimax barrier objective with the power limits as inequality
+    rows, r_ii <= P_i and then tr R <= P_tot when capped, which add
 
-        + (1/t) sum_i ln(P_i - r_ii)   [+ (1/t) ln(P_tot - tr R) if capped]
+        + (1/t) sum_i ln(P_i - r_ii)   [+ (1/t) ln(P_tot - tr R)]
 
-    and no equality constraint row: all power limits act through barriers,
-    so the Newton system has no multiplier block.
-
-    Its gap bound (m + #power barriers + n1 + n2)/t counts every barrier
-    term and is heuristic: the extension inherits convergence but not the
-    exact constant of the total-power analysis.
+    and no equality row, so the Newton system has no multiplier block.
     """
 
-    gap_heuristic = True
     _lockstep = False
 
     def __init__(self, ch, t: float, caps: np.ndarray, total: float | None = None):
@@ -599,12 +555,8 @@ class PerAntennaBarrierObjective(BarrierObjective):
         self._setup(ch, t, caps=caps, total=total)
         if caps.size != self.m:
             raise ValueError(f"need {self.m} per-antenna caps, got {caps.size}")
-        self.caps = caps
-        self.total = None if total is None else float(total)
+        d = vech_diag_indices(self.m)  # rows e_{d_i}' and vech(I)' are zero off d
+        self.limits = ((d, np.eye(self.m), caps),)
+        if total is not None:
+            self.limits += ((d, np.ones((1, self.m)), np.array([float(total)])),)
         self.constraint = None
-        self._diag_idx = vech_diag_indices(self.m)
-
-    def gap(self) -> float:
-        m = self.m
-        power_terms = m + (0 if self.total is None else 1)
-        return (m + power_terms + self.n1 + self.n2) / self.t

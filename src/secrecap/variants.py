@@ -33,7 +33,6 @@ from .barrier_solver import (
     PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
-    _per_antenna_start,  # noqa: F401  (tests import it from here)
     _schedule,
     _solve_together,
     solve,

@@ -7,8 +7,6 @@ from secrecap import (
     DomainError,
     NoiseCovariance,
     SaddleState,
-    barrier_value,
-    derivatives,
     minimax_objective,
     secrecy_rate,
     solve_minimax,
@@ -59,6 +57,11 @@ def interior_point(rng, ch, power):
     r = random_spd(rng, ch.m, trace=power)
     k21 = random_feasible_k21(rng, ch.n1, ch.n2, max_norm=0.8)
     return r, k21
+
+
+def point(r, k21):
+    """The iterate (vech(R), vec(K21)) with multiplier 0."""
+    return SaddleState(x=vech(r), y=vec(k21), lam=0.0)
 
 
 def fd_gradient(fun, z0, h=1e-5):
@@ -145,7 +148,7 @@ class TestBarrierValue:
         r, k21 = interior_point(rng, demo_channel, 10.0)
         obj = BarrierObjective(demo_channel, t=1e12, power=10.0)
         internal_f = 2.0 * minimax_objective(demo_channel, r, k21)
-        diff = abs(barrier_value(obj, r, k21) - internal_f)
+        diff = abs(obj.value_ft(point(r, k21)) - internal_f)
         ld_r = abs(np.linalg.slogdet(r)[1])
         k = NoiseCovariance(k21).K
         ld_k = abs(np.linalg.slogdet(k)[1])
@@ -153,7 +156,7 @@ class TestBarrierValue:
 
     def test_identity_point_gives_f(self, demo_channel):
         obj = BarrierObjective(demo_channel, t=17.0, power=10.0)
-        v = barrier_value(obj, np.eye(2), np.zeros((2, 2)))
+        v = obj.value_ft(point(np.eye(2), np.zeros((2, 2))))
         assert v == pytest.approx(
             2.0 * minimax_objective(demo_channel, np.eye(2), np.zeros((2, 2))),
             abs=1e-13,
@@ -162,7 +165,7 @@ class TestBarrierValue:
     def test_scalar_hand_formula(self):
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
         obj = BarrierObjective(ch, t=13.0, power=1.0)
-        v = barrier_value(obj, np.array([[0.7]]), np.array([[0.3]]))
+        v = obj.value_ft(point(np.array([[0.7]]), np.array([[0.3]])))
         assert v == pytest.approx(SCALAR_FT_HAND, abs=1e-12)
 
     def test_barrier_term_scales_inversely_in_t(self, demo_channel):
@@ -170,16 +173,16 @@ class TestBarrierValue:
         r, k21 = interior_point(rng, demo_channel, 10.0)
         f = 2.0 * minimax_objective(demo_channel, r, k21)
         t = 53.0
-        b1 = barrier_value(BarrierObjective(demo_channel, t, 10.0), r, k21) - f
-        b2 = barrier_value(BarrierObjective(demo_channel, 2 * t, 10.0), r, k21) - f
+        b1 = BarrierObjective(demo_channel, t, 10.0).value_ft(point(r, k21)) - f
+        b2 = BarrierObjective(demo_channel, 2 * t, 10.0).value_ft(point(r, k21)) - f
         assert b1 == pytest.approx(2.0 * b2, rel=1e-9)
 
     def test_outside_domain_rejected(self, demo_channel):
         obj = BarrierObjective(demo_channel, t=10.0, power=10.0)
         with pytest.raises(DomainError):
-            barrier_value(obj, np.diag([1.0, 0.0]), np.zeros((2, 2)))
+            obj.value_ft(point(np.diag([1.0, 0.0]), np.zeros((2, 2))))
         with pytest.raises(DomainError):
-            barrier_value(obj, np.eye(2), np.eye(2))
+            obj.value_ft(point(np.eye(2), np.eye(2)))
 
 
 class TestDerivatives:
@@ -215,8 +218,7 @@ class TestDerivatives:
                         st = SaddleState(x=z[: obj.nx], y=z[obj.nx :], lam=0.0)
                         return obj.value_ft(st)
 
-                    bundle = derivatives(obj, r, k21)
-                    g = np.concatenate([bundle.grad_x, bundle.grad_y])
+                    g, _ = obj.newton_system(point(r, k21))
                     assert rel_err_inf(fd_gradient(ft, z0), g) <= 1e-5, kind
 
     def test_hessian_matches_gradient_differences(self):
@@ -227,11 +229,8 @@ class TestDerivatives:
                 r, k21 = interior_point(rng, ch, 10.0)
                 obj = self._objective(kind, ch, t, r)
                 z0 = np.concatenate([vech(r), vec(k21)])[: obj.nx + obj.ny]
-                bundle = derivatives(obj, r, k21)
+                _, hess = obj.newton_system(point(r, k21))
                 nx = obj.nx
-                hess = np.block(
-                    [[bundle.hess_xx, bundle.hess_xy], [bundle.hess_xy.T, bundle.hess_yy]]
-                )
 
                 def grad(z):
                     st = SaddleState(x=z[:nx], y=z[nx:], lam=0.0)
@@ -252,18 +251,21 @@ class TestDerivatives:
         for _ in range(50):
             obj = BarrierObjective(demo_channel, t=rng.uniform(1, 1e5), power=10.0)
             r, k21 = interior_point(rng, demo_channel, 10.0)
-            bundle = derivatives(obj, r, k21)
-            assert np.linalg.eigvalsh(bundle.hess_xx).max() <= -1e-12
-            assert np.linalg.eigvalsh(bundle.hess_yy).min() >= 1e-12
+            _, h = obj.newton_system(point(r, k21))
+            nx = obj.nx
+            assert np.linalg.eigvalsh(h[:nx, :nx]).max() <= -1e-12
+            assert np.linalg.eigvalsh(h[nx:, nx:]).min() >= 1e-12
 
     def test_hessian_blocks_symmetric(self, demo_channel):
         rng = np.random.default_rng(38)
         obj = BarrierObjective(demo_channel, t=100.0, power=10.0)
         r, k21 = interior_point(rng, demo_channel, 10.0)
-        bundle = derivatives(obj, r, k21)
-        assert np.max(np.abs(bundle.hess_xx - bundle.hess_xx.T)) <= 1e-12
-        assert np.max(np.abs(bundle.hess_yy - bundle.hess_yy.T)) <= 1e-12
-        assert bundle.hess_xy.shape == (obj.nx, obj.ny)
+        _, h = obj.newton_system(point(r, k21))
+        nx = obj.nx
+        hxx, hyy = h[:nx, :nx], h[nx:, nx:]
+        assert np.max(np.abs(hxx - hxx.T)) <= 1e-12
+        assert np.max(np.abs(hyy - hyy.T)) <= 1e-12
+        assert h[:nx, nx:].shape == (obj.nx, obj.ny)
 
     def test_mixed_block_consistent_both_orders(self, demo_channel):
         # d/dy of grad_x must equal (d/dx of grad_y) transposed
@@ -272,7 +274,7 @@ class TestDerivatives:
         r, k21 = interior_point(rng, demo_channel, 10.0)
         x0, y0 = vech(r), vec(k21)
         h = 1e-6
-        bundle = derivatives(obj, r, k21)
+        hess_xy = obj.newton_system(point(r, k21))[1][: obj.nx, obj.nx :]
 
         def grad_x_at(y):
             st = SaddleState(x=x0, y=y, lam=0.0)
@@ -294,31 +296,35 @@ class TestDerivatives:
             xp[j] += h
             xm[j] -= h
             fd_yx[:, j] = (grad_y_at(xp) - grad_y_at(xm)) / (2 * h)
-        assert rel_err_inf(fd_xy, bundle.hess_xy) <= 1e-4
-        assert rel_err_inf(fd_yx.T, bundle.hess_xy) <= 1e-4
+        assert rel_err_inf(fd_xy, hess_xy) <= 1e-4
+        assert rel_err_inf(fd_yx.T, hess_xy) <= 1e-4
 
     def test_stationary_gradient_aligns_with_constraint_normal(self, demo_channel):
         # at a converged barrier solution the R-gradient equals lam * vech(I)
         sol = solve_minimax(demo_channel, 10.0)
         obj = BarrierObjective(demo_channel, sol.t_final, 10.0)
-        bundle = derivatives(obj, sol.R_star.R, sol.K21_star)
+        g, _ = obj.newton_system(point(sol.R_star.R, sol.K21_star))
         a = vech(np.eye(2))
         lam = sol.lambda_star
-        assert np.linalg.norm(bundle.grad_x - lam * a) <= 1e-8 * (1 + abs(lam))
-        assert np.linalg.norm(bundle.grad_y) <= 1e-8
+        assert np.linalg.norm(g[: obj.nx] - lam * a) <= 1e-8 * (1 + abs(lam))
+        assert np.linalg.norm(g[obj.nx :]) <= 1e-8
 
     def test_bundle_values_consistent(self, demo_channel):
         rng = np.random.default_rng(40)
         obj = BarrierObjective(demo_channel, t=200.0, power=10.0)
         r, k21 = interior_point(rng, demo_channel, 10.0)
-        bundle = derivatives(obj, r, k21)
-        assert bundle.value_f == pytest.approx(
+        st = point(r, k21)
+        fac = obj.factors(st)
+        assert fac.value_f() == pytest.approx(
             2.0 * minimax_objective(demo_channel, r, k21), abs=1e-12
         )
-        assert bundle.value_C == pytest.approx(
+        assert 2.0 * obj.trace_rates(st)[1] == pytest.approx(
             2.0 * secrecy_rate(demo_channel, r), abs=1e-12
         )
-        assert bundle.value_ft == pytest.approx(barrier_value(obj, r, k21), abs=1e-12)
+        ld_r = np.linalg.slogdet(r)[1]
+        ld_k = np.linalg.slogdet(NoiseCovariance(k21).K)[1]
+        assert obj.value_ft(st) == pytest.approx(
+            fac.value_f() + (ld_r - ld_k) / obj.t, abs=1e-12)
 
 
 def oracle_minimax(fac, t, dm, dt):
@@ -469,6 +475,10 @@ class TestConstruction:
             assert issubclass(cls, BarrierObjective)
             assert not {"newton_gradient", "newton_system", "value_ft",
                         "trace_rates", "factors"} & set(vars(cls)), cls
+        # the per-antenna objective only states its power limits as rows
+        methods = {name for name, value in vars(PerAntennaBarrierObjective).items()
+                   if callable(value) or isinstance(value, (property, classmethod))}
+        assert methods == {"__init__"}
 
     @pytest.mark.parametrize("cls, gap", [
         (BarrierObjective, max(2, 2 + 3) / 10.0),  # max(m, n1 + n2)/t

@@ -100,7 +100,7 @@ class TestSolvePerAntenna:
         assert np.all(np.diag(r) < 4.0)
 
     def test_start_point_strictly_feasible(self):
-        from secrecap.variants import _per_antenna_start
+        from secrecap.barrier_solver import _per_antenna_start
         from secrecap.matcalc import unvech
 
         ch = ChannelPair(DEMO_H1, DEMO_H2)
@@ -114,6 +114,22 @@ class TestSolvePerAntenna:
         ch = ChannelPair(DEMO_H1, DEMO_H2)
         with pytest.raises(ValueError):
             solve_per_antenna(ch, PerAntennaBudget(caps=[1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (2, 2, 2), (3, 1, 2)])
+    def test_loose_caps_reproduce_total_power(self, shape):
+        # per-antenna caps of 2P never bind beside the total cap P, so the
+        # rows path solves the total-power problem: its f and the minimax f
+        # at P agree within the sum of their gap bounds
+        rng = np.random.default_rng([42, *shape])
+        for ch in [random_channel(rng, *shape) for _ in range(2)]:
+            for power in (1e-2, 1.0, 10.0, 100.0):
+                pa = solve_per_antenna(
+                    ch, PerAntennaBudget(caps=np.full(ch.m, 2.0 * power), total=power))
+                mm = solve_minimax(ch, power)
+                assert pa.gap_bound_heuristic and not mm.gap_bound_heuristic
+                assert np.trace(pa.R_star.R) < power
+                assert (abs(pa.capacity_upper - mm.capacity_upper)
+                        <= pa.gap_bound + mm.gap_bound), (shape, power)
 
 
 class TestSolveDual:
