@@ -36,7 +36,9 @@ def main():
     histories = {}
     for t in args.t_values:
         obj = BarrierObjective(ch, t, args.power)
-        _, rep = newton_solve(obj, initial_point(ch, args.power), eps=1e-10)
+        _, (rep,), (err,) = newton_solve(obj, initial_point(ch, args.power), eps=1e-10)
+        if err is not None:
+            raise err
         histories[t] = rep.residual_norms
         print(f"t = {t:g}: {rep.iterations} steps, "
               f"final residual {rep.final_residual_norm:.2e}")

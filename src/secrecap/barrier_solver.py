@@ -199,13 +199,13 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
     Each accepted step adds a trace row to its channel, with the objective's
     ``trace_rates`` at the new iterate. A channel whose stage misses its
     Newton tolerance leaves the schedule with a SolverError (the
-    SingularKktError itself for an unsolved KKT system) that carries the
-    rows recorded so far; the other channels go on. Returns (state of the
-    channels that solved every stage, last stage objective, gap_met, and per
-    channel its trace, its (t, NewtonReport) pairs and its error or None).
+    SingularKktError that ``newton_solve`` returns for an unsolved KKT
+    system) that carries the rows recorded so far; the other channels go on.
+    Returns (state of the channels that solved every stage, last stage
+    objective, gap_met, and per channel its trace, its (t, NewtonReport)
+    pairs and its error or None).
     """
-    single = state.x.ndim == 1
-    n = 1 if single else len(state.x)
+    n = 1 if state.x.ndim == 1 else len(state.x)
     traces = [[] for _ in range(n)]
     reports = [[] for _ in range(n)]
     errors = [None] * n
@@ -215,23 +215,12 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
         obj = make_objective(t)
 
         def record(k, st, rnorm, s, obj=obj, t=t):
-            f, c = obj.trace_rates(st)
-            if single:
-                traces[0].append(TraceRecord(t, k, rnorm, f, c, s))
-                return
-            for row, *vals in zip(_rows(st), rnorm, f.tolist(), c.tolist(), s):
+            # f and C per row, one entry each for one iterate
+            f, c = np.array(obj.trace_rates(st)).reshape(2, -1).tolist()
+            for row, *vals in zip(_rows(st), rnorm, f, c, s):
                 traces[row].append(TraceRecord(t, k, *vals))
 
-        # newton_solve raises the SingularKktError of one iterate and returns
-        # those of a stack, one per row
-        if single:
-            try:
-                state, report = newton_solve(obj, state, callback=record, **knobs)
-                stage = [report], [None]
-            except SolverError as exc:
-                stage = [None], [exc]
-        else:
-            state, *stage = newton_solve(obj, state, callback=record, **knobs)
+        state, *stage = newton_solve(obj, state, callback=record, **knobs)
         failed = []
         for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
             if exc is None and not report.converged:

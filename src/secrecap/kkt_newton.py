@@ -21,15 +21,17 @@ vector, or None for unconstrained saddle systems); with a constraint also
 accepts a step only when the residual norm satisfies |r_new| <= (1 -
 alpha*s)|r_old|, which makes residual decrease a structural property of the
 iteration; trial points outside the barrier domain count as infinite
-residual. A step that does
-not solve its system (a zero LU pivot, or a backward error above 1e-10) raises
-SingularKktError.
+residual.
 
-Every function also takes a stack of iterates, one row per channel of a
-stacked objective (see ``newton_solve``): the channels then move in
-lockstep through one loop, and each row's numbers are bit for bit those of
-its channel solved alone. A row that fails leaves the stack with its own
-error; no row's failure moves another row.
+Every function takes one iterate or a stack of them, one row per channel of
+a stacked objective: the channels then move in lockstep through one loop,
+and each row's numbers are bit for bit those of its channel solved alone.
+``newton_step``, ``line_search`` and ``newton_solve`` have one contract for
+both: per-row lists (one entry for one iterate, whose arrays keep no
+leading axis), and a row that fails returns its SingularKktError or
+LineSearchError as a value in the list of errors instead of raising it. No
+row's failure moves another row. One iterate runs the one-matrix kernels,
+which are faster than a stack of one.
 """
 
 from __future__ import annotations
@@ -135,36 +137,30 @@ def assemble(obj, state: SaddleState) -> KktSystem:
 def newton_step(sys: KktSystem):
     """Solve T dw = -r by LU with partial pivoting and one refinement pass.
 
-    Raises SingularKktError when the step does not solve its system: the LU
-    factor has an exactly zero pivot, or the refined step's backward error
-    |T dw + r| / (|T|_1 |dw| + |r|) is not at most 1e-10 (a NaN or infinite
-    entry fails it too). No condition estimate gates the step: the estimate
-    follows the units of P, and a badly scaled system solves to full accuracy.
+    Returns (dw, errors): the step, and per system None or the
+    SingularKktError of a system the step does not solve, whose dw is NaN.
+    That is a system whose LU factor has an exactly zero pivot, or whose
+    refined step's backward error |T dw + r| / (|T|_1 |dw| + |r|) is not at
+    most 1e-10 (a NaN or infinite entry fails it too). No condition estimate
+    gates the step: the estimate follows the units of P, and a badly scaled
+    system solves to full accuracy.
 
-    A stack of systems (a leading axis) returns (dw, errors) instead: the
-    steps row by row, and per row None or the SingularKktError of a system
-    it could not solve, whose row of dw is NaN. The LU runs once per row;
-    the refinement products and norms run over the stack.
+    A stack of systems (a leading axis) gets a step and an error per row:
+    the LU runs once per row, the refinement products and norms over the
+    stack.
     """
-    dw, errors = _solve(sys.kkt_matrix, sys.residual)
-    if sys.kkt_matrix.ndim > 2:
-        return dw, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return dw
-
-
-def _solve(t: np.ndarray, r: np.ndarray):
-    """(dw, errors) of one system or of a stack; see ``newton_step``."""
+    t, r = sys.kkt_matrix, sys.residual
     if t.ndim == 2:  # one system, without the bookkeeping of a stack
         lu, piv, info = getrf(t)
         if info > 0:
-            return None, [_pivot_error(info, t)]
+            return np.full(r.shape, np.nan), [_pivot_error(info, t)]
         dw = getrs(lu, piv, -r)[0]
         # one refinement step; cheap insurance on ill-conditioned systems
         dw -= getrs(lu, piv, t @ dw + r)[0]
         back_err = _backward_error(t, dw, r)
-        return dw, [None if back_err <= 1e-10 else _refinement_error(back_err)]
+        if back_err <= 1e-10:
+            return dw, [None]
+        return np.full(r.shape, np.nan), [_refinement_error(back_err)]
     errors, lus, steps = [None] * len(t), [], []
     for i in range(len(t)):
         lu, piv, info = getrf(t[i])
@@ -235,36 +231,21 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     |r(w + s dw)| > (1 - alpha s)|r(w)| shrink s by beta), with trial points
     outside the barrier domain treated as infinite residual.
 
-    Returns (s, new_state, new_residual_norm). Raises LineSearchError if s
-    falls below ``S_MIN``. Callers stop on |r| = 0 before invoking this; a
-    zero current residual admits no decrease and would stagnate here.
-
-    For a stack of iterates every row backtracks on its own norm, and all
-    rows still searching share s, so one trial evaluates them together.
-    ``r0_norm`` is then a sequence, and the result is (s, new_state,
-    new_residual_norm, errors) with lists aligned with the rows of
-    ``state``: a row whose s fell below ``S_MIN`` keeps its iterate, has s
-    NaN and its LineSearchError in ``errors`` (None for the other rows).
+    ``r0_norm`` lists the residual norms at ``state``, one per row (computed
+    when None). Returns (s, new_state, new_residual_norms, errors), the
+    lists aligned with the rows of ``state``: a row whose s fell below
+    ``S_MIN`` keeps its iterate, has s and norm NaN and its LineSearchError
+    in ``errors`` (None for the other rows). Every row of a stack backtracks
+    on its own norm, and all rows still searching share s, so one trial
+    evaluates them together. Callers stop on |r| = 0 before invoking this;
+    a zero current residual admits no decrease and would stagnate here.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    single = state.x.ndim == 1
-    if r0_norm is None:
-        r0 = np.atleast_1d(_norms(residual(obj, state))).tolist()
-    else:
-        r0 = [r0_norm] if single else list(r0_norm)
-    s, new, rnorm, errors = _backtrack(obj, state, dw, alpha, beta, r0)
-    if not single:
-        return s, new, rnorm, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return s[0], new, rnorm[0]
-
-
-def _backtrack(obj, state: SaddleState, dw: np.ndarray, alpha: float,
-               beta: float, r0: list):
+    r0 = (np.atleast_1d(_norms(residual(obj, state))).tolist() if r0_norm is None
+          else list(r0_norm))
     n = len(r0)
     dz, dlam = _split_step(obj, dw)
     pieces = []  # (positions, s, residual norms, accepted trial rows)
@@ -318,51 +299,27 @@ def _in_order(pieces: list) -> SaddleState:
     return SaddleState.concat([rows for _, rows in pieces]).take(order)
 
 
-def _steps(sys: KktSystem):
-    """``newton_step`` as (dw, errors), for one system too."""
-    if sys.kkt_matrix.ndim > 2:
-        return newton_step(sys)
-    try:
-        return newton_step(sys), [None]
-    except SingularKktError as exc:
-        return None, [exc]
-
-
-def _search(obj, state: SaddleState, dw, alpha: float, beta: float, rnorm: list):
-    """``line_search`` as lists (s, state, residual norms, errors), for one
-    iterate too."""
-    if state.x.ndim > 1:
-        return line_search(obj, state, dw, alpha, beta, r0_norm=rnorm)
-    try:
-        s, state, rn = line_search(obj, state, dw, alpha, beta, r0_norm=rnorm[0])
-    except LineSearchError as exc:
-        return [math.nan], state, rnorm, [exc]
-    return [s], state, [rn], [None]
-
-
 def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
                  max_iter: int = DEFAULT_MAX_ITER, alpha: float = 0.3,
                  beta: float = 0.5, callback=None):
-    """Damped Newton iteration until |r| <= eps.
+    """Damped Newton iteration until |r| <= eps: the one Newton loop.
 
-    Returns (state, NewtonReport). Line-search stagnation and iteration
-    exhaustion yield a non-converged report rather than an exception; the
-    caller decides how to proceed. ``callback(k, state, r_norm, s)`` runs
-    after each accepted step.
+    One iterate, or a stack of them (``SaddleState`` rows, one per channel of
+    a stacked ``obj``) that moves through it in lockstep: each round
+    assembles, solves and searches every row still iterating at once, and a
+    row leaves when it converges or fails; no row's failure moves another.
 
-    This is the one Newton loop. A stack of iterates (``SaddleState`` rows,
-    one per channel of a stacked ``obj``) moves through it in lockstep: each
-    round assembles, solves and searches every row still iterating at once,
-    and a row leaves when it converges or fails; no row's failure moves
-    another. For a stack it returns (state, reports, errors), aligned with
-    the rows of ``state``: the final iterates, one NewtonReport per row, and
-    per row None or the SingularKktError that ended it (one iterate raises
-    it). The callback then gets the rows that accepted a step, as a stack,
-    with lists of their residual norms and step sizes; k is the same for
-    all of them.
+    Returns (state, reports, errors), the lists aligned with the rows of
+    ``state``: the final iterates, one NewtonReport per row, and per row
+    None or the SingularKktError that ended it. Line-search stagnation and
+    iteration exhaustion leave a non-converged report rather than an error;
+    the caller decides how to proceed. Raises DomainError only for a start
+    point outside the barrier domain. ``callback(k, state, r_norms, s)``
+    runs after each accepted step with the rows that accepted it (the one
+    iterate, or a stack) and lists of their residual norms and step sizes;
+    k is the same for all of them.
     """
-    single = state.x.ndim == 1
-    n = 1 if single else len(state.x)
+    n = 1 if state.x.ndim == 1 else len(state.x)
     reports = [NewtonReport() for _ in range(n)]
     errors = [None] * n
     rnorm = np.atleast_1d(_norms(residual(obj, state))).tolist()
@@ -400,7 +357,7 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
                 reports[p].failure = f"not converged after {max_iter} iterations"
             leave([True] * len(pos))
             break
-        dw, step_errors = _steps(assemble(obj, state))
+        dw, step_errors = newton_step(assemble(obj, state))
         if step_errors.count(None) < len(step_errors):
             for p, e in zip(pos, step_errors):
                 errors[p] = e
@@ -408,7 +365,8 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
             if not keep:
                 break
             dw = dw[keep]
-        s, state, rnorm, ls_errors = _search(obj, state, dw, alpha, beta, rnorm)
+        s, state, rnorm, ls_errors = line_search(obj, state, dw, alpha, beta,
+                                                 r0_norm=rnorm)
         k += 1
         if ls_errors.count(None) < len(ls_errors):
             for p, e in zip(pos, ls_errors):
@@ -422,10 +380,5 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
             reports[p].step_sizes.append(si)
             reports[p].residual_norms.append(rn)
         if callback is not None:
-            callback(k, state, *((rnorm[0], s[0]) if single else (rnorm, s)))
-    final = _in_order(done) if not single else done[0][1]
-    if not single:
-        return final, reports, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return final, reports[0]
+            callback(k, state, rnorm, s)
+    return _in_order(done), reports, errors

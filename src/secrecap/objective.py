@@ -138,7 +138,7 @@ class _Factors:
     left."""
 
     __slots__ = (
-        "kept", "R", "K21", "K", "Q", "Rinv", "Kinv", "G", "B", "W", "Z1", "Z2",
+        "kept", "R", "K21", "K", "Rinv", "Kinv", "G", "B", "Z1", "Z2",
         "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack",
     )
 
@@ -170,15 +170,15 @@ class _Factors:
             self.Kinv = chol_inv(self.cf_K)
 
             ht = h.mT
-            self.Q = sym(h @ self.R @ ht)
-            self.cf_KQ, bad = chol_rows(self.K + self.Q)
+            q = sym(h @ self.R @ ht)
+            self.cf_KQ, bad = chol_rows(self.K + q)
             if bad:
                 h, ht, s2 = self._drop(bad, _not_pd("K + Q"), h, ht, s2)
             self.G = chol_inv(self.cf_KQ)
             self.B = ht @ self.G
 
-            self.W = sym(ht @ (self.Kinv @ h))
-            self.Z1, _, s2 = self._z_matrix(psd_sqrt(self.W), s2)
+            w = sym(ht @ (self.Kinv @ h))
+            self.Z1, _, s2 = self._z_matrix(psd_sqrt(w), s2)
         self.Z2, self.cf_2 = self._z_matrix(s2)
 
     def _drop(self, bad, message: str, *local):

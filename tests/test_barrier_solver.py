@@ -265,8 +265,9 @@ class TestSolveMinimax:
             ch = random_channel(rng, 4, 3, 3)
             sched.append(solve_minimax(ch, 10.0).newton_steps_total)
             obj = BarrierObjective(ch, 1e5, 10.0)
-            _, rep = newton_solve(obj, initial_point(ch, 10.0), eps=1e-10,
-                                  max_iter=400)
+            _, (rep,), (err,) = newton_solve(obj, initial_point(ch, 10.0), eps=1e-10,
+                                             max_iter=400)
+            assert err is None
             single.append(rep.iterations if rep.converged else 400)
         assert np.median(sched) <= np.median(single)
 
@@ -277,9 +278,10 @@ class TestSolveMinimax:
 
         def failing_step(sys):
             calls.append(1)
+            dw, errors = real_step(sys)
             if len(calls) > 3:
-                raise SingularKktError("forced singular KKT matrix")
-            return real_step(sys)
+                errors = [SingularKktError("forced singular KKT matrix")]
+            return dw, errors
 
         monkeypatch.setattr(kkt_newton, "newton_step", failing_step)
         with pytest.raises(SolverError) as info:

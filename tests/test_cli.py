@@ -327,9 +327,10 @@ class TestSolveCommand:
 
         def failing_step(sys):
             calls.append(1)
+            dw, errors = real_step(sys)
             if len(calls) > 3:
-                raise SingularKktError("forced singular KKT matrix")
-            return real_step(sys)
+                errors = [SingularKktError("forced singular KKT matrix")]
+            return dw, errors
 
         monkeypatch.setattr(kkt_newton, "newton_step", failing_step)
         out = tmp_path / "partial.json"

@@ -108,8 +108,8 @@ class TestRateRow:
         from secrecap.objective import RateBarrierObjective, minimax_objective
 
         obj = RateBarrierObjective(demo_channel, 100.0, 0.3)
-        st, report = newton_solve(obj, initial_point(demo_channel, 4.0))
-        assert report.converged
+        st, (report,), (err,) = newton_solve(obj, initial_point(demo_channel, 4.0))
+        assert err is None and report.converged
         power = float(np.trace(obj.unpack(st)[0]))
         rm, k21 = obj.unpack(st)
         assert minimax_objective(demo_channel, rm, k21) == pytest.approx(0.3, abs=1e-10)
@@ -125,13 +125,16 @@ class TestNewtonStep:
         sys = assemble(obj, st)
         zero = KktSystem(residual=np.zeros_like(sys.residual),
                          kkt_matrix=sys.kkt_matrix)
-        np.testing.assert_array_equal(newton_step(zero), 0.0)
+        dw, errors = newton_step(zero)
+        assert errors == [None]
+        np.testing.assert_array_equal(dw, 0.0)
 
     def test_quadratic_saddle_solved_in_one_step(self):
         prob = QuadraticSaddle()
         st = SaddleState(x=np.array([5.0]), y=np.array([7.0]), lam=0.0)
         sys = assemble(prob, st)
-        dw = newton_step(sys)
+        dw, errors = newton_step(sys)
+        assert errors == [None]
         landed = st.stepped(dw, 0.0, 1.0)
         assert np.linalg.norm(residual(prob, landed)) <= 1e-10
         np.testing.assert_allclose(landed.z, prob.zs, atol=1e-12)
@@ -144,7 +147,8 @@ class TestNewtonStep:
         for _ in range(10):
             st = random_interior_state(rng, demo_channel, 10.0)
             sys = assemble(obj, st)
-            dw = newton_step(sys)
+            dw, errors = newton_step(sys)
+            assert errors == [None]
             r0 = np.linalg.norm(sys.residual)
             trial = st.stepped(dw[:-1], dw[-1], s)
             r1 = np.linalg.norm(residual(obj, trial))
@@ -155,21 +159,23 @@ class TestNewtonStep:
         bad = KktSystem(residual=np.ones(2), kkt_matrix=np.ones((2, 2)))
         from secrecap import SingularKktError
 
-        with pytest.raises(SingularKktError):
-            newton_step(bad)
+        _, (err,) = newton_step(bad)
+        assert isinstance(err, SingularKktError)
 
     def test_zero_pivot_is_named(self):
         bad = KktSystem(residual=np.ones(2), kkt_matrix=np.ones((2, 2)))
-        with pytest.raises(SingularKktError, match="pivot 2 of 2 is zero"):
-            newton_step(bad)
+        _, (err,) = newton_step(bad)
+        assert isinstance(err, SingularKktError)
+        assert "pivot 2 of 2 is zero" in str(err)
 
     def test_tiny_power_system_solves(self, demo_channel):
         # At P = 1e-6 the first system's one-norm condition estimate is near
         # 6e-22, set by the units of P, yet LU solves it to full accuracy.
         obj = BarrierObjective(demo_channel, 100.0, 1e-6)
         sys = assemble(obj, initial_point(demo_channel, 1e-6))
-        dw = newton_step(sys)
+        dw, errors = newton_step(sys)
         t, r = sys.kkt_matrix, sys.residual
+        assert errors == [None]
         assert np.all(np.isfinite(dw))
         back_err = np.linalg.norm(t @ dw + r) / (
             np.linalg.norm(t, 1) * np.linalg.norm(dw) + np.linalg.norm(r))
@@ -183,18 +189,21 @@ class TestNewtonStep:
                        initial_point(demo_channel, 10.0))
         t, r = sys.kkt_matrix.copy(), sys.residual.copy()
         (t[0] if where == "matrix" else r)[1] = bad
-        with pytest.raises(SingularKktError):
-            newton_step(KktSystem(residual=r, kkt_matrix=t))
+        _, (err,) = newton_step(KktSystem(residual=r, kkt_matrix=t))
+        assert isinstance(err, SingularKktError)
 
 
 class TestLineSearch:
     def test_full_step_accepted_near_solution(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1000.0, 10.0)
-        st, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-6)
-        assert rep.converged
+        st, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                          eps=1e-6)
+        assert err is None and rep.converged
         sys = assemble(obj, st)
-        dw = newton_step(sys)
-        s, _, rnorm = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+        dw, errors = newton_step(sys)
+        assert errors == [None]
+        (s,), _, (rnorm,), errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+        assert errors == [None]
         assert s == 1.0
         assert rnorm <= (1 - 0.3) * np.linalg.norm(sys.residual)
 
@@ -204,9 +213,11 @@ class TestLineSearch:
         for _ in range(20):
             st = random_interior_state(rng, demo_channel, 10.0)
             sys = assemble(obj, st)
-            dw = newton_step(sys)
+            dw, errors = newton_step(sys)
+            assert errors == [None]
             r0 = np.linalg.norm(sys.residual)
-            s, _, rnorm = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+            (s,), _, (rnorm,), errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+            assert errors == [None]
             assert rnorm <= (1 - 0.3 * s) * r0
 
     def test_parameter_validation(self, demo_channel):
@@ -222,16 +233,18 @@ class TestLineSearch:
 class TestNewtonSolve:
     def test_demo_channel_fixed_t_converges_fast(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
-        st, rep = newton_solve(obj, initial_point(demo_channel, 10.0),
-                               eps=1e-10, alpha=0.3, beta=0.5)
-        assert rep.converged
+        st, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                          eps=1e-10, alpha=0.3, beta=0.5)
+        assert err is None and rep.converged
         assert rep.iterations <= 25
         assert rep.final_residual_norm <= 1e-10
 
     def test_zero_iterations_from_converged_state(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
-        st, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10)
-        st2, rep2 = newton_solve(obj, st, eps=1e-10)
+        st, _, (err,) = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10)
+        assert err is None
+        st2, (rep2,), (err2,) = newton_solve(obj, st, eps=1e-10)
+        assert err2 is None
         assert rep2.iterations == 0
         assert rep2.converged
         assert st2 is st
@@ -241,8 +254,8 @@ class TestNewtonSolve:
         for _ in range(20):
             ch = random_channel(rng, 2, 2, 2)
             obj = BarrierObjective(ch, 1e3, 10.0)
-            _, rep = newton_solve(obj, initial_point(ch, 10.0), eps=1e-10)
-            assert rep.converged
+            _, (rep,), (err,) = newton_solve(obj, initial_point(ch, 10.0), eps=1e-10)
+            assert err is None and rep.converged
             norms = rep.residual_norms
             steps = rep.step_sizes
             for k in range(len(steps)):
@@ -252,7 +265,9 @@ class TestNewtonSolve:
         # in the quadratic phase |r_{k+1}| / |r_k|^2 stays bounded; pairs with
         # |r_k| below 1e-8 are skipped, there rounding dominates the quotient
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
-        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10)
+        _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                         eps=1e-10)
+        assert err is None
         norms = rep.residual_norms
         checked = 0
         for k in range(len(norms) - 1):
@@ -268,14 +283,16 @@ class TestNewtonSolve:
         obj = BarrierObjective(demo_channel, 100.0, 10.0)
         st = random_interior_state(rng, demo_channel, 10.0)
         sys = assemble(obj, st)
-        dw = newton_step(sys)
+        dw, errors = newton_step(sys)
+        assert errors == [None]
         full = st.stepped(dw[:-1], dw[-1], 1.0)
         assert abs(residual(obj, full)[-1]) <= 1e-12
 
     def test_max_iter_exhaustion_reports_failure(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
-        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0),
-                              eps=1e-10, max_iter=2)
+        _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                         eps=1e-10, max_iter=2)
+        assert err is None
         assert not rep.converged
         assert rep.failure is not None
         assert rep.iterations == 2
@@ -288,8 +305,9 @@ class TestNewtonSolve:
     def test_report_counts_follow_its_lists(self, demo_channel, eps, max_iter,
                                             failure):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
-        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=eps,
-                              max_iter=max_iter)
+        _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                         eps=eps, max_iter=max_iter)
+        assert err is None
         assert [f.name for f in dataclasses.fields(NewtonReport)] == [
             "residual_norms", "step_sizes", "failure"]
         if failure is None:
@@ -322,16 +340,19 @@ class TestNewtonSolve:
         monkeypatch.setattr(objective, "_Factors", CountedFactors)
         monkeypatch.setattr(kkt_newton, "_trial_norm", counted_trial)
         obj = BarrierObjective(demo_channel, t, 10.0)
-        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10,
-                              callback=lambda k, st, rn, s: obj.factors(st))
-        assert rep.converged and rep.iterations > 0
+        _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
+                                         eps=1e-10,
+                                         callback=lambda k, st, rn, s: obj.factors(st))
+        assert err is None and rep.converged and rep.iterations > 0
         assert len(builds) == 1 + len(trials)
 
     def test_callback_sees_each_accepted_step(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
         seen = []
-        _, rep = newton_solve(obj, initial_point(demo_channel, 10.0), eps=1e-10,
-                              callback=lambda k, st, rn, s: seen.append((k, rn, s)))
+        _, (rep,), (err,) = newton_solve(
+            obj, initial_point(demo_channel, 10.0), eps=1e-10,
+            callback=lambda k, st, rn, s: seen.append((k, *rn, *s)))
+        assert err is None
         assert len(seen) == rep.iterations
         assert [k for k, _, _ in seen] == list(range(1, rep.iterations + 1))
         assert [rn for _, rn, _ in seen] == rep.residual_norms[1:]

@@ -12,6 +12,7 @@ from secrecap import (
     DegradedBarrierObjective,
     PerAntennaBarrierObjective,
     PerAntennaBudget,
+    SaddleState,
     SingularKktError,
     SolverConfig,
     SolverError,
@@ -19,7 +20,8 @@ from secrecap import (
     solve,
     solve_minimax,
 )
-from secrecap.kkt_newton import KktSystem, assemble, newton_step
+from secrecap.kkt_newton import KktSystem, assemble, newton_solve, newton_step
+from secrecap.matcalc import vech
 
 from conftest import DEMO_H1, DEMO_H2
 
@@ -70,6 +72,30 @@ def test_rows_equal_serial_solves(shape, power, count):
     assert len(rows) == count
     for ch, row in zip(channels, rows):
         assert_same_row(row, serial(ch, power))
+
+
+@pytest.mark.parametrize("objective", [BarrierObjective, DegradedBarrierObjective])
+def test_stack_of_one_matches_one_iterate(objective):
+    # one iterate runs the one-matrix kernels and a stack of one the stacked
+    # kernels, with a K block and without one: the same Newton solve, bit for
+    # bit; on these non-degraded channels the degraded objective's line
+    # search stagnates at P = 1 and 1e2, and that ends the same way too
+    for ch in random_channels((4, 3, 3), 4, seed=0):
+        for power in (1e-2, 1.0, 1e2):
+            obj = objective(ch, 1e3, power)
+            if objective is BarrierObjective:
+                start = initial_point(ch, power)
+            else:
+                start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
+            one, (rep,), (err,) = newton_solve(obj, start)
+            stack, (rep_s,), (err_s,) = newton_solve(obj, SaddleState.stack([start]))
+            assert err is None and err_s is None
+            assert rep_s.step_sizes == rep.step_sizes
+            assert rep_s.residual_norms == rep.residual_norms
+            assert rep_s.failure == rep.failure
+            np.testing.assert_array_equal(stack.x[0], one.x)
+            np.testing.assert_array_equal(stack.y[0], one.y)
+            assert stack.lam[0] == one.lam
 
 
 def test_failing_channel_moves_no_other_row():
@@ -157,7 +183,7 @@ def test_stacked_newton_step_reports_a_singular_row_alone(demo_channel):
     assert errors[0] is None
     assert isinstance(errors[1], SingularKktError)
     assert "is zero" in str(errors[1])
-    np.testing.assert_array_equal(dw[0], newton_step(sys))
+    np.testing.assert_array_equal(dw[0], newton_step(sys)[0])
     assert np.all(np.isnan(dw[1]))
 
 

@@ -454,14 +454,16 @@ BORDERED_CASES = ["demo-0.30", "demo-0.20", "scalar",
 
 
 def _failing_stages(monkeypatch, t_fail):
-    """Make every bordered stage at t >= ``t_fail`` fail."""
+    """Make every bordered stage at t >= ``t_fail`` fail: its Hessian is NaN,
+    so its first Newton step comes back with a SingularKktError."""
     from secrecap.objective import RateBarrierObjective
 
     class FailingStage(RateBarrierObjective):
         def newton_system(self, state):
+            g, h = super().newton_system(state)
             if self.t >= t_fail:
-                raise SolverError("injected stage failure")
-            return super().newton_system(state)
+                h = np.full_like(h, np.nan)
+            return g, h
 
     monkeypatch.setattr(variants, "RateBarrierObjective", FailingStage)
 
