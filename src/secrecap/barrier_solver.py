@@ -32,7 +32,7 @@ from .channel import (
 )
 from .errors import SolverError
 from .kkt_newton import newton_solve, residual
-from .matcalc import vec, vech
+from .matcalc import unvech, vec, vech, vech_len
 from .objective import (
     BarrierObjective,
     DegradedBarrierObjective,
@@ -94,17 +94,47 @@ class SolverConfig:
             raise ValueError(f"max_newton_iter must be an integer >= 1, got {it!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One accepted Newton step: barrier parameter, per-stage step index,
-    residual norm after the step, rates (nats) and the accepted step size."""
+    residual norm after the step, the rates f and C (nats) at the accepted
+    iterate and the accepted step size.
 
-    t: float
-    iteration: int
-    residual: float
-    f: float
-    C: float
-    step_size: float
+    The row keeps the iterate as its own copy of the coordinates
+    z = (vech(R), vec(K21)) and its ``channel``, and evaluates f
+    (:func:`minimax_objective`; without a K block f is C) and C
+    (:func:`secrecy_rate`) there on first read, then keeps them: a solve
+    whose trace nobody reads pays nothing for its rates. Equality, ``repr``
+    and ``as_dict`` are over t, iteration, residual, f, C and step_size.
+    """
+
+    __slots__ = ("t", "iteration", "residual", "step_size", "channel", "z", "_f", "_C")
+
+    def __init__(self, t: float, iteration: int, residual: float, step_size: float,
+                 channel: ChannelPair, z: np.ndarray):
+        self.t, self.iteration, self.residual, self.step_size = (
+            t, iteration, residual, step_size)
+        self.channel, self.z = channel, z
+        self._f = self._C = None
+
+    def _r(self) -> np.ndarray:
+        return unvech(self.z[:vech_len(self.channel.m)])
+
+    @property
+    def C(self) -> float:
+        if self._C is None:
+            self._C = secrecy_rate(self.channel, self._r())
+        return self._C
+
+    @property
+    def f(self) -> float:
+        if self._f is None:
+            ch, nx = self.channel, vech_len(self.channel.m)
+            if self.z.size == nx:  # no K block
+                self._f = self.C
+            else:  # y = vec(K21) is column-major
+                k21 = self.z[nx:].reshape((ch.n2, ch.n1), order="F")
+                self._f = minimax_objective(ch, self._r(), k21)
+        return self._f
 
     def as_dict(self) -> dict:
         return {
@@ -115,6 +145,16 @@ class TraceRecord:
             "C": self.C,
             "step_size": self.step_size,
         }
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TraceRecord:
+            return NotImplemented
+        return tuple(self.as_dict().values()) == tuple(other.as_dict().values())
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(t={self.t!r}, iteration={self.iteration!r}, "
+                f"residual={self.residual!r}, f={self.f!r}, C={self.C!r}, "
+                f"step_size={self.step_size!r})")
 
 
 @dataclass
@@ -196,8 +236,8 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
     lockstep.
 
     ``make_objective(t)`` builds the stage objective over every channel.
-    Each accepted step adds a trace row to its channel, with the objective's
-    ``trace_rates`` at the new iterate. A channel whose stage misses its
+    Each accepted step adds a trace row to its channel, which keeps a copy of
+    the new iterate and evaluates its rates when read. A channel whose stage misses its
     Newton tolerance leaves the schedule with a SolverError (the
     SingularKktError that ``newton_solve`` returns for an unsolved KKT
     system) that carries the rows recorded so far; the other channels go on.
@@ -214,11 +254,10 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
     for t in stages:
         obj = make_objective(t)
 
-        def record(k, st, rnorm, s, obj=obj, t=t):
-            # f and C per row, one entry each for one iterate
-            f, c = np.array(obj.trace_rates(st)).reshape(2, -1).tolist()
-            for row, *vals in zip(_rows(st), rnorm, f, c, s):
-                traces[row].append(TraceRecord(t, k, *vals))
+        def record(k, st, rnorm, s, channels=obj.channels, t=t):
+            # each row copies its own z: a row of the stack would keep all of it
+            for row, z, rn, si in zip(_rows(st), np.atleast_2d(st.z), rnorm, s):
+                traces[row].append(TraceRecord(t, k, rn, si, channels[row], z.copy()))
 
         state, *stage = newton_solve(obj, state, callback=record, **knobs)
         failed = []

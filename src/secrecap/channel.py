@@ -102,14 +102,6 @@ class NoiseCovariance:
     def K(self) -> np.ndarray:
         return noise_matrix(self.K21)
 
-    def spectral_norm(self) -> float:
-        if self.K21.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.K21, 2))
-
-    def is_feasible(self) -> bool:
-        return self.spectral_norm() < 1.0
-
 
 @dataclass
 class TransmitCovariance:

@@ -311,7 +311,8 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
 
     Returns (state, reports, errors), the lists aligned with the rows of
     ``state``: the final iterates, one NewtonReport per row, and per row
-    None or the SingularKktError that ended it. Line-search stagnation and
+    None or the SingularKktError that ended it, whose text is also that
+    row's report ``failure``. Line-search stagnation and
     iteration exhaustion leave a non-converged report rather than an error;
     the caller decides how to proceed. Raises DomainError only for a start
     point outside the barrier domain. ``callback(k, state, r_norms, s)``
@@ -360,7 +361,8 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
         dw, step_errors = newton_step(assemble(obj, state))
         if step_errors.count(None) < len(step_errors):
             for p, e in zip(pos, step_errors):
-                errors[p] = e
+                if e is not None:
+                    errors[p], reports[p].failure = e, str(e)
             keep = leave([e is not None for e in step_errors])
             if not keep:
                 break

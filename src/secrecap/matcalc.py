@@ -7,7 +7,7 @@ Conventions (frozen, all index maps depend on them):
 
 The solver gathers the duplication-matrix products of its derivatives from
 the cached index arrays of :func:`sandwich_indices`; the dense 0/1 matrices
-(dimensions up to 64) are the test oracle for those formulas.
+are the tests' oracle for those formulas.
 
 This is the one module that binds LAPACK: the Cholesky helpers and the
 ``getrf``/``getrs`` pair of the Newton step call the routines behind scipy's
@@ -41,8 +41,6 @@ __all__ = [
     "vech_len",
     "vech_dim",
     "vech_diag_indices",
-    "duplication_matrix",
-    "reduced_duplication_matrix",
     "sandwich_indices",
     "kron",
     "sym",
@@ -57,8 +55,6 @@ __all__ = [
     "getrf",
     "getrs",
 ]
-
-_MAX_DIM = 64
 
 _potrf, _potrs, getrf, getrs = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
@@ -135,48 +131,6 @@ def vech_diag_indices(m: int) -> np.ndarray:
     return np.flatnonzero(rows == cols)
 
 
-@lru_cache(maxsize=None)
-def duplication_matrix(m: int) -> np.ndarray:
-    """0/1 matrix D of shape (m^2, m(m+1)/2) with D @ vech(S) == vec(S)
-    for every symmetric S."""
-    if not 1 <= m <= _MAX_DIM:
-        raise ValueError(f"dimension {m} outside supported range 1..{_MAX_DIM}")
-    rows, cols = _vech_indices(m)
-    half_index = np.zeros((m, m), dtype=int)
-    half_index[rows, cols] = np.arange(rows.size)
-    half_index[cols, rows] = half_index[rows, cols]
-    d = np.zeros((m * m, vech_len(m)))
-    for c in range(m):
-        for r in range(m):
-            d[c * m + r, half_index[r, c]] = 1.0
-    d.flags.writeable = False
-    return d
-
-
-@lru_cache(maxsize=None)
-def reduced_duplication_matrix(n1: int, n2: int) -> np.ndarray:
-    """0/1 matrix Dt of shape ((n1+n2)^2, n1*n2) mapping vec(dB) of an
-    n2 x n1 block B to vec of the hollow symmetric embedding
-
-        [[0,  B'],
-         [B,  0 ]].
-
-    Equivalently the duplication matrix of dimension n1+n2 restricted to the
-    columns addressing the off-diagonal block.
-    """
-    if not (1 <= n1 <= _MAX_DIM and 1 <= n2 <= _MAX_DIM):
-        raise ValueError(f"dimensions ({n1}, {n2}) outside supported range")
-    n = n1 + n2
-    dt = np.zeros((n * n, n1 * n2))
-    for j in range(n1):          # column of B
-        for i in range(n2):      # row of B
-            col = j * n2 + i     # column-major index into vec(B)
-            dt[j * n + (n1 + i), col] = 1.0
-            dt[(n1 + i) * n + j, col] = 1.0
-    dt.flags.writeable = False
-    return dt
-
-
 SandwichIndex = namedtuple(
     "SandwichIndex", "grad grad_weight xx xx_weight xy xy_weight k21_transpose")
 
@@ -184,8 +138,9 @@ SandwichIndex = namedtuple(
 @lru_cache(maxsize=None)
 def sandwich_indices(m: int, n1: int, n2: int) -> SandwichIndex:
     """Flat (C-order) gather indices for the duplication-matrix products of
-    the Newton derivatives. With D = duplication_matrix(m),
-    Dt = reduced_duplication_matrix(n1, n2), vech coordinate p <-> (i, j) of
+    the Newton derivatives. With D the duplication matrix of dimension m
+    (D vech(S) = vec(S)), Dt that of dimension n1+n2 restricted to the
+    columns of the off-diagonal block, vech coordinate p <-> (i, j) of
     weight w_p (1/2 if i == j, else 1), y coordinate q <-> the entry
     (u, v) = (n1 + r, c) of K for K21[r, c], and exactly symmetric S and A:
 

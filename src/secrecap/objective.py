@@ -23,6 +23,12 @@ take one iterate, or a stack of iterates (``SaddleState`` with a leading
 axis, one row per channel) and then return every result with that axis.
 Each row is bit for bit what the same iterate gives alone: the math runs
 over the stack, and each LAPACK factorization once per row (``matcalc``).
+
+An objective keeps its work on the ``SaddleState`` it evaluated: the
+factors, which do not depend on t and serve every objective of the same
+channels and rows, and the gradient of ``newton_gradient``, which only the
+objective that computed it reuses. So ``newton_system`` at an accepted line
+search trial builds no gradient.
 """
 
 from __future__ import annotations
@@ -85,17 +91,10 @@ def _as_k21(k, ch: ChannelPair) -> np.ndarray:
     return k
 
 
-def _logdet_capacity_term(h: np.ndarray, r: np.ndarray):
-    """ln |I + H' H R| computed as ln |I + H R H'| via Cholesky; an array of
-    them for stacks of H and R."""
-    what = "capacity log-det argument"
+def _logdet_capacity_term(h: np.ndarray, r: np.ndarray) -> float:
+    """ln |I + H' H R| computed as ln |I + H R H'| via Cholesky."""
     a = sym(identity(h.shape[-2]) + h @ r @ h.mT)
-    if a.ndim == 2:
-        return chol_logdet(chol(a, what))
-    c, bad = chol_rows(a)
-    if bad:
-        raise DomainError(f"{what} is not strictly positive definite")
-    return chol_logdet(c)
+    return chol_logdet(chol(a, "capacity log-det argument"))
 
 
 def secrecy_rate(ch: ChannelPair, r) -> float:
@@ -127,7 +126,8 @@ class _Factors:
     the R side always, the K side only with a K block (otherwise Z1 comes
     from the channel's W1^{1/2}), and the slacks b - A x of the inequality
     rows only with such rows (which take one point). Log-dets are taken from
-    the Cholesky factors ``cf_*`` only when a value needs them.
+    the Cholesky factors ``cf_*`` only when a value needs them. ``grad`` is
+    the gradient that the objective ``grad_of`` computed from them, or None.
 
     The fields are matrices for one point and stacks of them (a leading
     axis) for a stack of points of the minimax objective, computed by the
@@ -138,15 +138,16 @@ class _Factors:
     left."""
 
     __slots__ = (
-        "kept", "R", "K21", "K", "Rinv", "Kinv", "G", "B", "Z1", "Z2",
-        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack",
+        "kept", "grad_of", "R", "K21", "K", "Rinv", "Kinv", "G", "B", "Z1", "Z2",
+        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "grad",
     )
+    _ROWS = __slots__[2:]  # the fields with one entry per row of a stack
 
     def __init__(self, obj: "BarrierObjective", state: SaddleState):
         rm, k21 = obj.unpack(state)
         h, s1, s2 = obj._channel_rows(state.rows, rm.ndim == 2, "Hstack", "sqrt_W1",
                                       "sqrt_W2")
-        self.kept = None
+        self.kept = self.grad_of = self.grad = None
         self.R = rm
         self.K21 = k21
         self.slack = None
@@ -192,7 +193,7 @@ class _Factors:
         if not ok.any():
             raise DomainError(message)
         self.kept = np.flatnonzero(ok) if self.kept is None else self.kept[ok]
-        for name in self.__slots__[1:]:
+        for name in self._ROWS:
             value = getattr(self, name, None)
             if value is not None:
                 setattr(self, name, value[ok])
@@ -215,20 +216,24 @@ class _Factors:
         if self.kept is not None:
             idx = np.searchsorted(self.kept, idx)
         out = object.__new__(type(self))
-        out.kept = None
-        for name in self.__slots__[1:]:
+        out.kept, out.grad_of = None, self.grad_of
+        for name in self._ROWS:
             value = getattr(self, name, None)
             setattr(out, name, None if value is None else value[idx])
         return out
 
     @classmethod
     def concat(cls, parts: list) -> "_Factors":
-        """One stack of the rows of ``parts``, in order."""
+        """One stack of the rows of ``parts``, in order; with a gradient only
+        when one objective computed that of every part."""
         out = object.__new__(cls)
-        out.kept = None
-        for name in cls.__slots__[1:]:
+        out.kept, out.grad_of = None, parts[0].grad_of
+        if any(p.grad_of is not out.grad_of for p in parts):
+            out.grad_of = None
+        for name in cls._ROWS:
             values = [getattr(p, name, None) for p in parts]
-            setattr(out, name, None if values[0] is None else np.concatenate(values))
+            keep = values[0] is not None and (name != "grad" or out.grad_of is not None)
+            setattr(out, name, np.concatenate(values) if keep else None)
         return out
 
     def logdet_K(self):
@@ -420,19 +425,6 @@ class BarrierObjective:
                               "rows are outside the barrier domain")
         return fac
 
-    def trace_rates(self, state: SaddleState):
-        """(f, C) in nats at ``state`` for the convergence trace, equal bit for
-        bit to :func:`minimax_objective` and :func:`secrecy_rate` there:
-        ln|K + Q| and ln|K| come from the factors, and ln|I + H2 R H2'| is
-        shared by f and C. Without a K block f is C."""
-        fac = self._inside(state)
-        h1, h2 = self._channel_rows(state.rows, fac.R.ndim == 2, "H1", "H2")
-        ld_2 = _logdet_capacity_term(h2, fac.R)
-        c = 0.5 * (_logdet_capacity_term(h1, fac.R) - ld_2)
-        if not self.ny:
-            return c, c
-        return 0.5 * (chol_logdet(fac.cf_KQ) - fac.logdet_K() - ld_2), c
-
     # -- values ------------------------------------------------------------
 
     def value_ft(self, state: SaddleState):
@@ -449,7 +441,7 @@ class BarrierObjective:
         """The gradient; for a stack, a row outside the barrier domain gets
         an infinite one, and DomainError is raised when no row is inside."""
         fac = self.factors(state)
-        g = self._gradient_from(fac)
+        g = self._kept_gradient(fac)
         if fac.kept is None:
             return g
         out = np.full((len(state.x), g.shape[-1]), np.inf)
@@ -457,8 +449,19 @@ class BarrierObjective:
         return out
 
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Hessian); the gradient is the one ``newton_gradient``
+        kept at ``state`` when this objective computed it."""
         fac = self._inside(state)
-        return self._gradient_from(fac), self._hessian_from(fac)
+        return self._kept_gradient(fac), self._hessian_from(fac)
+
+    def _kept_gradient(self, fac: _Factors) -> np.ndarray:
+        """The gradient of the rows of ``fac`` inside the domain, computed
+        once per objective and kept read-only on ``fac``: it depends on t."""
+        if fac.grad_of is not self:
+            fac.grad = self._gradient_from(fac)
+            fac.grad.flags.writeable = False
+            fac.grad_of = self
+        return fac.grad
 
     def _gradient_from(self, fac: _Factors) -> np.ndarray:
         tinv = 1.0 / self.t

@@ -1,9 +1,13 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite, and the dense oracles
+that only the tests use."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from secrecap import ChannelPair
+from secrecap.matcalc import _vech_indices, vech_len
 
 # Hard non-degraded 2x2 instance used throughout: the difference Gram matrix
 # W1 - W2 has one positive and one negative eigenvalue, {0.395, -3.293}.
@@ -42,3 +46,63 @@ def rel_err_inf(approx, exact):
     exact = np.asarray(exact, dtype=float)
     scale = max(np.max(np.abs(exact)), 1e-30)
     return np.max(np.abs(approx - exact)) / scale
+
+
+# -- dense oracles ----------------------------------------------------------
+
+_MAX_DIM = 64
+
+
+@lru_cache(maxsize=None)
+def duplication_matrix(m: int) -> np.ndarray:
+    """0/1 matrix D of shape (m^2, m(m+1)/2) with D @ vech(S) == vec(S)
+    for every symmetric S."""
+    if not 1 <= m <= _MAX_DIM:
+        raise ValueError(f"dimension {m} outside supported range 1..{_MAX_DIM}")
+    rows, cols = _vech_indices(m)
+    half_index = np.zeros((m, m), dtype=int)
+    half_index[rows, cols] = np.arange(rows.size)
+    half_index[cols, rows] = half_index[rows, cols]
+    d = np.zeros((m * m, vech_len(m)))
+    for c in range(m):
+        for r in range(m):
+            d[c * m + r, half_index[r, c]] = 1.0
+    d.flags.writeable = False
+    return d
+
+
+@lru_cache(maxsize=None)
+def reduced_duplication_matrix(n1: int, n2: int) -> np.ndarray:
+    """0/1 matrix Dt of shape ((n1+n2)^2, n1*n2) mapping vec(dB) of an
+    n2 x n1 block B to vec of the hollow symmetric embedding
+
+        [[0,  B'],
+         [B,  0 ]].
+
+    Equivalently the duplication matrix of dimension n1+n2 restricted to the
+    columns addressing the off-diagonal block.
+    """
+    if not (1 <= n1 <= _MAX_DIM and 1 <= n2 <= _MAX_DIM):
+        raise ValueError(f"dimensions ({n1}, {n2}) outside supported range")
+    n = n1 + n2
+    dt = np.zeros((n * n, n1 * n2))
+    for j in range(n1):          # column of B
+        for i in range(n2):      # row of B
+            col = j * n2 + i     # column-major index into vec(B)
+            dt[j * n + (n1 + i), col] = 1.0
+            dt[(n1 + i) * n + j, col] = 1.0
+    dt.flags.writeable = False
+    return dt
+
+
+def spectral_norm(k) -> float:
+    """The spectral norm of the cross block K21 of a NoiseCovariance."""
+    if k.K21.size == 0:
+        return 0.0
+    return float(np.linalg.norm(k.K21, 2))
+
+
+def is_feasible(k) -> bool:
+    """Whether the NoiseCovariance k is feasible: |K21|_2 < 1, which is
+    K > 0 for its block structure."""
+    return spectral_norm(k) < 1.0

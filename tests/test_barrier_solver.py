@@ -313,6 +313,27 @@ class TestSolveMinimax:
 
 
 class TestTraceRows:
+    def test_rates_evaluated_on_first_read(self, demo_channel, monkeypatch):
+        # a solve evaluates the rates only for its solution; a row evaluates
+        # its f and C when read, once each
+        from secrecap import barrier_solver
+
+        calls = {"minimax_objective": 0, "secrecy_rate": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(barrier_solver, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(barrier_solver, name, counted)
+        sol = solve_minimax(demo_channel, 10.0)
+        assert len(sol.trace) > 1
+        assert calls == {"minimax_objective": 1, "secrecy_rate": 1}
+        row = sol.trace[1]
+        f = row.f
+        assert calls == {"minimax_objective": 2, "secrecy_rate": 1}
+        assert row.f is f and row.C is row.C
+        assert calls == {"minimax_objective": 2, "secrecy_rate": 2}
+
     @pytest.mark.parametrize("solve", [
         lambda ch: solve_minimax(ch, 10.0),
         lambda ch: solve_per_antenna(ch, PerAntennaBudget(caps=[4.0, 6.0])),

@@ -15,7 +15,13 @@ from secrecap import (
 )
 from secrecap.matcalc import sym, vec, vech
 
-from conftest import DEMO_H1, DEMO_H2, random_channel, random_feasible_k21
+from conftest import (
+    DEMO_H1,
+    DEMO_H2,
+    is_feasible,
+    random_channel,
+    random_feasible_k21,
+)
 
 
 class TestChannelPair:
@@ -95,8 +101,8 @@ class TestNoiseCovariance:
         np.testing.assert_array_equal(NoiseCovariance(k21).K, obj.factors(state).K)
 
     def test_feasibility_threshold(self):
-        assert NoiseCovariance(np.array([[0.99]])).is_feasible()
-        assert not NoiseCovariance(np.array([[1.0]])).is_feasible()
+        assert is_feasible(NoiseCovariance(np.array([[0.99]])))
+        assert not is_feasible(NoiseCovariance(np.array([[1.0]])))
 
 
 class TestEffectiveGram:

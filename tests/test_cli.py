@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing.pool
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +530,16 @@ class TestBatchCommand:
 
 
 class TestTraceExport:
+    def test_demo_export_matches_golden(self, tmp_path):
+        # the demo problem's trace-export CSV, byte for byte the committed one:
+        # every t, residual, rate and step size of the demo solve is pinned
+        root = Path(__file__).resolve().parents[1]
+        out, csv = tmp_path / "result.json", tmp_path / "trace.csv"
+        assert main(["solve", str(root / "scripts" / "demo_problem.json"),
+                     "-o", str(out)]) == 0
+        assert main(["trace-export", str(out), "-o", str(csv)]) == 0
+        assert csv.read_bytes() == (root / "tests" / "data" / "demo_trace.csv").read_bytes()
+
     def test_row_count_and_header(self, demo_problem_file, tmp_path, capsys):
         out = tmp_path / "result.json"
         main(["solve", demo_problem_file, "-o", str(out)])

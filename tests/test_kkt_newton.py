@@ -297,6 +297,19 @@ class TestNewtonSolve:
         assert rep.failure is not None
         assert rep.iterations == 2
 
+    def test_singular_kkt_error_is_the_report_failure(self, demo_channel):
+        class NanHessian(BarrierObjective):
+            def newton_system(self, state):
+                g, h = super().newton_system(state)
+                return g, np.full_like(h, np.nan)
+
+        obj = NanHessian(demo_channel, 100.0, 10.0)
+        _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0))
+        assert isinstance(err, SingularKktError)
+        assert not rep.converged
+        assert rep.failure == str(err)
+        assert rep.iterations == 0
+
     @pytest.mark.parametrize("eps, max_iter, failure", [
         (1e-10, 200, None),
         (1e-30, 200, "line search stagnated"),
@@ -345,6 +358,60 @@ class TestNewtonSolve:
                                          callback=lambda k, st, rn, s: obj.factors(st))
         assert err is None and rep.converged and rep.iterations > 0
         assert len(builds) == 1 + len(trials)
+
+    def test_gradient_is_kept_per_objective(self, demo_channel):
+        # a state that holds the t = 100 objective's gradient gives the t = 1000
+        # objective its own gradient, as a fresh state at the same point does
+        rng = np.random.default_rng(58)
+        st = random_interior_state(rng, demo_channel, 10.0)
+        BarrierObjective(demo_channel, 100.0, 10.0).newton_gradient(st)
+        obj = BarrierObjective(demo_channel, 1000.0, 10.0)
+        g, h = obj.newton_system(st)
+        g_ref, h_ref = obj.newton_system(SaddleState(st.x, st.y, st.lam))
+        np.testing.assert_array_equal(g, g_ref)
+        np.testing.assert_array_equal(h, h_ref)
+
+    def test_stack_of_rows_keeps_only_one_objectives_gradient(self):
+        # rows whose gradients two objectives computed join into a stack that
+        # keeps neither, so each objective still gets its own
+        rng = np.random.default_rng(60)
+        channels = [random_channel(rng, 3, 2, 2) for _ in range(2)]
+        st = SaddleState.stack([initial_point(ch, 10.0) for ch in channels])
+        obj = BarrierObjective(channels, 100.0, 10.0)
+        obj.newton_gradient(st)
+        first, second = st.take([0]), st.take([1])
+        BarrierObjective(channels, 1000.0, 10.0).newton_gradient(second)
+        g, _ = obj.newton_system(SaddleState.concat([first, second]))
+        g_ref, _ = obj.newton_system(SaddleState(st.x, st.y, st.lam))
+        np.testing.assert_array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_assemble_at_accepted_trial_builds_no_gradient(self, monkeypatch, stack):
+        # the line search's accepted trial keeps its gradient, and assemble()
+        # takes it from there, also for the rows of a stack
+        rng = np.random.default_rng(59)
+        channels = [random_channel(rng, 3, 2, 2) for _ in range(3 if stack else 1)]
+        starts = [initial_point(ch, 10.0) for ch in channels]
+        obj = BarrierObjective(channels if stack else channels[0], 100.0, 10.0)
+        st = SaddleState.stack(starts) if stack else starts[0]
+        for _ in range(3):
+            dw, errors = newton_step(assemble(obj, st))
+            assert errors.count(None) == len(errors)
+            _, st, _, errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+            assert errors.count(None) == len(errors)
+        builds = []
+        real = BarrierObjective._gradient_from
+
+        def counted(self, fac):
+            builds.append(1)
+            return real(self, fac)
+
+        monkeypatch.setattr(BarrierObjective, "_gradient_from", counted)
+        sys = assemble(obj, st)
+        assert builds == []
+        fresh = SaddleState(st.x, st.y, st.lam, st.rows)
+        np.testing.assert_array_equal(sys.residual, assemble(obj, fresh).residual)
+        assert builds == [1]
 
     def test_callback_sees_each_accepted_step(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)

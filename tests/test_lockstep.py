@@ -47,6 +47,10 @@ def serial(ch, power, cfg=None):
 def assert_same_row(row, ref):
     """A lockstep row against the serial solve of its channel."""
     assert type(row) is type(ref)
+    # each trace row keeps its own (nx + ny)-float copy of its iterate, no
+    # view into the stack of every channel
+    assert all(r.z.base is None and r.z.shape == s.z.shape
+               for r, s in zip(row.trace, ref.trace))
     if isinstance(ref, SolverError):
         assert str(row) == str(ref)
         assert row.trace == ref.trace

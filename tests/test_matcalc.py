@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecap.matcalc import (
-    duplication_matrix,
     kron,
     psd_sqrt,
-    reduced_duplication_matrix,
     sym,
     unvec,
     unvech,
@@ -19,6 +17,8 @@ from secrecap.matcalc import (
     vech_diag_indices,
     vech_len,
 )
+
+from conftest import duplication_matrix, reduced_duplication_matrix
 
 
 def symmetric_matrices(max_dim=6):

@@ -7,17 +7,12 @@ from secrecap import (
     DomainError,
     NoiseCovariance,
     SaddleState,
+    TraceRecord,
     minimax_objective,
     secrecy_rate,
     solve_minimax,
 )
-from secrecap.matcalc import (
-    duplication_matrix,
-    reduced_duplication_matrix,
-    sym,
-    vec,
-    vech,
-)
+from secrecap.matcalc import sym, vec, vech
 from secrecap.objective import (
     DegradedBarrierObjective,
     PerAntennaBarrierObjective,
@@ -27,9 +22,11 @@ from secrecap.objective import (
 from conftest import (
     DEMO_H1,
     DEMO_H2,
+    duplication_matrix,
     random_channel,
     random_feasible_k21,
     random_spd,
+    reduced_duplication_matrix,
     rel_err_inf,
 )
 
@@ -318,9 +315,9 @@ class TestDerivatives:
         assert fac.value_f() == pytest.approx(
             2.0 * minimax_objective(demo_channel, r, k21), abs=1e-12
         )
-        assert 2.0 * obj.trace_rates(st)[1] == pytest.approx(
-            2.0 * secrecy_rate(demo_channel, r), abs=1e-12
-        )
+        row = TraceRecord(obj.t, 1, 0.0, 1.0, demo_channel, st.z)
+        assert (row.f, row.C) == (minimax_objective(demo_channel, r, k21),
+                                  secrecy_rate(demo_channel, r))
         ld_r = np.linalg.slogdet(r)[1]
         ld_k = np.linalg.slogdet(NoiseCovariance(k21).K)[1]
         assert obj.value_ft(st) == pytest.approx(
@@ -474,7 +471,7 @@ class TestConstruction:
                     RateBarrierObjective):
             assert issubclass(cls, BarrierObjective)
             assert not {"newton_gradient", "newton_system", "value_ft",
-                        "trace_rates", "factors"} & set(vars(cls)), cls
+                        "factors"} & set(vars(cls)), cls
         # the per-antenna objective only states its power limits as rows
         methods = {name for name, value in vars(PerAntennaBarrierObjective).items()
                    if callable(value) or isinstance(value, (property, classmethod))}
