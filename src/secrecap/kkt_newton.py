@@ -146,8 +146,9 @@ def newton_step(sys: KktSystem):
     system solves to full accuracy.
 
     A stack of systems (a leading axis) gets a step and an error per row:
-    the LU runs once per row, the refinement products and norms over the
-    stack.
+    the LU runs once per row, in place on one column-major copy of the
+    stack (the systems are kept), the refinement products and norms over
+    the stack.
     """
     t, r = sys.kkt_matrix, sys.residual
     if t.ndim == 2:  # one system, without the bookkeeping of a stack
@@ -161,19 +162,21 @@ def newton_step(sys: KktSystem):
         if back_err <= 1e-10:
             return dw, [None]
         return np.full(r.shape, np.nan), [_refinement_error(back_err)]
-    errors, lus, steps = [None] * len(t), [], []
+    errors, lus = [None] * len(t), []
+    tf = t.mT.copy().mT  # column-major slices, factored in place; t is kept
+    dw = np.empty(r.shape)
     for i in range(len(t)):
-        lu, piv, info = getrf(t[i])
+        lu, piv, info = getrf(tf[i], overwrite_a=1)
         if info > 0:
             errors[i] = _pivot_error(info, t)
             continue
+        dw[len(lus)] = getrs(lu, piv, -r[i])[0]
         lus.append((lu, piv))
-        steps.append(getrs(lu, piv, -r[i])[0])
     if not lus:
         return np.full(r.shape, np.nan), errors
     ok = [i for i, e in enumerate(errors) if e is None]
     ts, rs = (t, r) if len(ok) == len(t) else (t[ok], r[ok])
-    dw = np.array(steps)
+    dw = dw[:len(ok)]
     res = (ts @ dw[..., None])[..., 0] + rs
     for dw_i, res_i, (lu, piv) in zip(dw, res, lus):
         dw_i -= getrs(lu, piv, res_i)[0]

@@ -17,10 +17,12 @@ the per-call wrapper overhead (same routines, same bits).
 Stacks: ``unvech``, ``sym``, ``kron``, ``psd_sqrt``, ``noise_matrix``,
 ``chol_solve``, ``chol_logdet`` and ``chol_inv`` also take a stack of
 matrices (a leading axis) and treat each slice as they treat one matrix, bit
-for bit: LAPACK runs once per slice, and every slice a LAPACK routine returns
-keeps the column-major layout it has for one matrix, because the BLAS
-products that consume it round differently for the two layouts at some
-sizes. ``chol_rows`` is the stacked ``chol``.
+for bit. ``chol_rows`` is the stacked ``chol``. LAPACK runs once per slice
+and writes in place into a stack that the kernel allocates with column-major
+slices, the layout LAPACK returns for one matrix: the BLAS products that
+consume the slices round differently for the two layouts at some sizes.
+Each input is copied into that stack once and never overwritten, because
+callers reuse it.
 """
 
 from __future__ import annotations
@@ -217,10 +219,12 @@ def chol(a: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
-def _slices(results) -> np.ndarray:
-    """Stack the column-major matrices that LAPACK returned, one per slice,
-    keeping each slice column-major."""
-    return np.stack([r.T for r in results]).mT
+def _stack_like(a: np.ndarray, n: int) -> np.ndarray:
+    """A copy of ``a``, broadcast to a stack of ``n`` slices, each one
+    column-major (Fortran-contiguous) so LAPACK works on it in place."""
+    out = np.empty((n,) + a.shape[:-3:-1]).mT
+    out[...] = a
+    return out
 
 
 def chol_rows(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -231,13 +235,11 @@ def chol_rows(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     if a.ndim == 2:
         c, info = _potrf(a, lower=1, clean=0)
         return c, [0] if info > 0 else []
-    results, bad = [], []
-    for i in range(len(a)):
-        c, info = _potrf(a[i], lower=1, clean=0)
-        results.append(c)
-        if info > 0:
+    c, bad = _stack_like(a, len(a)), []
+    for i in range(len(c)):
+        if _potrf(c[i], lower=1, clean=0, overwrite_a=1)[1] > 0:
             bad.append(i)
-    return _slices(results), bad
+    return c, bad
 
 
 def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,8 +247,10 @@ def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     factors, per slice, with one ``b`` for all or a stack of them."""
     if c.ndim == 2:
         return _potrs(c, b, lower=1)[0]
-    return _slices([_potrs(c[i], b if b.ndim == 2 else b[i], lower=1)[0]
-                    for i in range(len(c))])
+    x = _stack_like(b, len(c))
+    for i in range(len(c)):
+        _potrs(c[i], x[i], lower=1, overwrite_b=1)
+    return x
 
 
 def chol_logdet(c: np.ndarray):

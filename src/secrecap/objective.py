@@ -236,15 +236,11 @@ class _Factors:
             setattr(out, name, np.concatenate(values) if keep else None)
         return out
 
-    def logdet_K(self):
-        """ln|K|; 0 without a K block, which has no -(1/t) ln|K| term."""
-        return 0.0 if self.K21 is None else chol_logdet(self.cf_K)
-
     def value_f(self):
         """f without the 1/2 factor; without a K block f is C."""
         if self.K21 is None:
             return chol_logdet(self.cf_1) - chol_logdet(self.cf_2)
-        return chol_logdet(self.cf_KQ) - self.logdet_K() - chol_logdet(self.cf_2)
+        return chol_logdet(self.cf_KQ) - chol_logdet(self.cf_K) - chol_logdet(self.cf_2)
 
 
 def _hxx(ix, z1, z2, rinv, tinv: float) -> np.ndarray:
@@ -284,8 +280,8 @@ class BarrierObjective:
         f_t(R, K) = f(R, K) + (1/t) ln|R| - (1/t) ln|K|
 
     maximized over x = vech(R) subject to tr R = P and minimized over
-    y = vec(K21). Provides values, gradients and the full indefinite Hessian
-    for the primal-dual Newton solver, and the gap bound of a stage solution.
+    y = vec(K21). Provides the gradient and the full indefinite Hessian of
+    f_t for the primal-dual Newton solver, and the gap bound of a stage solution.
 
     ``ch`` is one ChannelPair, or a sequence of ChannelPairs of one shape
     that Newton iterates in lockstep; ``channels`` holds them, and
@@ -424,16 +420,6 @@ class BarrierObjective:
             raise DomainError(f"{len(state.x) - len(fac.kept)} of {len(state.x)} "
                               "rows are outside the barrier domain")
         return fac
-
-    # -- values ------------------------------------------------------------
-
-    def value_ft(self, state: SaddleState):
-        fac, t = self._inside(state), self.t
-        v = fac.value_f() + (chol_logdet(fac.cf_R) - fac.logdet_K()) / t
-        if self.limits:
-            for _, _, ln_s in self._limit_blocks(np.log(fac.slack)):
-                v += ln_s.sum() / t
-        return v
 
     # -- Newton interface ----------------------------------------------------
 

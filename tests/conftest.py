@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from secrecap import ChannelPair
-from secrecap.matcalc import _vech_indices, vech_len
+from secrecap.matcalc import _vech_indices, chol_logdet, vech_len
 
 # Hard non-degraded 2x2 instance used throughout: the difference Gram matrix
 # W1 - W2 has one positive and one negative eigenvalue, {0.395, -3.293}.
@@ -106,3 +106,21 @@ def is_feasible(k) -> bool:
     """Whether the NoiseCovariance k is feasible: |K21|_2 < 1, which is
     K > 0 for its block structure."""
     return spectral_norm(k) < 1.0
+
+
+def logdet_K(fac) -> float:
+    """ln|K| from the factors of a barrier objective; 0 without a K block,
+    which has no -(1/t) ln|K| term."""
+    return 0.0 if fac.K21 is None else chol_logdet(fac.cf_K)
+
+
+def value_ft(obj, state):
+    """The barrier objective f_t = f + (1/t)(ln|R| - ln|K| + sum ln s) of
+    ``obj`` at ``state`` from its factors, s the slacks of its inequality
+    rows; DomainError outside the barrier domain."""
+    fac, t = obj._inside(state), obj.t
+    v = fac.value_f() + (chol_logdet(fac.cf_R) - logdet_K(fac)) / t
+    if obj.limits:
+        for _, _, ln_s in obj._limit_blocks(np.log(fac.slack)):
+            v += ln_s.sum() / t
+    return v

@@ -38,6 +38,7 @@ from conftest import (
     random_feasible_k21,
     random_spd,
     rel_err_inf,
+    value_ft,
 )
 
 
@@ -116,7 +117,7 @@ def test_c04_derivative_correctness(demo_channel):
         nx = obj.nx
 
         def ft(z):
-            return obj.value_ft(SaddleState(x=z[:nx], y=z[nx:], lam=0.0))
+            return value_ft(obj, SaddleState(x=z[:nx], y=z[nx:], lam=0.0))
 
         def grad(z):
             return obj.newton_gradient(SaddleState(x=z[:nx], y=z[nx:], lam=0.0))

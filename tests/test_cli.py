@@ -387,6 +387,17 @@ class TestDualCommand:
 
 
 class TestBatchCommand:
+    def test_c11_output_matches_golden(self, tmp_path):
+        # the paper's c11 batch (run_batch with jobs=1, one lockstep solve of
+        # all 100 channels), byte for byte the committed JSON: every step
+        # count and capacity of the lockstep kernels is pinned
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "c11.json"
+        assert main(["batch", "--m", "4", "--n1", "3", "--n2", "3", "--count", "100",
+                     "--seed", "20261107", "--jobs", "1", "-o", str(out)]) == 0
+        golden = root / "tests" / "data" / "c11_batch.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_deterministic_output(self, tmp_path):
         args = ["batch", "--m", "2", "--n1", "2", "--n2", "2",
                 "--count", "1", "--seed", "7"]

@@ -193,6 +193,54 @@ class TestNewtonStep:
         assert isinstance(err, SingularKktError)
 
 
+class TestStackedNewtonStep:
+    """Each row of a stacked step is bit for bit the one-system step."""
+
+    @staticmethod
+    def kkt_stack(count, singular=None):
+        rng = np.random.default_rng(60 + count)
+        systems = []
+        for _ in range(count):
+            ch = random_channel(rng, 3, 2, 2)
+            systems.append(assemble(BarrierObjective(ch, 100.0, 10.0),
+                                    random_interior_state(rng, ch, 10.0)))
+        t = np.stack([s.kkt_matrix for s in systems])
+        if singular is not None:
+            t[singular] = 1.0
+        return KktSystem(residual=np.stack([s.residual for s in systems]), kkt_matrix=t)
+
+    @staticmethod
+    def one(sys, i):
+        return newton_step(KktSystem(residual=sys.residual[i],
+                                     kkt_matrix=sys.kkt_matrix[i]))
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_rows_equal_one_system_steps(self, count):
+        sys = self.kkt_stack(count)
+        t0, r0 = sys.kkt_matrix.copy(), sys.residual.copy()
+        dw, errors = newton_step(sys)
+        assert errors == [None] * count
+        for i in range(count):
+            one, (err,) = self.one(sys, i)
+            assert err is None
+            np.testing.assert_array_equal(dw[i], one)
+        np.testing.assert_array_equal(sys.kkt_matrix, t0)
+        np.testing.assert_array_equal(sys.residual, r0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_row_gets_its_own_error(self):
+        sys = self.kkt_stack(7, singular=3)
+        t0 = sys.kkt_matrix.copy()
+        dw, errors = newton_step(sys)
+        assert isinstance(errors[3], SingularKktError)
+        assert str(errors[3]) == str(self.one(sys, 3)[1][0])
+        assert np.all(np.isnan(dw[3]))
+        for i in (0, 1, 2, 4, 5, 6):
+            assert errors[i] is None
+            np.testing.assert_array_equal(dw[i], self.one(sys, i)[0])
+        np.testing.assert_array_equal(sys.kkt_matrix, t0)
+
+
 class TestLineSearch:
     def test_full_step_accepted_near_solution(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1000.0, 10.0)

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecap.matcalc import (
+    chol_inv,
+    chol_rows,
+    chol_solve,
     kron,
     psd_sqrt,
     sym,
@@ -18,7 +21,7 @@ from secrecap.matcalc import (
     vech_len,
 )
 
-from conftest import duplication_matrix, reduced_duplication_matrix
+from conftest import duplication_matrix, random_spd, reduced_duplication_matrix
 
 
 def symmetric_matrices(max_dim=6):
@@ -179,6 +182,77 @@ class TestPsdSqrt:
         w = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         s = psd_sqrt(w)
         np.testing.assert_allclose(s @ s, w, atol=1e-12)
+
+
+class TestStackedLapack:
+    """Each slice of a stacked LAPACK kernel is bit for bit the one-matrix
+    call on that slice, column-major like it, and the inputs stay as given."""
+
+    N = 4
+
+    @staticmethod
+    def stack(rng, count, bad=None):
+        a = np.stack([random_spd(rng, TestStackedLapack.N) for _ in range(count)])
+        if bad is not None:
+            a[bad] = -a[bad]  # negative definite
+        return a
+
+    @staticmethod
+    def assert_slices(out, one, count):
+        assert out.shape[0] == count
+        for i in range(count):
+            assert out[i].flags.f_contiguous, i
+            np.testing.assert_array_equal(out[i], one(i))
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_chol_rows(self, count):
+        a = self.stack(np.random.default_rng(70 + count), count)
+        a0 = a.copy()
+        c, bad = chol_rows(a)
+        assert bad == []
+        self.assert_slices(c, lambda i: chol_rows(a[i])[0], count)
+        np.testing.assert_array_equal(a, a0)
+
+    def test_non_pd_slice_is_listed_alone(self):
+        a = self.stack(np.random.default_rng(73), 7, bad=3)
+        a0 = a.copy()
+        c, bad = chol_rows(a)
+        assert bad == [3]
+        assert chol_rows(a[3])[1] == [0]
+        self.assert_slices(c, lambda i: chol_rows(a[i])[0], 7)
+        np.testing.assert_array_equal(a, a0)
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("column_major", [False, True])
+    def test_chol_solve(self, count, shared, column_major):
+        rng = np.random.default_rng(80 + count)
+        c, _ = chol_rows(self.stack(rng, count))
+        b = rng.standard_normal((self.N, 3) if shared else (count, self.N, 3))
+        if column_major:  # slices LAPACK could solve in place: still copied
+            b = b.mT.copy().mT
+        c0, b0 = c.copy(), b.copy()
+        x = chol_solve(c, b)
+        self.assert_slices(
+            x, lambda i: chol_solve(c[i], b if shared else b[i]), count)
+        np.testing.assert_array_equal(c, c0)
+        np.testing.assert_array_equal(b, b0)
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_chol_inv(self, count):
+        c, _ = chol_rows(self.stack(np.random.default_rng(90 + count), count))
+        c0 = c.copy()
+        inv = chol_inv(c)
+        for i in range(count):
+            np.testing.assert_array_equal(inv[i], chol_inv(c[i]))
+        np.testing.assert_array_equal(c, c0)
+
+    def test_shared_right_hand_side_may_be_read_only(self):
+        c, _ = chol_rows(self.stack(np.random.default_rng(95), 2))
+        b = np.eye(self.N)
+        b.flags.writeable = False
+        np.testing.assert_array_equal(chol_solve(c, b)[1],
+                                      chol_solve(c[1], b))
 
 
 class TestLapackBinding:
