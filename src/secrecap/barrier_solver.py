@@ -1,13 +1,11 @@
-"""Outer barrier loop with warm starts, gap-bound stopping and KKT
-certificate extraction.
+"""Outer barrier loop with gap-bound stopping, KKT certificate extraction
+and the purification of a barrier point's covariance.
 
 The schedule solves the barrier-augmented saddle system at t = t0, mu*t0,
 mu^2*t0, ... (capped at t_max), reusing the previous primal-dual iterate as
 the start for the next stage. Stops early once the stage objective's gap
 bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
-schedule runs to t_max, mirroring the usual experiment protocol. A solve
-warm-started from a nearby minimax solution runs only that solution's last
-stage.
+schedule runs to t_max, mirroring the usual experiment protocol.
 
 Reported capacities carry the 1/2 rate factor (nats); the dual variable and
 certificate residuals live in the solver's log-det convention.
@@ -53,6 +51,7 @@ __all__ = [
     "solve_minimax",
     "solve_degraded",
     "extract_certificate",
+    "purify",
 ]
 
 
@@ -323,23 +322,8 @@ def _per_antenna_start(ch: ChannelPair, budget: PerAntennaBudget) -> SaddleState
 SOLVE_MODES = ("auto", "minimax", "degraded", "per_antenna")
 
 
-def _warm_start(ch: ChannelPair, power: float, warm: SaddleSolution) -> SaddleState:
-    """(R*·P/P0, K21*, -lambda*) of the minimax solution ``warm`` at P0."""
-    if warm.mode != "minimax":
-        raise ValueError(
-            f"warm must be a minimax-mode SaddleSolution, got mode {warm.mode!r}")
-    rm, k21 = warm.R_star.R, warm.K21_star
-    if rm.shape != (ch.m, ch.m) or k21.shape != (ch.n2, ch.n1):
-        raise ValueError(
-            f"warm has R* {rm.shape} and K21* {k21.shape}, need "
-            f"{(ch.m, ch.m)} and {(ch.n2, ch.n1)}")
-    scale = power / warm.R_star.power
-    return SaddleState(x=vech(rm * scale), y=vec(k21), lam=-float(warm.lambda_star))
-
-
 def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudget,
-          cfg: SolverConfig | None = None, mode: str = "auto",
-          warm: SaddleSolution | None = None):
+          cfg: SolverConfig | None = None, mode: str = "auto"):
     """Globally optimal transmit covariance via the saddle-point barrier
     method, for a total budget P or a ``PerAntennaBudget``.
 
@@ -362,15 +346,6 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
     the result is a list with each channel's SaddleSolution, or the
     SolverError its solve would raise, bit for bit what the channel gives
     alone. Input errors (ValueError) still raise for the whole call.
-
-    ``warm``, a minimax-mode solution of the same channel at a power P0,
-    starts a minimax solve from (R*·P/P0, K21*, -lambda*) and runs only the
-    stage at ``warm.t_final``, so ``t_final``, ``gap_bound`` and ``gap_met``
-    are those of a cold solve with the same config. It pays off when P is
-    within a few percent of P0; farther away a cold solve is safer. Raises
-    ValueError when ``warm`` is not a minimax-mode solution of this shape,
-    when the solve does not resolve to ``minimax``, or when ``ch`` is a
-    sequence.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -383,9 +358,9 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
         if not 0 < power < np.inf:
             raise ValueError(f"power must be finite and positive, got {power}")
     if not isinstance(ch, ChannelPair):
-        if mode != "minimax" or budget or warm is not None:
+        if mode != "minimax" or budget:
             raise ValueError("a sequence of channels solves only in minimax mode, "
-                             "with a total power and no warm start")
+                             "with a total power")
         return _solve_lockstep(list(ch), power, cfg)
     if budget:
         mode = "per_antenna"  # the objective checks one cap per antenna
@@ -398,8 +373,6 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
                 f"solve_degraded requires a degraded channel, got {kind.value} "
                 f"(difference eigenvalues {eigs})"
             )
-    if warm is not None and mode != "minimax":
-        raise ValueError(f"warm starts only a minimax solve, not mode {mode!r}")
     if mode == "per_antenna":
         objective, args = PerAntennaBarrierObjective, (power.caps, power.total)
         start = _per_antenna_start(ch, power)
@@ -408,12 +381,11 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
         start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
     else:
         objective, args = BarrierObjective, (power,)
-        start = _warm_start(ch, power, warm) if warm else initial_point(ch, power)
+        start = initial_point(ch, power)
         if kind is Degradedness.REVERSELY_DEGRADED:
             return _zero_solution(ch, power, cfg)
-    (result,) = _solve_together(
-        objective, args, [ch], [start], mode, cfg,
-        _schedule(cfg) if warm is None else (warm.t_final,))
+    (result,) = _solve_together(objective, args, [ch], [start], mode, cfg,
+                                _schedule(cfg))
     if isinstance(result, SolverError):
         raise result
     return result
@@ -483,11 +455,28 @@ def _solution(obj: BarrierObjective, state: SaddleState, ch: ChannelPair, mode: 
     )
 
 
+def purify(ch: ChannelPair, R: np.ndarray, K21: np.ndarray) -> np.ndarray:
+    """The covariance of best C among R, its eigenvalue drops and its
+    projections onto the null space of the top r right singular vectors of
+    H2 - K21·H1, each rescaled to tr R. A barrier point keeps eigenvalues
+    of order 1/t in directions that the saddle point leaves empty, where C
+    can lose much more than the gap bound; the candidates drop them."""
+    power = np.trace(R)
+    w, v = np.linalg.eigh(R)
+    _, _, vh = np.linalg.svd(ch.H2 - K21 @ ch.H1)
+    drops = [v[:, k:] * w[k:] @ v[:, k:].T for k in range(1, ch.m)]
+    nulls = [vh[r:].T @ vh[r:] for r in range(1, min(ch.n2, ch.m - 1) + 1)]
+    candidates = [R, *drops, *(p @ R @ p for p in nulls)]
+    # a candidate with less than 1e-8 of the power is rounding noise of R
+    return max((c * (power / np.trace(c)) for c in candidates
+                if np.trace(c) > 1e-8 * power), key=lambda c: secrecy_rate(ch, c))
+
+
 def solve_minimax(ch: ChannelPair | Sequence[ChannelPair], power: float,
-                  cfg: SolverConfig | None = None, warm: SaddleSolution | None = None):
+                  cfg: SolverConfig | None = None):
     """``solve`` in ``minimax`` mode: works for any channel, and for a list
-    of same-shape channels in lockstep; ``warm`` as in ``solve``."""
-    return solve(ch, power, cfg, mode="minimax", warm=warm)
+    of same-shape channels in lockstep."""
+    return solve(ch, power, cfg, mode="minimax")
 
 
 def solve_degraded(ch: ChannelPair, power: float,

@@ -27,6 +27,7 @@ from secrecap import (
     solve_minimax,
     solve_per_antenna,
 )
+from secrecap.barrier_solver import purify
 from secrecap.cli import run_batch
 from secrecap.kkt_newton import assemble, newton_solve, newton_step
 from secrecap.matcalc import vec, vech
@@ -327,15 +328,17 @@ def test_c11_batch_step_statistics():
 
 def test_c12_dual_self_consistency(demo_channel):
     start = time.perf_counter()
-    cs = solve_minimax(demo_channel, 10.0).capacity_achievable
+    # the certified rate at P = 10: C of the purified minimax point
+    sol = solve_minimax(demo_channel, 10.0)
+    cs = secrecy_rate(demo_channel, purify(demo_channel, sol.R_star.R, sol.K21_star))
     p_star, _ = solve_dual(
         demo_channel, DualTarget(rate=cs, p_hi=40.0, tol_rate=1e-7)
     )
     elapsed = time.perf_counter() - start
-    assert p_star == pytest.approx(10.0, rel=1e-3)
+    assert p_star == pytest.approx(10.0, rel=1e-6)
     assert elapsed < 30.0
     print(f"ACCEPTANCE C12 PASS: Cs(10) = {cs:.6f} nats inverts to "
-          f"P* = {p_star:.5f} within 1e-3 relative ({elapsed:.1f} s)")
+          f"P* = {p_star:.8f} within 1e-6 relative ({elapsed:.1f} s)")
 
 
 def test_c13_per_antenna_oracle():

@@ -21,6 +21,7 @@ from secrecap import (
     solve_per_antenna,
 )
 from secrecap import kkt_newton
+from secrecap.barrier_solver import purify
 from secrecap.kkt_newton import newton_solve
 from secrecap.matcalc import sym, unvech
 
@@ -520,82 +521,55 @@ class TestCertificate:
         )
 
 
-def warm_channel(name):
-    """The demo channel or one of three random (4,3,3) channels."""
-    if name == "demo":
-        return ChannelPair(DEMO_H1, DEMO_H2)
-    return random_channel(np.random.default_rng([20261019, int(name[-1])]), 4, 3, 3)
+class TestPurify:
+    def test_demo_channel_at_p10(self, demo_channel):
+        # C(R*) of the barrier point falls 30 gap bounds short of the
+        # capacity; the purified covariance lies within the gap bound of f
+        sol = solve_minimax(demo_channel, 10.0)
+        r = purify(demo_channel, sol.R_star.R, sol.K21_star)
+        c = secrecy_rate(demo_channel, r)
+        assert np.trace(r) == pytest.approx(10.0, rel=1e-14)
+        assert np.linalg.eigvalsh(r).min() >= -1e-12
+        assert c == pytest.approx(0.358884, abs=1e-6)
+        assert c >= sol.capacity_achievable + 30 * sol.gap_bound
+        assert abs(sol.capacity_upper - c) <= sol.gap_bound
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certifies_random_channels(self, seed):
+        # C(R_pure) <= Cs <= f + gap, and the width f - C(R_pure) stays
+        # within the gap bound, which C(R*) misses
+        ch = random_channel(np.random.default_rng([20261107, seed]), 4, 3, 3)
+        sol = solve_minimax(ch, 10.0)
+        c = secrecy_rate(ch, purify(ch, sol.R_star.R, sol.K21_star))
+        assert c >= sol.capacity_achievable
+        assert abs(sol.capacity_upper - c) <= sol.gap_bound
 
-def warm_pairs(ch, power, cfg=None):
-    """(cold solve at P, [warm solve at P from a cold solve at P0]) for
-    P0 = P(1 -+ 5%)."""
-    cold = solve_minimax(ch, power, cfg)
-    warm = [solve_minimax(ch, power, cfg, warm=solve_minimax(ch, p0, cfg))
-            for p0 in (0.95 * power, 1.05 * power)]
-    return cold, warm
+    def test_never_lowers_c(self):
+        rng = np.random.default_rng(68)
+        for _ in range(20):
+            ch = random_channel(rng, 3, 2, 2)
+            r = random_spd(rng, 3, trace=5.0)
+            k21 = rng.uniform(-0.5, 0.5, (2, 2))
+            pure = purify(ch, r, k21)
+            assert np.trace(pure) == pytest.approx(5.0, rel=1e-14)
+            assert secrecy_rate(ch, pure) >= secrecy_rate(ch, r)
 
+    def test_rank_one_r_in_the_eavesdroppers_row_space(self):
+        # every projection removes all of R but rounding noise, which must
+        # not be rescaled into a candidate
+        rng = np.random.default_rng(69)
+        for _ in range(20):
+            ch = random_channel(rng, 3, 2, 2)
+            top = np.linalg.svd(ch.H2)[2][0]
+            r = 5.0 * np.outer(top, top)
+            pure = purify(ch, r, np.zeros((2, 2)))
+            assert np.linalg.eigvalsh(pure).min() >= -1e-12
+            assert np.trace(pure) == pytest.approx(5.0, rel=1e-14)
 
-class TestWarmStart:
-    @pytest.mark.parametrize("name", ["demo", "rng0", "rng1", "rng2"])
-    @pytest.mark.parametrize("power", [1e-2, 1.0, 1e2])
-    def test_matches_cold_solve(self, name, power):
-        cold, warm = warm_pairs(warm_channel(name), power)
-        for sol in warm:
-            assert np.max(np.abs(sol.R_star.R - cold.R_star.R)) <= 1e-8
-            assert np.max(np.abs(sol.K21_star - cold.K21_star)) <= 1e-8
-            assert abs(sol.capacity_upper - cold.capacity_upper) <= 1e-8
-            assert abs(sol.capacity_achievable - cold.capacity_achievable) <= 1e-8
-            assert sol.R_star.power == power
-            assert sol.t_final == cold.t_final
-            assert sol.gap_bound == cold.gap_bound
-            assert sol.gap_met is cold.gap_met is None
-            assert len(sol.stage_reports) == 1
-            assert {row.t for row in sol.trace} == {cold.t_final}
-            # random channels at P = 1: test_steps_on_random_channels_at_unit_power
-            if name == "demo" or power != 1.0:
-                assert 2 * sol.newton_steps_total <= cold.newton_steps_total
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "known: near P = 1, R* of these channels has eigenvalues of order "
-        "1/t_max, and the rescaled start is outside Newton's fast region at "
-        "t_max; some warm solves take 70-80% of a cold solve's steps"))
-    def test_steps_on_random_channels_at_unit_power(self):
-        for name in ("rng0", "rng1", "rng2"):
-            cold, warm = warm_pairs(warm_channel(name), 1.0)
-            for sol in warm:
-                assert 2 * sol.newton_steps_total <= cold.newton_steps_total
-
-    @pytest.mark.parametrize("eps_gap", [1e-3, 1e-9])
-    def test_eps_gap_runs_only_the_last_stage(self, eps_gap):
-        cfg = SolverConfig(eps_gap=eps_gap)
-        cold, warm = warm_pairs(warm_channel("rng0"), 1e-2, cfg)
-        assert cold.t_final == (1e4 if eps_gap == 1e-3 else cfg.t_max)
-        for sol in warm:
-            assert [t for t, _ in sol.stage_reports] == [cold.t_final]
-            assert sol.t_final == cold.t_final
-            assert sol.gap_bound == cold.gap_bound
-            assert sol.gap_met is cold.gap_met is (eps_gap == 1e-3)
-            assert 2 * sol.newton_steps_total <= cold.newton_steps_total
-
-    def test_rejects_degraded_solution(self):
-        ch = degraded_channel(np.random.default_rng(66), m=3, n2=2, rank=1)
-        warm = solve_degraded(ch, 5.0)
-        with pytest.raises(ValueError, match="minimax-mode"):
-            solve_minimax(ch, 5.0, warm=warm)
-
-    def test_rejects_wrong_shape(self, demo_channel):
-        warm = solve_minimax(warm_channel("rng0"), 1.0)
-        with pytest.raises(ValueError, match=r"need \(2, 2\) and \(2, 2\)"):
-            solve_minimax(demo_channel, 1.0, warm=warm)
-
-    def test_rejects_other_solve_modes(self, demo_channel):
-        warm = solve_minimax(demo_channel, 1.0)
-        with pytest.raises(ValueError, match="'per_antenna'"):
-            solve(demo_channel, PerAntennaBudget(caps=[1.0, 1.0]), warm=warm)
-        ch = degraded_channel(np.random.default_rng(66), m=2, n2=2, rank=1)
-        with pytest.raises(ValueError, match="'degraded'"):
-            solve(ch, 1.0, warm=warm)  # auto resolves to degraded
+    def test_single_antenna_keeps_r(self):
+        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
+        r = np.array([[3.0]])
+        np.testing.assert_array_equal(purify(ch, r, np.zeros((1, 1))), r)
 
 
 UNIT_POWERS = (1e-6, 1e-4, 1e-2, 1.0, 1e2)

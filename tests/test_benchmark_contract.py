@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from secrecap import ChannelPair, DualTarget, PerAntennaBudget, SolverConfig
+from secrecap import BracketError, ChannelPair, DualTarget, PerAntennaBudget, SolverConfig
 
 from conftest import DEMO_H1, DEMO_H2
 
@@ -66,6 +66,10 @@ def test_traced_solves_feed_the_metrics(bench, capsys):
         barrier_solver.solve_degraded(degraded, 1.0, cfg)
         variants.solve_per_antenna(demo, PerAntennaBudget(caps=[0.5, 0.5]), cfg)
         variants.solve_dual(demo, DualTarget(rate=0.05, p_hi=1.0, tol_rate=1e-3), cfg)
+        # a dual answered by its bordered solve makes no minimax solve; one
+        # whose rate lies above Cs(p_hi) makes one at p_hi, then raises
+        with pytest.raises(BracketError):
+            variants.solve_dual(demo, DualTarget(rate=0.3, p_hi=1.0), cfg)
         cli.run_batch(2, 1, 1, 2, 0, 1.0, cfg, jobs=1)
     finally:
         assert tracer.restore() == []

@@ -140,12 +140,6 @@ def test_reversely_degraded_channel_short_circuits_in_a_list():
     assert_same_row(rows[0], serial(ch, 1.0))
 
 
-def test_warm_needs_one_channel(demo_channel):
-    warm = solve_minimax(demo_channel, 1.0)
-    with pytest.raises(ValueError, match="no warm start"):
-        solve_minimax([demo_channel, demo_channel], 1.0, warm=warm)
-
-
 @pytest.mark.parametrize("mode", ["auto", "degraded"])
 def test_list_solves_in_minimax_mode_only(demo_channel, mode):
     with pytest.raises(ValueError, match="minimax mode"):

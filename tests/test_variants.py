@@ -1,12 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 from scipy.optimize import brentq
 
-import secrecap.barrier_solver as barrier_solver
 import secrecap.variants as variants
 from secrecap import (
     BracketError,
@@ -18,8 +16,10 @@ from secrecap import (
     solve_minimax,
     solve_per_antenna,
 )
+from secrecap.barrier_solver import purify
 from secrecap.channel import classify_degraded
-from secrecap.errors import SingularKktError, SolverError
+from secrecap.errors import SolverError
+from secrecap.objective import minimax_objective, secrecy_rate
 
 from conftest import DEMO_H1, DEMO_H2, random_channel
 
@@ -139,21 +139,30 @@ class TestSolveDual:
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
         target = DualTarget(rate=0.5 * np.log(2.5), p_hi=4.0, tol_rate=1e-8)
         p_star, sol = solve_dual(ch, target)
-        assert p_star == pytest.approx(1.0, abs=1e-4)
-        assert sol.capacity_achievable == pytest.approx(target.rate, abs=1e-8)
+        assert p_star == pytest.approx(1.0, rel=1e-12)
+        assert sol.capacity_achievable == pytest.approx(target.rate, abs=1e-15)
 
     def test_round_trip_consistency(self, demo_channel):
-        cs = solve_minimax(demo_channel, 10.0).capacity_achievable
+        # the certified rate at P = 10 is C of the purified minimax point
+        sol = solve_minimax(demo_channel, 10.0)
+        rate = secrecy_rate(demo_channel, purify(demo_channel, sol.R_star.R, sol.K21_star))
         p_star, _ = solve_dual(
-            demo_channel, DualTarget(rate=cs, p_hi=40.0, tol_rate=1e-7)
+            demo_channel, DualTarget(rate=rate, p_hi=40.0, tol_rate=1e-7)
         )
-        assert p_star == pytest.approx(10.0, rel=1e-3)
+        assert p_star == pytest.approx(10.0, rel=1e-6)
 
-    def test_tiny_rate_needs_tiny_power(self, demo_channel):
-        p_star, _ = solve_dual(
-            demo_channel, DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
-        )
-        assert p_star < 0.01
+    def test_tiny_rate_needs_tiny_power(self, demo_channel, monkeypatch):
+        # Cs is concave with slope lambda_max(W1 - W2)/2 at P = 0, so P* is at
+        # least the tangent bound, and a beamformer reaches it to first order
+        _, eigs = classify_degraded(demo_channel)
+        tangent = 1e-5 / (0.5 * eigs.max())
+        starts = _bordered_starts(monkeypatch)
+        target = DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
+        p_star, sol = solve_dual(demo_channel, target)
+        assert tangent <= p_star <= tangent * (1 + 1e-4)
+        assert abs(sol.capacity_achievable - target.rate) <= 1e-15
+        # the gap m/t exceeds the rate, so the bordered point's own C is 0
+        assert starts[0].capacity_achievable == 0.0
 
     def test_automatic_bracket_growth(self):
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
@@ -175,12 +184,29 @@ class TestSolveDual:
             solve_dual(ch, DualTarget(rate=0.1, p_hi=100.0))
 
     def test_evaluated_capacity_map_monotone(self, demo_channel):
-        # the bisection relies on monotonicity; verify it on a power sweep
+        # Cs is nondecreasing in P; verify it on a power sweep
         caps = [
             solve_minimax(demo_channel, p).capacity_achievable
             for p in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
         ]
         assert all(a <= b + 1e-8 for a, b in zip(caps, caps[1:]))
+
+    @pytest.mark.parametrize("bordered", [True, False])
+    @pytest.mark.parametrize("j, p_expected", [(2, 15.95), (3, 30.29), (5, 11.38)])
+    def test_zero_capacity_at_p_hi_meets_the_rate(self, monkeypatch, j, p_expected,
+                                                   bordered):
+        # C(R*) of the minimax solve at P = 1e3 is 0 on these channels, so
+        # C(R*) alone would call the rate unattainable; purified, both the
+        # bordered point and the point at p_hi reach it
+        ch = random_channel(np.random.default_rng([777, 2, 2, 2, j]), 2, 2, 2)
+        ref = solve_minimax(ch, 1e3)
+        assert ref.capacity_achievable == 0.0
+        target = DualTarget(rate=0.95 * ref.capacity_upper, p_hi=1e3)
+        if not bordered:
+            monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+        p_star, sol = solve_dual(ch, target)
+        assert p_star == pytest.approx(p_expected, rel=1e-3)
+        assert abs(sol.capacity_achievable - target.rate) <= 1e-14
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
@@ -207,172 +233,22 @@ def test_target_rejects_non_finite_fields(field, kwargs):
         DualTarget(**kwargs)
 
 
-@pytest.fixture
-def search_only(monkeypatch):
-    """``solve_dual`` as its Newton search alone, from P = 0 after the p_hi
-    solve: the bordered solve fails at both starts."""
-    monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
-
-
 def _spy_solves(monkeypatch, fail_at=()):
-    """Record every power ``solve_dual`` solves at; raise the paired error at
-    the powers listed in ``fail_at`` as (power, exception type)."""
+    """Record every power ``solve_dual`` solves a minimax problem at; raise
+    the paired error at the powers listed in ``fail_at`` as (power,
+    exception type)."""
     powers = []
     real = variants.solve_minimax
 
-    def spy(ch, power, cfg=None, **kwargs):
+    def spy(ch, power, cfg=None):
         powers.append(power)
         for p_fail, exc in fail_at:
             if power == pytest.approx(p_fail, rel=1e-12):
                 raise exc("injected failure")
-        return real(ch, power, cfg, **kwargs)
+        return real(ch, power, cfg)
 
     monkeypatch.setattr(variants, "solve_minimax", spy)
     return powers
-
-
-@pytest.mark.usefixtures("search_only")
-class TestNewtonSearch:
-    @pytest.mark.parametrize("rate, tol_rate, max_solves", [
-        (0.30, 1e-6, 10), (0.30, 1e-12, 10), (0.30, 1e-15, 12),
-        # below the resolution of C: the search ends by collapsing the bracket
-        (0.20, 1e-17, 12),
-    ])
-    def test_few_solves_from_below(self, demo_channel, monkeypatch,
-                                   rate, tol_rate, max_solves):
-        powers = _spy_solves(monkeypatch)
-        target = DualTarget(rate=rate, p_hi=10.0, tol_rate=tol_rate)
-        p_star, sol = solve_dual(demo_channel, target)
-        assert type(p_star) is float
-        assert len(powers) <= max_solves
-        assert sol.capacity_achievable >= target.rate - tol_rate
-        # after the p_hi solve every point comes from a tangent below the
-        # rate, so none lies beyond P*
-        assert powers[0] == 10.0
-        assert all(p <= p_star for p in powers[1:])
-
-    @pytest.mark.parametrize("exc", [SingularKktError, SolverError])
-    def test_failed_newton_point_falls_back(self, demo_channel, monkeypatch, exc):
-        _, eigs = classify_degraded(demo_channel)
-        first_newton = 0.30 / (0.5 * eigs.max())
-        powers = _spy_solves(monkeypatch, fail_at=[(first_newton, exc)])
-        target = DualTarget(rate=0.30, p_hi=10.0, tol_rate=1e-6)
-        p_star, sol = solve_dual(demo_channel, target)
-        assert powers[1] == pytest.approx(first_newton, rel=1e-12)
-        assert powers[2] == 5.0  # the bracket midpoint
-        assert powers.count(powers[1]) == 1  # the failed tangent is dropped
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
-        assert p_star == pytest.approx(4.920278, abs=1e-4)
-
-    def test_overestimated_slope_does_not_crawl(self, monkeypatch):
-        # Capacity sits just below the rate up to P* = 1 while every solve
-        # reports a huge slope, so each Newton step is far too short.
-        rate = 0.3
-        powers = []
-
-        def plateau(ch, power, cfg=None, **kwargs):
-            powers.append(power)
-            gap = 1e-6 if power >= 1.0 else -1e-6
-            return SimpleNamespace(capacity_achievable=rate + gap, lambda_star=2e7)
-
-        monkeypatch.setattr(variants, "solve_minimax", plateau)
-        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
-        p_star, _ = solve_dual(ch, DualTarget(rate=rate, p_hi=10.0, tol_rate=1e-9))
-        assert 1.0 <= p_star <= 1.0 + 1e-11
-        assert len(powers) <= 100
-
-    def test_tiny_rate_solves_every_point(self, demo_channel, monkeypatch):
-        # The first Newton point, P = 5.06e-5, has badly scaled KKT systems.
-        # They solve, so the search needs no bisection down from p_hi (which
-        # took 23 solves).
-        failed = []
-        powers = _spy_solves(monkeypatch)
-        spy = variants.solve_minimax
-
-        def record_failures(ch, power, cfg=None, **kwargs):
-            try:
-                return spy(ch, power, cfg, **kwargs)
-            except SolverError as exc:
-                failed.append((power, exc))
-                raise
-
-        monkeypatch.setattr(variants, "solve_minimax", record_failures)
-        target = DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
-        _, sol = solve_dual(demo_channel, target)
-        assert failed == []
-        assert len(powers) <= 10
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
-
-    def test_failed_midpoint_propagates(self, demo_channel, monkeypatch):
-        _, eigs = classify_degraded(demo_channel)
-        first_newton = 0.30 / (0.5 * eigs.max())
-        _spy_solves(monkeypatch, fail_at=[(first_newton, SingularKktError),
-                                          (5.0, SingularKktError)])
-        with pytest.raises(SingularKktError, match="injected"):
-            solve_dual(demo_channel, DualTarget(rate=0.30, p_hi=10.0))
-
-
-def _record_solves(monkeypatch, drop_warm=False, fail_warm=0):
-    """Record (power, warm solution or None) of every solve ``solve_dual``
-    makes; with ``drop_warm`` every solve runs cold, and the first
-    ``fail_warm`` warm solves raise SolverError."""
-    calls = []
-    real = barrier_solver.solve_minimax
-
-    def spy(ch, power, cfg=None, warm=None):
-        calls.append((power, warm))
-        if warm is not None and sum(w is not None for _, w in calls) <= fail_warm:
-            raise SolverError("injected warm failure")
-        return real(ch, power, cfg, warm=None if drop_warm else warm)
-
-    monkeypatch.setattr(variants, "solve_minimax", spy)
-    return calls
-
-
-def _dual_case(name):
-    if name.startswith("demo"):
-        return ChannelPair(DEMO_H1, DEMO_H2), DualTarget(
-            rate=0.30, p_hi=10.0, tol_rate=1e-6 if name == "demo" else 1e-12)
-    ch = random_channel(np.random.default_rng([20261019, int(name[-1])]), 4, 3, 3)
-    rate = 0.5 * solve_minimax(ch, 10.0).capacity_achievable
-    return ch, DualTarget(rate=rate, p_hi=1e3)
-
-
-@pytest.mark.usefixtures("search_only")
-class TestWarmNearAnswer:
-    @pytest.mark.parametrize("name", ["demo", "demo_tight", "rng0", "rng1", "rng2"])
-    def test_same_search_as_cold(self, monkeypatch, name):
-        ch, target = _dual_case(name)
-        cold_calls = _record_solves(monkeypatch, drop_warm=True)
-        p_cold, _ = solve_dual(ch, target)
-        calls = _record_solves(monkeypatch)
-        p_star, sol = solve_dual(ch, target)
-        # the same steps; a warm solve's C differs from the cold one's in
-        # the last digits, which moves a tight tolerance's points by ~1e-12
-        assert [p for p, _ in calls] == pytest.approx([p for p, _ in cold_calls],
-                                                      rel=1e-10)
-        assert p_star == pytest.approx(p_cold, rel=1e-12)
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
-        assert any(w is not None for _, w in calls)
-        # every earlier point lies outside the bracket, so the nearest solved
-        # power is a bracket end: a point within 5% of it starts warm from it
-        for i, (p, warm) in enumerate(calls):
-            nearest = min((q for q, _ in calls[:i]), key=lambda q: abs(p - q),
-                          default=None)
-            if nearest is not None and abs(p - nearest) <= 0.05 * p:
-                assert warm is not None and warm.R_star.power == nearest
-            else:
-                assert warm is None
-
-    def test_failed_warm_solve_is_repeated_cold(self, monkeypatch):
-        ch, target = _dual_case("demo")
-        p_ref, _ = solve_dual(ch, target)
-        calls = _record_solves(monkeypatch, fail_warm=1)
-        p_star, sol = solve_dual(ch, target)
-        i = next(i for i, (_, w) in enumerate(calls) if w is not None)
-        assert calls[i + 1] == (calls[i][0], None)
-        assert p_star == pytest.approx(p_ref, rel=1e-12)
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
 
 
 def miso_capacity(h1, h2, power):
@@ -386,7 +262,7 @@ def miso_capacity(h1, h2, power):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_miso_oracle_lower_side(seed):
+def test_miso_oracle(seed):
     rng = np.random.default_rng([20261018, seed])
     h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
     ch = ChannelPair(h1[None, :], h2[None, :])
@@ -394,14 +270,9 @@ def test_miso_oracle_lower_side(seed):
     target = DualTarget(rate=rng.uniform(0.2, 0.8) * miso_capacity(h1, h2, p_hi),
                         p_hi=p_hi, tol_rate=1e-6)
     p_star, _ = solve_dual(ch, target)
-    assert miso_capacity(h1, h2, p_star) >= target.rate - target.tol_rate
-    # Cs is concave, so Cs(P*) >= rate - tol puts P* at most tol/slope below
-    # the root
     root = brentq(lambda p: miso_capacity(h1, h2, p) - target.rate, 0.0, p_hi,
                   xtol=1e-14)
-    h = 1e-6 * root
-    slope = (miso_capacity(h1, h2, root + h) - miso_capacity(h1, h2, root - h)) / (2 * h)
-    assert p_star >= root - target.tol_rate / slope
+    assert abs(p_star - root) <= 1e-9 * root
 
 
 def _bordered_starts(monkeypatch):
@@ -428,7 +299,7 @@ def _bordered_case(name):
     if name == "scalar":  # Cs(1) = 0.5 ln(5/2) exactly
         return (ChannelPair(np.array([[2.0]]), np.array([[1.0]])),
                 DualTarget(rate=0.5 * np.log(2.5), p_hi=4.0, tol_rate=1e-8))
-    if name.startswith("miso"):  # as in test_miso_oracle_lower_side
+    if name.startswith("miso"):  # as in test_miso_oracle
         rng = np.random.default_rng([20261018, int(name[-1])])
         h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
         rate = rng.uniform(0.2, 0.8) * miso_capacity(h1, h2, 10.0)
@@ -471,52 +342,51 @@ def _failing_stages(monkeypatch, t_fail):
 class TestBorderedDual:
     @pytest.mark.parametrize("name", BORDERED_CASES)
     def test_agrees_with_the_search(self, monkeypatch, name):
+        # one bordered solve and no minimax solve: R* is the purified
+        # bordered covariance on its ray, at the power where brentq finds
+        # C(P/P_b · R_pure) = rate
         ch, target = _bordered_case(name)
         starts = _bordered_starts(monkeypatch)
-        calls = _record_solves(monkeypatch)
+        powers = _spy_solves(monkeypatch)
         p_star, sol = solve_dual(ch, target)
-        # the bordered start solved, below p_hi, and p_hi was never solved
-        p_b = starts[0].R_star.power
+        assert powers == []
+        (sol_b,) = starts
+        p_b = sol_b.R_star.power
         assert p_b <= target.p_hi
-        assert target.p_hi not in [p for p, _ in calls]
-        # the answer is a warm-started minimax solve at P* that meets the rate
-        assert calls[0] == (calls[0][0], starts[0])
-        assert calls[-1][0] == p_star == sol.R_star.power
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
-        assert abs(sol.capacity_achievable - target.rate) <= target.tol_rate
-        # both answers lie within tol_rate of the rate on a slope of lambda*/2
-        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
-        p_search, _ = solve_dual(ch, target)
-        band = 2 * target.tol_rate / (0.5 * sol.lambda_star)
-        assert abs(p_star - p_search) <= band + 1e-12 * p_star
+        r_pure = purify(ch, sol_b.R_star.R, sol_b.K21_star)
 
-    def test_tiny_rate_leaves_the_warm_band(self, demo_channel, monkeypatch):
-        # at rate 1e-5 the gap m/t exceeds the rate, so C(R_b) is 0 and the
-        # first steps from P_b are too far for a warm start
-        starts = _bordered_starts(monkeypatch)
-        calls = _record_solves(monkeypatch)
-        target = DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7)
-        p_star, sol = solve_dual(demo_channel, target)
-        assert starts[0].capacity_achievable == 0.0
-        assert calls[0][1] is None
-        assert sol.capacity_achievable >= target.rate - target.tol_rate
-        assert starts[0].R_star.power < p_star < 0.01
+        def short(p):
+            return target.rate - secrecy_rate(ch, (p / p_b) * r_pure)
+
+        lo, hi = (0.0, p_b) if short(p_b) <= 0 else (p_b, target.p_hi)
+        root = brentq(short, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert p_star == pytest.approx(root, rel=1e-12)
+        assert type(p_star) is float and p_star == sol.R_star.power
+        assert np.trace(sol.R_star.R) == pytest.approx(p_star, rel=1e-14)
+        assert abs(sol.capacity_achievable - target.rate) <= 1e-14 * max(1.0, target.rate)
+        # K21*, lambda* and the gap bound are the bordered point's, and
+        # f(R*, K21*) is within the gap bound above C(R*)
+        assert sol.K21_star is sol_b.K21_star and sol.lambda_star == sol_b.lambda_star
+        assert sol.capacity_upper == minimax_objective(ch, sol.R_star.R, sol.K21_star)
+        assert 0 <= sol.capacity_upper - sol.capacity_achievable <= sol.gap_bound
 
     @pytest.mark.parametrize("delta", [2e-6, 1e-5])
     def test_target_above_cs_p_hi_raises(self, demo_channel, monkeypatch, delta):
-        # P_b <= p_hi, since f exceeds C at t_max: the search needs p_hi when
-        # its Newton point passes it, and only then solves it
-        cs = solve_minimax(demo_channel, 10.0).capacity_achievable
+        # f(R*, K*) + gap bounds Cs(10) from above, so the rate is
+        # unattainable: the ray of the bordered point, at P_b > p_hi, stops
+        # short of it at p_hi, and so does the one minimax solve at p_hi
+        ref = solve_minimax(demo_channel, 10.0)
+        rate = ref.capacity_upper + ref.gap_bound + delta
         starts = _bordered_starts(monkeypatch)
-        calls = _record_solves(monkeypatch)
+        powers = _spy_solves(monkeypatch)
         with pytest.raises(BracketError, match="unattainable within the bracket"):
-            solve_dual(demo_channel, DualTarget(rate=cs + delta, p_hi=10.0))
-        assert starts[0].R_star.power <= 10.0
-        assert calls[-1][0] == 10.0
+            solve_dual(demo_channel, DualTarget(rate=rate, p_hi=10.0))
+        assert starts[0].R_star.power > 10.0
+        assert powers == [10.0]
 
     def test_target_above_cs_p_hi_raises_beyond_p_hi(self, monkeypatch):
-        # Cs(8) = 0.5 ln(33/9) < 0.68: P_b > p_hi, so the search runs as
-        # before and raises after its p_hi solve
+        # Cs(8) = 0.5 ln(33/9) < 0.68: P_b > p_hi, and the one minimax solve
+        # at p_hi raises
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
         starts = _bordered_starts(monkeypatch)
         powers = _spy_solves(monkeypatch)
@@ -526,67 +396,55 @@ class TestBorderedDual:
         assert powers == [8.0]
 
     def test_grows_the_bracket_without_p_hi(self, monkeypatch):
-        # Cs(P) = 0.5 ln((1 + 4P)/(1 + P)) reaches 0.55 at P* = 2.012
+        # Cs(P) = 0.5 ln((1 + 4P)/(1 + P)) reaches 0.55 at P* = 2.012; one
+        # antenna has nothing to purify, so the ray meets it exactly
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
         target = DualTarget(rate=0.55, tol_rate=1e-6)
-        root = brentq(lambda p: 0.5 * math.log((1 + 4 * p) / (1 + p)) - 0.55, 0.1, 10)
-        band = target.tol_rate / (0.5 * (4 / (1 + 4 * root) - 1 / (1 + root)))
-        starts = _bordered_starts(monkeypatch)
-        powers = []
-        real = barrier_solver.solve_minimax
-
-        def first_fails(ch, power, cfg=None, **kwargs):
-            # the failed Newton point (warm, then cold) sends the search to a
-            # midpoint, which needs the upper end: 1, 2, 4, ... grown past P_b
-            powers.append(power)
-            if power == powers[0]:
-                raise SolverError("injected failure")
-            return real(ch, power, cfg, **kwargs)
-
-        monkeypatch.setattr(variants, "solve_minimax", first_fails)
-        p_star, sol = solve_dual(ch, target)
-        assert 2.0 < starts[0].R_star.power < 4.0
-        assert powers[1:3] == [powers[0], 4.0]
-        assert sol.capacity_achievable == pytest.approx(0.55, abs=1e-6)
-        assert abs(p_star - root) <= band
-        # the search alone grows the bracket from 1 up front
-        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
-        monkeypatch.setattr(variants, "solve_minimax", real)
+        root = brentq(lambda p: 0.5 * math.log((1 + 4 * p) / (1 + p)) - 0.55, 0.1, 10,
+                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
         powers = _spy_solves(monkeypatch)
-        p_search, _ = solve_dual(ch, target)
-        assert powers[:3] == [1.0, 2.0, 4.0]
-        assert abs(p_search - root) <= band
+        p_star, sol = solve_dual(ch, target)
+        assert powers == []
+        assert p_star == pytest.approx(root, rel=1e-12)
+        # without the bordered point the upper end grows 1, 2, 4, ... until
+        # its C reaches the rate, and its ray comes down to P*
+        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
+        p_upper, sol = solve_dual(ch, target)
+        assert powers == [1.0, 2.0, 4.0]
+        assert p_upper == pytest.approx(root, rel=1e-12)
+        assert sol.capacity_achievable == pytest.approx(0.55, abs=1e-15)
 
     def test_no_p_hi_needs_no_bracket(self, demo_channel, monkeypatch):
-        # the finish's Newton points stay below P*, so without p_hi it
-        # takes the same steps as with one and never grows a bracket
+        # p_hi only caps the ray, so without it the bordered path gives the
+        # same answer, and neither solves a minimax problem
         powers = _spy_solves(monkeypatch)
         p_10, _ = solve_dual(demo_channel, DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7))
-        with_p_hi = list(powers)
-        powers.clear()
         target = DualTarget(rate=1e-5, tol_rate=1e-7)
         p_star, sol = solve_dual(demo_channel, target)
-        assert len(powers) > 2
-        assert powers == with_p_hi
+        assert powers == []
         assert p_star == p_10
-        assert abs(sol.capacity_achievable - target.rate) <= target.tol_rate
+        assert abs(sol.capacity_achievable - target.rate) <= 1e-15
 
     @pytest.mark.parametrize("t_fail", [1e2, 1e3, 1e4, 1e5])
     @pytest.mark.parametrize("name", ["demo-0.30", "433-0-0.5"])
     def test_failed_bordered_solve_falls_back_to_the_search(self, monkeypatch,
                                                              t_fail, name):
         # a stage at t >= t_fail fails from both starts: the answer is the
-        # search's, bit for bit
+        # upper end's, one minimax solve at p_hi purified and scaled down its
+        # ray to the rate, bit for bit
         ch, target = _bordered_case(name)
         monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
         p_ref, ref = solve_dual(ch, target)
         monkeypatch.undo()
         _failing_stages(monkeypatch, t_fail)
         starts = _bordered_starts(monkeypatch)
+        powers = _spy_solves(monkeypatch)
         p_star, sol = solve_dual(ch, target)
         assert starts == [None]
+        assert powers == [target.p_hi]
         assert p_star == p_ref
         assert sol.capacity_achievable == ref.capacity_achievable
+        assert abs(sol.capacity_achievable - target.rate) <= 1e-14
         assert sol.lambda_star == ref.lambda_star
         np.testing.assert_array_equal(sol.R_star.R, ref.R_star.R)
         np.testing.assert_array_equal(sol.K21_star, ref.K21_star)
