@@ -17,7 +17,9 @@ The objective is any object exposing ``newton_gradient(state)``,
 ``newton_system(state)`` (both raising DomainError outside the barrier
 domain) and ``constraint`` (an ``(a, b)`` pair over the stacked primal
 vector, or None for unconstrained saddle systems); with a constraint also
-``border(state)``, the row's (c(z), grad c) at ``state``. Backtracking
+``row_value(state)``, the row's c(z), and ``row_gradient(state)``, its
+grad c: a residual reads the value alone, ``assemble`` both, and the
+objective keeps them on ``state``. Backtracking
 accepts a step only when the residual norm satisfies |r_new| <= (1 -
 alpha*s)|r_old|, which makes residual decrease a structural property of the
 iteration; trial points outside the barrier domain count as infinite
@@ -97,15 +99,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _bordered(obj, state: SaddleState, g: np.ndarray, eq=None) -> np.ndarray:
+def _bordered(obj, state: SaddleState, g: np.ndarray) -> np.ndarray:
     """The residual from the gradient ``g``: with an equality row, the
-    multiplier term and the row's own residual ``eq`` (the objective's, at
-    ``state``, when not given)."""
+    multiplier term and the row's own residual at ``state``."""
     if obj.constraint is None:
         return g
     a, _ = obj.constraint
-    if eq is None:
-        eq, _ = obj.border(state)
+    eq = obj.row_value(state)
     if g.ndim == 1:
         return np.concatenate([g + state.lam * a, [eq]])
     return np.concatenate([g + state.lam[:, None] * a, eq[:, None]], axis=1)
@@ -125,13 +125,12 @@ def assemble(obj, state: SaddleState) -> KktSystem:
     if obj.constraint is None:
         return KktSystem(residual=g, kkt_matrix=h)
     a, _ = obj.constraint
-    eq, row = obj.border(state)
     n = g.shape[-1]
     t = np.zeros(g.shape[:-1] + (n + 1, n + 1))
     t[..., :n, :n] = h
     t[..., :n, n] = a
-    t[..., n, :n] = row
-    return KktSystem(residual=_bordered(obj, state, g, eq), kkt_matrix=t)
+    t[..., n, :n] = obj.row_gradient(state)
+    return KktSystem(residual=_bordered(obj, state, g), kkt_matrix=t)
 
 
 def newton_step(sys: KktSystem):

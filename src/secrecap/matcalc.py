@@ -192,13 +192,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
+    """Symmetric square root of a positive semidefinite matrix, which must be
+    exactly symmetric (``eigh`` reads only its lower triangle).
 
     Small negative eigenvalues from rounding are clipped to zero.
     """
-    w, v = np.linalg.eigh(sym(np.asarray(s, dtype=float)))
-    w = np.clip(w, 0.0, None)
-    return sym((v * np.sqrt(w)[..., None, :]) @ v.mT)
+    w, v = np.linalg.eigh(s)
+    return sym((v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.mT)
 
 
 def noise_matrix(k21: np.ndarray) -> np.ndarray:
@@ -257,7 +257,7 @@ def chol_logdet(c: np.ndarray):
     """ln|A| from the lower Cholesky factor ``c`` of A; an array of them for
     a stack."""
     if c.ndim == 2:
-        return 2.0 * float(np.sum(np.log(np.diag(c))))
+        return 2.0 * float(np.log(c.diagonal()).sum())
     return 2.0 * np.log(c.diagonal(0, -2, -1)).sum(axis=-1)
 
 

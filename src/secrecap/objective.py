@@ -26,9 +26,10 @@ over the stack, and each LAPACK factorization once per row (``matcalc``).
 
 An objective keeps its work on the ``SaddleState`` it evaluated: the
 factors, which do not depend on t and serve every objective of the same
-channels and rows, and the gradient of ``newton_gradient``, which only the
-objective that computed it reuses. So ``newton_system`` at an accepted line
-search trial builds no gradient.
+channels and rows, as do f and its gradient once first read, and the
+gradient of ``newton_gradient``, which only the objective that computed it
+reuses. So ``newton_system`` at an accepted line search trial builds no
+gradient, and the rate row there reads the trial's f.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class _Factors:
     from the channel's W1^{1/2}), and the slacks b - A x of the inequality
     rows only with such rows (which take one point). Log-dets are taken from
     the Cholesky factors ``cf_*`` only when a value needs them. ``grad`` is
-    the gradient that the objective ``grad_of`` computed from them, or None.
+    the gradient that the objective ``grad_of`` computed from them, or None;
+    ``f`` and ``grad_f`` are f and its gradient once first read, or None.
 
     The fields are matrices for one point and stacks of them (a leading
     axis) for a stack of points of the minimax objective, computed by the
@@ -138,16 +140,16 @@ class _Factors:
     left."""
 
     __slots__ = (
-        "kept", "grad_of", "R", "K21", "K", "Rinv", "Kinv", "G", "B", "Z1", "Z2",
-        "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "grad",
+        "kept", "grad_of", "f", "grad_f", "R", "K21", "K", "Rinv", "Kinv", "G", "B",
+        "Z1", "Z2", "cf_R", "cf_K", "cf_KQ", "cf_1", "cf_2", "slack", "grad",
     )
-    _ROWS = __slots__[2:]  # the fields with one entry per row of a stack
+    _ROWS = __slots__[4:]  # the fields with one entry per row of a stack
 
     def __init__(self, obj: "BarrierObjective", state: SaddleState):
         rm, k21 = obj.unpack(state)
         h, s1, s2 = obj._channel_rows(state.rows, rm.ndim == 2, "Hstack", "sqrt_W1",
                                       "sqrt_W2")
-        self.kept = self.grad_of = self.grad = None
+        self.kept = self.grad_of = self.grad = self.f = self.grad_f = None
         self.R = rm
         self.K21 = k21
         self.slack = None
@@ -216,7 +218,7 @@ class _Factors:
         if self.kept is not None:
             idx = np.searchsorted(self.kept, idx)
         out = object.__new__(type(self))
-        out.kept, out.grad_of = None, self.grad_of
+        out.kept, out.grad_of, out.f, out.grad_f = None, self.grad_of, None, None
         for name in self._ROWS:
             value = getattr(self, name, None)
             setattr(out, name, None if value is None else value[idx])
@@ -227,7 +229,7 @@ class _Factors:
         """One stack of the rows of ``parts``, in order; with a gradient only
         when one objective computed that of every part."""
         out = object.__new__(cls)
-        out.kept, out.grad_of = None, parts[0].grad_of
+        out.kept, out.grad_of, out.f, out.grad_f = None, parts[0].grad_of, None, None
         if any(p.grad_of is not out.grad_of for p in parts):
             out.grad_of = None
         for name in cls._ROWS:
@@ -237,10 +239,25 @@ class _Factors:
         return out
 
     def value_f(self):
-        """f without the 1/2 factor; without a K block f is C."""
-        if self.K21 is None:
-            return chol_logdet(self.cf_1) - chol_logdet(self.cf_2)
-        return chol_logdet(self.cf_KQ) - chol_logdet(self.cf_K) - chol_logdet(self.cf_2)
+        """f without the 1/2 factor, computed once; without a K block f is C."""
+        if self.f is None:
+            if self.K21 is None:
+                self.f = chol_logdet(self.cf_1) - chol_logdet(self.cf_2)
+            else:
+                self.f = (chol_logdet(self.cf_KQ) - chol_logdet(self.cf_K)
+                          - chol_logdet(self.cf_2))
+        return self.f
+
+    def gradient_f(self, ix) -> np.ndarray:
+        """(D' vec(Z1 - Z2)[, Dt' vec(G - K^{-1})]), the gradient of f by the
+        gathers ``ix``, computed once and kept read-only."""
+        if self.grad_f is None:
+            grads = [self.Z1 - self.Z2]
+            if self.K21 is not None:
+                grads.append(self.G - self.Kinv)
+            self.grad_f = _gradient(ix, *grads)
+            self.grad_f.flags.writeable = False
+        return self.grad_f
 
 
 def _hxx(ix, z1, z2, rinv, tinv: float) -> np.ndarray:
@@ -312,13 +329,17 @@ class BarrierObjective:
         a[: self.nx] = vech(np.eye(self.m))
         return a
 
-    def border(self, state: SaddleState):
-        """The equality row at ``state`` as (residual, gradient): a'z - P and
-        a (the residuals per row for a stack)."""
+    def row_value(self, state: SaddleState):
+        """The equality row's residual a'z - P at ``state`` (per row for a
+        stack)."""
         a, b = self.constraint
         if state.x.ndim == 1:
-            return float(a @ state.z - b), a
-        return (a @ state.z[..., None])[:, 0] - b, a
+            return float(a @ state.z - b)
+        return (a @ state.z[..., None])[:, 0] - b
+
+    def row_gradient(self, state: SaddleState) -> np.ndarray:
+        """The equality row's gradient: a, at every point."""
+        return self.constraint[0]
 
     def _setup(self, ch, t: float, **fields) -> None:
         """Checks t and the power fields, and sets the channels and the
@@ -518,14 +539,13 @@ class RateBarrierObjective(BarrierObjective):
         self._setup(ch, t, rate=rate)
         self.constraint = (self._trace_column(), 2.0 * float(rate))
 
-    def border(self, state: SaddleState):
-        """f - 2·rate and (D' vec(Z1 - Z2), Dt' vec(G - K^{-1})) at ``state``;
-        without a K block the gradient is D' vec(Z1 - Z2)."""
-        fac = self._inside(state)
-        grads = [fac.Z1 - fac.Z2]
-        if self.ny:
-            grads.append(fac.G - fac.Kinv)
-        return float(fac.value_f()) - self.constraint[1], _gradient(self._ix, *grads)
+    def row_value(self, state: SaddleState) -> float:
+        """f - 2·rate at ``state``."""
+        return self._inside(state).value_f() - self.constraint[1]
+
+    def row_gradient(self, state: SaddleState) -> np.ndarray:
+        """The gradient of f at ``state`` (``_Factors.gradient_f``)."""
+        return self._inside(state).gradient_f(self._ix)
 
 
 class PerAntennaBarrierObjective(BarrierObjective):

@@ -551,6 +551,24 @@ class TestTraceExport:
         assert main(["trace-export", str(out), "-o", str(csv)]) == 0
         assert csv.read_bytes() == (root / "tests" / "data" / "demo_trace.csv").read_bytes()
 
+    def test_demo_dual_export_matches_golden(self, tmp_path):
+        # the demo dual's bordered solve, pinned bit for bit: its trace-export
+        # CSV at rate 0.30 is the committed one, and P* and the step count at
+        # rates 0.30 and 1e-5 are as committed
+        root = Path(__file__).resolve().parents[1]
+        problem = str(root / "scripts" / "demo_problem.json")
+        out, csv = tmp_path / "dual.json", tmp_path / "dual.csv"
+        for rate, extra, p_star, steps in (
+                ("0.30", [], "0x1.397e194bc3f86p+2", 39),
+                ("1e-5", ["--tol-rate", "1e-7"], "0x1.a8b5ef96e79d2p-15", 19)):
+            assert main(["dual", problem, "--rate", rate, *extra, "-o", str(out)]) == 0
+            res = json.loads(out.read_text())
+            assert (res["p_star"].hex(), res["newton_steps_total"]) == (p_star, steps)
+            if rate == "0.30":
+                assert main(["trace-export", str(out), "-o", str(csv)]) == 0
+                golden = root / "tests" / "data" / "dual_trace.csv"
+                assert csv.read_bytes() == golden.read_bytes()
+
     def test_row_count_and_header(self, demo_problem_file, tmp_path, capsys):
         out = tmp_path / "result.json"
         main(["solve", demo_problem_file, "-o", str(out)])

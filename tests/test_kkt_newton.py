@@ -92,7 +92,7 @@ class TestRateRow:
         obj = RateBarrierObjective(demo_channel, 100.0, 0.3)
         st = random_interior_state(rng, demo_channel, 4.0)
         sys = assemble(obj, st)
-        eq, grad = obj.border(st)
+        eq, grad = obj.row_value(st), obj.row_gradient(st)
         a, _ = obj.constraint
         n = obj.nx + obj.ny
         np.testing.assert_array_equal(sys.kkt_matrix[:n, n], a)
@@ -101,6 +101,65 @@ class TestRateRow:
         assert sys.residual[-1] == eq
         np.testing.assert_array_equal(residual(obj, st), sys.residual)
         assert np.max(np.abs(sys.kkt_matrix - sys.kkt_matrix.T)) > 1e-3
+
+    def test_rate_row_reads_f_once_per_iterate(self, demo_channel, monkeypatch):
+        # on the demo's bordered solve, each accepted trial's residual read f
+        # and built no row gradient, and the assembly there takes no log-det:
+        # it reads the trial's f. The system is bit for bit a fresh one's.
+        from secrecap import objective
+        from secrecap.objective import RateBarrierObjective
+
+        logdets = []
+        real = objective.chol_logdet
+        monkeypatch.setattr(objective, "chol_logdet",
+                            lambda c: logdets.append(c) or real(c))
+        obj = RateBarrierObjective(demo_channel, 100.0, 0.3)
+        counts = []
+
+        def check(k, state, rnorm, s):
+            fac = state.cache[1]
+            assert fac.f is not None and fac.grad_f is None
+            before = len(logdets)
+            sys = assemble(obj, state)
+            counts.append(len(logdets) - before)
+            fresh = assemble(obj, SaddleState(state.x, state.y, state.lam))
+            np.testing.assert_array_equal(sys.residual, fresh.residual)
+            np.testing.assert_array_equal(sys.kkt_matrix, fresh.kkt_matrix)
+
+        _, (report,), _ = newton_solve(obj, initial_point(demo_channel, 4.0),
+                                       callback=check)
+        assert report.converged and counts == [0] * report.iterations
+
+    def test_objectives_share_f_and_its_gradient(self, demo_channel, monkeypatch):
+        # f and its gradient depend on neither the rate nor t: every rate
+        # objective at one state reads the one kept pair, whose three
+        # log-dets run once, and each row is bit for bit a fresh f - 2 rate
+        # and a fresh gather
+        from secrecap import objective
+        from secrecap.objective import RateBarrierObjective
+
+        st = random_interior_state(np.random.default_rng(57), demo_channel, 4.0)
+        fresh = objective._Factors(RateBarrierObjective(demo_channel, 1.0, 1.0),
+                                   SaddleState(st.x, st.y, st.lam))
+        logdets = []
+        real = objective.chol_logdet
+        monkeypatch.setattr(objective, "chol_logdet",
+                            lambda c: logdets.append(c) or real(c))
+        cases = ((100.0, 0.3), (100.0, 0.1), (1e3, 0.3), (1e4, 0.2))
+        objs = [RateBarrierObjective(demo_channel, t, rate) for t, rate in cases]
+        systems = [assemble(o, st) for o in objs]
+        assert len(logdets) == 3
+        fac = st.cache[1]
+        f, grad = fac.f, fac.grad_f
+        gather = objective._gradient(objs[0]._ix, fresh.Z1 - fresh.Z2,
+                                     fresh.G - fresh.Kinv)
+        n = objs[0].nx + objs[0].ny
+        for o, (_, rate), sys in zip(objs, cases, systems):
+            assert o.factors(st) is fac and fac.f == f and fac.grad_f is grad
+            assert o.row_gradient(st) is grad
+            assert sys.residual[-1] == fresh.value_f() - 2.0 * rate == residual(o, st)[-1]
+            np.testing.assert_array_equal(sys.kkt_matrix[n, :n], gather)
+        assert len(logdets) == 6  # the fresh value_f only
 
     def test_rate_row_solves_to_the_minimax_point(self, demo_channel):
         # a solution of the bordered system at fixed t is the minimax

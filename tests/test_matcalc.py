@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecap.matcalc import (
+    chol,
     chol_inv,
+    chol_logdet,
     chol_rows,
     chol_solve,
     kron,
@@ -182,6 +184,41 @@ class TestPsdSqrt:
         w = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         s = psd_sqrt(w)
         np.testing.assert_allclose(s @ s, w, atol=1e-12)
+
+    def test_same_bits_as_the_symmetrized_clip(self):
+        # eigh reads only the lower triangle of an exactly symmetric input,
+        # and np.maximum clamps like np.clip: one matrix, a stack, and rank
+        # two inputs whose zero eigenvalues round below zero
+        def before(s):
+            w, v = np.linalg.eigh(sym(np.asarray(s, dtype=float)))
+            w = np.clip(w, 0.0, None)
+            return sym((v * np.sqrt(w)[..., None, :]) @ v.mT)
+
+        rng = np.random.default_rng(15)
+        stack = np.stack([sym(random_spd(rng, 4)) for _ in range(3)])
+        hs = [0.1 * np.random.default_rng(seed).standard_normal((2, 4)) for seed in range(20)]
+        low = [w for w in (sym(h.T @ h) for h in hs) if np.linalg.eigvalsh(w)[0] < 0]
+        assert low and all(np.linalg.eigvalsh(w)[0] > -1e-15 for w in low)
+        for w in [stack[0], stack, *low, np.stack(low)]:
+            assert psd_sqrt(w).tobytes() == before(w).tobytes()
+
+
+class TestCholLogdet:
+    def test_same_bits_as_the_sum_of_logs(self):
+        # the one-matrix form sums the logs of a diagonal view; a stack's
+        # slices give what each factor gives alone
+        def before(c):
+            return 2.0 * float(np.sum(np.log(np.diag(c))))
+
+        rng = np.random.default_rng(16)
+        for m in (1, 2, 4, 7, 10):
+            a = np.stack([random_spd(rng, m) for _ in range(3)])
+            c = chol(a[0], "test")
+            assert chol_logdet(c) == before(c)
+            assert chol_logdet(c) == pytest.approx(np.linalg.slogdet(a[0])[1], rel=1e-12)
+            cs, bad = chol_rows(a)
+            assert not bad
+            assert chol_logdet(cs).tolist() == [before(ci) for ci in cs]
 
 
 class TestStackedLapack:

@@ -341,8 +341,8 @@ def oracle_minimax(fac, t, dm, dt):
 
 
 class TestBorderRows:
-    """The equality row each objective gives the Newton system:
-    ``border(state)`` = (row residual, row gradient)."""
+    """The equality row each objective gives the Newton system: its residual
+    ``row_value(state)`` and its gradient ``row_gradient(state)``."""
 
     def test_power_row_is_linear(self, demo_channel):
         rng = np.random.default_rng(80)
@@ -351,10 +351,21 @@ class TestBorderRows:
         for _ in range(5):
             r, k21 = interior_point(rng, demo_channel, 7.0)
             st = SaddleState(x=vech(r), y=vec(k21), lam=0.0)
-            eq, row = obj.border(st)
+            eq, row = obj.row_value(st), obj.row_gradient(st)
             assert eq == float(a @ st.z - b)
             assert eq == pytest.approx(np.trace(r) - 10.0, abs=1e-13)
             assert row is a
+
+    def test_power_row_of_a_stack(self, demo_channel):
+        # a stack's row residuals are those of its iterates alone, bit for bit
+        rng = np.random.default_rng(83)
+        obj = BarrierObjective([demo_channel, demo_channel], 100.0, 10.0)
+        points = [interior_point(rng, demo_channel, p) for p in (3.0, 9.0)]
+        states = [SaddleState(x=vech(r), y=vec(k21), lam=0.0) for r, k21 in points]
+        stack = SaddleState(x=np.stack([s.x for s in states]),
+                            y=np.stack([s.y for s in states]), lam=np.zeros(2))
+        assert obj.row_value(stack).tolist() == [obj.row_value(s) for s in states]
+        assert obj.row_gradient(stack) is obj.constraint[0]
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (3, 2, 0), (2, 0, 2)])
     def test_rate_row_is_f_and_its_gradient(self, shape):
@@ -373,13 +384,14 @@ class TestBorderRows:
                 z0 = np.concatenate([vech(r), vec(k21)])[: obj.nx + obj.ny]
 
                 def row(z):
-                    return obj.border(SaddleState(x=z[: obj.nx], y=z[obj.nx:]))
+                    return obj.row_value(SaddleState(x=z[: obj.nx], y=z[obj.nx:]))
 
-                eq, grad = row(z0)
+                st = SaddleState(x=z0[: obj.nx], y=z0[obj.nx:])
+                eq, grad = obj.row_value(st), obj.row_gradient(st)
                 f = minimax_objective(ch, r, k21) if obj.ny else secrecy_rate(ch, r)
                 assert eq == pytest.approx(2 * (f - rate), abs=1e-12)
                 assert grad.shape == z0.shape
-                assert rel_err_inf(fd_gradient(lambda z: row(z)[0], z0), grad) <= 1e-6
+                assert rel_err_inf(fd_gradient(row, z0), grad) <= 1e-6
 
     def test_rate_objective_keeps_the_minimax_stationarity(self, demo_channel):
         # the same gradient, Hessian and multiplier column as the minimax
