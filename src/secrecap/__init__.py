@@ -7,12 +7,10 @@ path, per-antenna power constraints and the dual power-minimization problem.
 """
 
 from .barrier_solver import (
-    KktCertificate,
     PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
     TraceRecord,
-    extract_certificate,
     gap_bound,
     solve,
     solve_degraded,
@@ -21,11 +19,9 @@ from .barrier_solver import (
 from .channel import (
     ChannelPair,
     Degradedness,
-    NoiseCovariance,
     SaddleState,
     TransmitCovariance,
     classify_degraded,
-    effective_gram,
     initial_point,
 )
 from .errors import (
@@ -55,9 +51,7 @@ __all__ = [
     "DegradedBarrierObjective",
     "DomainError",
     "DualTarget",
-    "KktCertificate",
     "LineSearchError",
-    "NoiseCovariance",
     "PerAntennaBarrierObjective",
     "PerAntennaBudget",
     "RateBarrierObjective",
@@ -69,8 +63,6 @@ __all__ = [
     "TraceRecord",
     "TransmitCovariance",
     "classify_degraded",
-    "effective_gram",
-    "extract_certificate",
     "gap_bound",
     "initial_point",
     "minimax_objective",

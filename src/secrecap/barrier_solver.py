@@ -1,5 +1,5 @@
-"""Outer barrier loop with gap-bound stopping, KKT certificate extraction
-and the purification of a barrier point's covariance.
+"""Outer barrier loop with gap-bound stopping and the purification of a
+barrier point's covariance.
 
 The schedule solves the barrier-augmented saddle system at t = t0, mu*t0,
 mu^2*t0, ... (capped at t_max), reusing the previous primal-dual iterate as
@@ -7,8 +7,8 @@ the start for the next stage. Stops early once the stage objective's gap
 bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
 schedule runs to t_max, mirroring the usual experiment protocol.
 
-Reported capacities carry the 1/2 rate factor (nats); the dual variable and
-certificate residuals live in the solver's log-det convention.
+Reported capacities carry the 1/2 rate factor (nats); the dual variable
+lives in the solver's log-det convention.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .channel import (
     initial_point,
 )
 from .errors import SolverError
-from .kkt_newton import newton_solve, residual
-from .matcalc import unvech, vec, vech, vech_len
+from .kkt_newton import newton_solve
+from .matcalc import unvech, vech, vech_len
 from .objective import (
     BarrierObjective,
     DegradedBarrierObjective,
@@ -44,13 +44,11 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "SaddleSolution",
-    "KktCertificate",
     "gap_bound",
     "PerAntennaBudget",
     "solve",
     "solve_minimax",
     "solve_degraded",
-    "extract_certificate",
     "purify",
 ]
 
@@ -184,25 +182,6 @@ class SaddleSolution:
         return len(self.trace)
 
 
-@dataclass(frozen=True)
-class KktCertificate:
-    """Post-hoc stationarity check of a barrier solution of any mode.
-
-    ``stationarity_residual_R`` and ``stationarity_residual_K`` are the
-    2-norms of the R block (with the lambda* term) and the K block (empty
-    without one) of the stage objective's Newton residual, which carries
-    every barrier and power term; at a converged stage both are at most
-    ``eps_newton``. The multiplier approximation for the R >= 0 constraint
-    is M2 = R^{-1}/t, whose complementarity defect tr(M2 R) is m/t.
-    """
-
-    lam: float
-    M2_approx: np.ndarray
-    stationarity_residual_R: float
-    stationarity_residual_K: float
-    complementarity_R: float
-
-
 def _schedule(cfg: SolverConfig):
     t = cfg.t0
     while True:
@@ -290,13 +269,12 @@ def _rows(state: SaddleState) -> list:
 class PerAntennaBudget:
     """Per-antenna power caps P_i, optionally combined with a total cap.
 
-    A total cap at or above sum(P_i) is vacuous; it is dropped with the
-    ``total_cap_vacuous`` flag set.
+    A total cap at or above sum(P_i) is vacuous; it is dropped (``total``
+    becomes None).
     """
 
     caps: np.ndarray
     total: float | None = None
-    total_cap_vacuous: bool = False
 
     def __post_init__(self):
         self.caps = np.asarray(self.caps, dtype=float).ravel()
@@ -307,7 +285,6 @@ class PerAntennaBudget:
                 raise ValueError(f"total must be finite and positive, got {self.total}")
             if self.total >= float(np.sum(self.caps)):
                 self.total = None
-                self.total_cap_vacuous = True
 
 
 def _per_antenna_start(ch: ChannelPair, budget: PerAntennaBudget) -> SaddleState:
@@ -483,21 +460,3 @@ def solve_degraded(ch: ChannelPair, power: float,
                    cfg: SolverConfig | None = None) -> SaddleSolution:
     """``solve`` in ``degraded`` mode: requires W1 >= W2."""
     return solve(ch, power, cfg, mode="degraded")
-
-
-def extract_certificate(sol: SaddleSolution,
-                        obj: BarrierObjective) -> KktCertificate:
-    """The R and K blocks of ``kkt_newton.residual`` at (R*, K21*, -lambda*)
-    of ``sol``; ``obj`` must be the stage objective of the solve's mode at
-    ``sol.t_final``. All quantities are in the solver's log-det convention."""
-    lam = 0.0 if sol.lambda_star is None else float(sol.lambda_star)
-    y = vec(sol.K21_star) if obj.ny else np.zeros(0)
-    state = SaddleState(x=vech(sol.R_star.R), y=y, lam=-lam)
-    r, nx = residual(obj, state), obj.nx
-    return KktCertificate(
-        lam=lam,
-        M2_approx=obj.factors(state).Rinv / obj.t,
-        stationarity_residual_R=float(np.linalg.norm(r[:nx])),
-        stationarity_residual_K=float(np.linalg.norm(r[nx:nx + obj.ny])),
-        complementarity_R=obj.channel.m / obj.t,
-    )

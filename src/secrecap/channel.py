@@ -1,5 +1,5 @@
-"""Wiretap channel model: gain matrices, Gram matrices, degradedness, and
-the feasible set of transmit/noise covariances.
+"""Wiretap channel model: gain matrices, Gram matrices, degradedness, the
+transmit covariance, the solver's primal-dual iterate and its standard start.
 
 All types are treated as immutable after construction and are safe to share
 between concurrent solver runs.
@@ -12,16 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcalc import chol, chol_solve, noise_matrix, psd_sqrt, sym, vech
+from .matcalc import psd_sqrt, sym, vech
 
 __all__ = [
     "ChannelPair",
-    "NoiseCovariance",
     "TransmitCovariance",
     "SaddleState",
     "Degradedness",
     "classify_degraded",
-    "effective_gram",
     "initial_point",
 ]
 
@@ -74,33 +72,6 @@ class ChannelPair:
     @property
     def n2(self) -> int:
         return self.H2.shape[0]
-
-
-@dataclass
-class NoiseCovariance:
-    """Joint receiver/eavesdropper noise covariance with unit diagonal
-    blocks; the free parameter is the cross block K21 (n2 x n1).
-
-    Feasible iff the spectral norm of K21 is below 1, which is equivalent
-    to K > 0 for this block structure.
-    """
-
-    K21: np.ndarray
-
-    def __post_init__(self):
-        self.K21 = np.atleast_2d(np.asarray(self.K21, dtype=float))
-
-    @property
-    def n1(self) -> int:
-        return self.K21.shape[1]
-
-    @property
-    def n2(self) -> int:
-        return self.K21.shape[0]
-
-    @property
-    def K(self) -> np.ndarray:
-        return noise_matrix(self.K21)
 
 
 @dataclass
@@ -198,17 +169,6 @@ def classify_degraded(ch: ChannelPair):
     if eigs.max() <= tol:
         return Degradedness.REVERSELY_DEGRADED, eigs
     return Degradedness.INDEFINITE, eigs
-
-
-def effective_gram(ch: ChannelPair, K: NoiseCovariance) -> np.ndarray:
-    """W = H' K^{-1} H for the stacked channel. Satisfies W >= W2.
-
-    Raises DomainError when K is not strictly positive definite.
-    """
-    if K.n1 != ch.n1 or K.n2 != ch.n2:
-        raise ValueError("noise covariance block dims do not match the channel")
-    c = chol(K.K, "noise covariance")
-    return sym(ch.Hstack.T @ chol_solve(c, ch.Hstack))
 
 
 def initial_point(ch: ChannelPair, power: float) -> SaddleState:

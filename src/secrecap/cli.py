@@ -45,7 +45,6 @@ __all__ = [
     "ResultFile",
     "ProblemFormatError",
     "load_problem",
-    "dump_problem",
     "write_trace_csv",
     "main",
 ]
@@ -83,10 +82,7 @@ class ProblemFile:
         return ChannelPair(self.h1, self.h2)
 
     def config(self, overrides: dict | None = None) -> SolverConfig:
-        merged = dict(self.solver)
-        if overrides:
-            merged.update({k: v for k, v in overrides.items() if v is not None})
-        return SolverConfig(**merged)
+        return SolverConfig(**{**self.solver, **(overrides or {})})
 
 
 def _is_number(raw) -> bool:
@@ -166,7 +162,8 @@ def parse_problem(data: dict) -> ProblemFile:
     if unknown:
         raise ProblemFormatError(f"unknown solver override(s): {sorted(unknown)}")
     for key, val in solver.items():
-        if val is not None and not _is_number(val):
+        # null is the default of eps_gap alone (no gap-driven early stop)
+        if not (_is_number(val) or key == "eps_gap" and val is None):
             raise ProblemFormatError(f"solver override '{key}' must be a finite number")
 
     dual_rate = data.get("dual_rate")
@@ -200,30 +197,6 @@ def load_problem(path: str) -> ProblemFile:
             f"{exc.msg}"
         ) from exc
     return parse_problem(data)
-
-
-def problem_to_dict(prob: ProblemFile) -> dict:
-    out = {
-        "H1": prob.h1.tolist(),
-        "H2": prob.h2.tolist(),
-        "power": prob.power.tolist() if prob.per_antenna else prob.power,
-        "mode": prob.mode,
-    }
-    if prob.power_total is not None:
-        out["power_total"] = prob.power_total
-    if prob.solver:
-        out["solver"] = dict(prob.solver)
-    if prob.dual_rate is not None:
-        out["dual_rate"] = prob.dual_rate
-    if prob.dual_tol_rate is not None:
-        out["dual_tol_rate"] = prob.dual_tol_rate
-    return out
-
-
-def dump_problem(prob: ProblemFile, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(prob), fh, indent=2)
-        fh.write("\n")
 
 
 @dataclass

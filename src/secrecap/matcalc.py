@@ -37,7 +37,6 @@ from .errors import DomainError
 
 __all__ = [
     "vec",
-    "unvec",
     "vech",
     "unvech",
     "vech_len",
@@ -78,11 +77,6 @@ def sym(a: np.ndarray) -> np.ndarray:
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
     return np.asarray(a).ravel(order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``rows x cols`` matrix."""
-    return np.asarray(v).reshape((rows, cols), order="F")
 
 
 def vech_len(m: int) -> int:

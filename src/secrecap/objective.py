@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelPair, NoiseCovariance, SaddleState, TransmitCovariance
+from .channel import ChannelPair, SaddleState
 from .errors import DomainError
 from .matcalc import (
     chol,
@@ -78,14 +78,10 @@ def gap_bound(m: int, n1: int, n2: int, t: float) -> float:
 
 
 def _as_matrix(r) -> np.ndarray:
-    if isinstance(r, TransmitCovariance):
-        return r.R
     return sym(np.atleast_2d(np.asarray(r, dtype=float)))
 
 
 def _as_k21(k, ch: ChannelPair) -> np.ndarray:
-    if isinstance(k, NoiseCovariance):
-        return k.K21
     k = np.atleast_2d(np.asarray(k, dtype=float))
     if k.shape != (ch.n2, ch.n1):
         raise ValueError(f"K21 block must have shape {(ch.n2, ch.n1)}, got {k.shape}")
@@ -106,8 +102,9 @@ def secrecy_rate(ch: ChannelPair, r) -> float:
 
 
 def minimax_objective(ch: ChannelPair, r, k) -> float:
-    """Genie upper-bound functional f(R, K) in nats; f(R, K) >= C(R) for all
-    feasible K. ``k`` may be a NoiseCovariance or the raw K21 block."""
+    """Genie upper-bound functional f(R, K) in nats at the noise covariance
+    K = [[I, K21'], [K21, I]] of the cross block ``k`` = K21 (n2 x n1);
+    f(R, K) >= C(R) for all feasible K."""
     rm = _as_matrix(r)
     k21 = _as_k21(k, ch)
     kf = noise_matrix(k21)
@@ -301,8 +298,7 @@ class BarrierObjective:
     f_t for the primal-dual Newton solver, and the gap bound of a stage solution.
 
     ``ch`` is one ChannelPair, or a sequence of ChannelPairs of one shape
-    that Newton iterates in lockstep; ``channels`` holds them, and
-    ``channel`` is the channel of a one-channel objective (None for more).
+    that Newton iterates in lockstep; ``channels`` holds them.
     A stacked iterate's ``rows`` say which channel each row belongs to.
 
     The subclasses configure it: without the K block (degraded) f is
@@ -357,7 +353,6 @@ class BarrierObjective:
         if any((c.m, c.n1, c.n2) != (first.m, first.n1, first.n2)
                for c in self.channels):
             raise ValueError("the channels of one objective must share one shape")
-        self.channel = first if len(self.channels) == 1 else None
         self.t = float(t)
         self.m = first.m
         self.n1, self.n2 = (first.n1, first.n2) if self._k_block else (0, 0)

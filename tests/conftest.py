@@ -95,19 +95,6 @@ def reduced_duplication_matrix(n1: int, n2: int) -> np.ndarray:
     return dt
 
 
-def spectral_norm(k) -> float:
-    """The spectral norm of the cross block K21 of a NoiseCovariance."""
-    if k.K21.size == 0:
-        return 0.0
-    return float(np.linalg.norm(k.K21, 2))
-
-
-def is_feasible(k) -> bool:
-    """Whether the NoiseCovariance k is feasible: |K21|_2 < 1, which is
-    K > 0 for its block structure."""
-    return spectral_norm(k) < 1.0
-
-
 def logdet_K(fac) -> float:
     """ln|K| from the factors of a barrier objective; 0 without a K block,
     which has no -(1/t) ln|K| term."""

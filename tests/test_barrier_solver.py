@@ -7,10 +7,10 @@ from secrecap import (
     DegradedBarrierObjective,
     PerAntennaBarrierObjective,
     PerAntennaBudget,
+    SaddleState,
     SingularKktError,
     SolverConfig,
     SolverError,
-    extract_certificate,
     gap_bound,
     initial_point,
     minimax_objective,
@@ -23,7 +23,7 @@ from secrecap import (
 from secrecap import kkt_newton
 from secrecap.barrier_solver import purify
 from secrecap.kkt_newton import newton_solve
-from secrecap.matcalc import sym, unvech
+from secrecap.matcalc import sym, unvech, vec, vech
 
 from conftest import DEMO_H1, DEMO_H2, random_channel, random_spd
 
@@ -489,36 +489,34 @@ def certified_solve(mode):
     return sol, PerAntennaBarrierObjective(ch, sol.t_final, caps)
 
 
+def stationarity(sol, obj):
+    """(lambda*, 2-norms of the R and K blocks of ``kkt_newton.residual``) at
+    (vech R*, vec K21*, -lambda*) of ``sol``; ``obj`` is the stage objective
+    of the solve's mode at ``sol.t_final``, and a missing lambda* is 0."""
+    lam = 0.0 if sol.lambda_star is None else float(sol.lambda_star)
+    y = vec(sol.K21_star) if obj.ny else np.zeros(0)
+    r = kkt_newton.residual(obj, SaddleState(x=vech(sol.R_star.R), y=y, lam=-lam))
+    return lam, np.linalg.norm(r[:obj.nx]), np.linalg.norm(r[obj.nx:obj.nx + obj.ny])
+
+
 class TestCertificate:
     # the minimax case is test_certificate_at_converged_solution below
     @pytest.mark.parametrize("mode", ["degraded", "per_antenna"])
     def test_certificate_on_other_modes(self, mode):
         sol, obj = certified_solve(mode)
         assert sol.mode == mode
-        cert = extract_certificate(sol, obj)
-        assert cert.lam >= -1e-10
-        assert cert.stationarity_residual_R <= 1e-8 * (1 + cert.lam)
-        assert cert.stationarity_residual_K <= 1e-8
-        assert cert.complementarity_R == 2 / sol.t_final
-        np.testing.assert_allclose(
-            cert.M2_approx,
-            np.linalg.inv(sol.R_star.R) / sol.t_final,
-            rtol=1e-8,
-        )
+        lam, res_r, res_k = stationarity(sol, obj)
+        assert lam >= -1e-10
+        assert res_r <= 1e-8 * (1 + lam)
+        assert res_k <= 1e-8
 
     def test_certificate_at_converged_solution(self, demo_channel):
         sol = solve_minimax(demo_channel, 10.0)
         obj = BarrierObjective(demo_channel, sol.t_final, 10.0)
-        cert = extract_certificate(sol, obj)
-        assert cert.lam >= -1e-10
-        assert cert.stationarity_residual_R <= 1e-8 * (1 + cert.lam)
-        assert cert.stationarity_residual_K <= 1e-8
-        assert cert.complementarity_R == 2 / sol.t_final
-        np.testing.assert_allclose(
-            cert.M2_approx,
-            np.linalg.inv(sol.R_star.R) / sol.t_final,
-            rtol=1e-8,
-        )
+        lam, res_r, res_k = stationarity(sol, obj)
+        assert lam >= -1e-10
+        assert res_r <= 1e-8 * (1 + lam)
+        assert res_k <= 1e-8
 
 
 class TestPurify:

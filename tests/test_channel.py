@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from secrecap import (
     BarrierObjective,
     ChannelPair,
     Degradedness,
-    DomainError,
-    NoiseCovariance,
     SaddleState,
     classify_degraded,
-    effective_gram,
     initial_point,
 )
-from secrecap.matcalc import sym, vec, vech
+from secrecap.matcalc import noise_matrix, vec, vech
 
 from conftest import (
     DEMO_H1,
     DEMO_H2,
-    is_feasible,
     random_channel,
     random_feasible_k21,
 )
@@ -83,69 +78,24 @@ class TestClassify:
 
 
 class TestNoiseCovariance:
+    """The noise covariance K = [[I, K21'], [K21, I]] of a cross block
+    (``matcalc.noise_matrix``)."""
+
     def test_assembled_structure(self):
         k21 = np.array([[0.2, 0.1], [0.0, -0.3]])
-        nc = NoiseCovariance(k21)
-        k = nc.K
+        k = noise_matrix(k21)
         np.testing.assert_array_equal(np.diag(k), np.ones(4))
         np.testing.assert_array_equal(k[2:, :2], k21)
         np.testing.assert_array_equal(k, k.T)
 
     def test_K_is_the_barrier_objective_K(self):
-        # one function builds K for the channel model and the objective
+        # one function builds K for the rates and the objective
         rng = np.random.default_rng(23)
         ch = random_channel(rng, 3, 2, 3)
         k21 = random_feasible_k21(rng, ch.n1, ch.n2)
         obj = BarrierObjective(ch, 100.0, 3.0)
         state = SaddleState(x=vech(np.eye(3)), y=vec(k21))
-        np.testing.assert_array_equal(NoiseCovariance(k21).K, obj.factors(state).K)
-
-    def test_feasibility_threshold(self):
-        assert is_feasible(NoiseCovariance(np.array([[0.99]])))
-        assert not is_feasible(NoiseCovariance(np.array([[1.0]])))
-
-
-class TestEffectiveGram:
-    def test_identity_noise_gives_gram_sum(self, demo_channel):
-        w = effective_gram(demo_channel, NoiseCovariance(np.zeros((2, 2))))
-        np.testing.assert_allclose(w, demo_channel.W1 + demo_channel.W2,
-                                   rtol=0, atol=1e-13)
-
-    def test_scalar_hand_inverse(self):
-        # n1 = n2 = 1, h1 = h2 = 1, k = 0.5: K^{-1} = 4/3 [[1, -1/2], [-1/2, 1]],
-        # W = H' K^{-1} H = 4/3 (1 - 1/2 - 1/2 + 1) = 4/3
-        ch = ChannelPair(np.array([[1.0]]), np.array([[1.0]]))
-        w = effective_gram(ch, NoiseCovariance(np.array([[0.5]])))
-        np.testing.assert_allclose(w, [[4.0 / 3.0]], rtol=1e-14)
-
-    def test_dominates_w2_on_random_draws(self):
-        rng = np.random.default_rng(22)
-        ch = random_channel(rng, 3, 2, 2)
-        for _ in range(1000):
-            k21 = random_feasible_k21(rng, ch.n1, ch.n2)
-            w = effective_gram(ch, NoiseCovariance(k21))
-            diff = sym(w - ch.W2)
-            assert np.linalg.eigvalsh(diff).min() >= -1e-10
-
-    def test_same_bits_as_scipy_cho_solve(self):
-        # the same LAPACK routines as scipy's cho_factor/cho_solve
-        rng = np.random.default_rng(24)
-        for m, n1, n2 in ((2, 2, 2), (4, 3, 3), (3, 2, 1), (5, 4, 4)):
-            ch = random_channel(rng, m, n1, n2)
-            for _ in range(20):
-                nc = NoiseCovariance(random_feasible_k21(rng, n1, n2))
-                cf = sla.cho_factor(nc.K, lower=True)
-                expected = sym(ch.Hstack.T @ sla.cho_solve(cf, ch.Hstack))
-                np.testing.assert_array_equal(effective_gram(ch, nc), expected)
-
-    def test_infeasible_noise_rejected(self, demo_channel):
-        k21 = np.eye(2) * 1.5
-        with pytest.raises(DomainError):
-            effective_gram(demo_channel, NoiseCovariance(k21))
-
-    def test_singular_noise_rejected(self, demo_channel):
-        with pytest.raises(DomainError):
-            effective_gram(demo_channel, NoiseCovariance(np.eye(2)))
+        np.testing.assert_array_equal(noise_matrix(k21), obj.factors(state).K)
 
 
 class TestInitialPoint:

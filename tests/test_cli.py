@@ -9,12 +9,10 @@ import pytest
 
 from secrecap.cli import (
     ProblemFormatError,
-    dump_problem,
     load_problem,
     load_result,
     main,
     parse_problem,
-    problem_to_dict,
     run_batch,
 )
 from secrecap import SolverConfig, cli
@@ -157,6 +155,28 @@ class TestProblemParsing:
         assert field in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, patch, field", [
+        ("solve", {"solver": {key: None}}, key)
+        for key in cli.SOLVER_KEYS if key != "eps_gap"
+    ] + [("dual", {"dual_rate": 0.3, "solver": {"t0": None}}, "t0")])
+    def test_json_null_solver_override_is_input_error(self, tmp_path, capsys,
+                                                      command, patch, field):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, **patch)))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: solver override '{field}' must be a finite number\n")
+        assert captured.out == ""
+
+    def test_json_null_eps_gap_is_the_default(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, solver={"eps_gap": None})))
+        assert main(["solve", str(path)]) == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["config"]["eps_gap"] is None
+        assert res["t_final"] == SolverConfig().t_max
+
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
             parse_problem(dict(DEMO_PROBLEM, mode="fastest"))
@@ -171,24 +191,6 @@ class TestProblemParsing:
         path.write_text('{"H1": [[1.0]],\n  "oops"\n}')
         with pytest.raises(ProblemFormatError, match=r"line \d+, column \d+"):
             load_problem(str(path))
-
-    def test_round_trip_identity(self, tmp_path):
-        prob = parse_problem(
-            {
-                "H1": DEMO_H1.tolist(),
-                "H2": DEMO_H2.tolist(),
-                "power": [2.0, 3.0],
-                "power_total": 4.0,
-                "mode": "per_antenna",
-                "solver": {"t0": 50.0, "mu": 5.0},
-                "dual_rate": 0.25,
-                "dual_tol_rate": 1e-5,
-            }
-        )
-        path = tmp_path / "round.json"
-        dump_problem(prob, str(path))
-        again = load_problem(str(path))
-        assert problem_to_dict(prob) == problem_to_dict(again)
 
 
 class TestSolveCommand:
@@ -550,6 +552,26 @@ class TestTraceExport:
                      "-o", str(out)]) == 0
         assert main(["trace-export", str(out), "-o", str(csv)]) == 0
         assert csv.read_bytes() == (root / "tests" / "data" / "demo_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("patch, mode, steps, golden", [
+        # CI's per-antenna problem; its answer of 0 nats, where 0.28 is
+        # achievable, is a known defect, pinned here as it stands
+        ({"power": [4.0, 6.0], "power_total": 8.0}, "per_antenna", 29,
+         "pa_trace.csv"),
+        ({"H2": (0.5 * DEMO_H1).tolist()}, "degraded", 8, "degraded_trace.csv"),
+    ], ids=["per_antenna", "degraded"])
+    def test_export_matches_golden(self, tmp_path, patch, mode, steps, golden):
+        # the per-antenna and degraded solve paths of the demo channel, byte
+        # for byte as committed
+        root = Path(__file__).resolve().parents[1]
+        problem, out = tmp_path / "problem.json", tmp_path / "result.json"
+        csv = tmp_path / "trace.csv"
+        problem.write_text(json.dumps(dict(DEMO_PROBLEM, **patch)))
+        assert main(["solve", str(problem), "-o", str(out)]) == 0
+        res = json.loads(out.read_text())
+        assert (res["mode"], res["newton_steps_total"]) == (mode, steps)
+        assert main(["trace-export", str(out), "-o", str(csv)]) == 0
+        assert csv.read_bytes() == (root / "tests" / "data" / golden).read_bytes()
 
     def test_demo_dual_export_matches_golden(self, tmp_path):
         # the demo dual's bordered solve, pinned bit for bit: its trace-export

@@ -1,0 +1,37 @@
+"""The package's exports: every name a module lists in ``__all__`` exists,
+and the library surface that no program calls stays deleted."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import secrecap
+
+MODULES = ["secrecap"] + [f"secrecap.{m.name}"
+                          for m in pkgutil.iter_modules(secrecap.__path__)]
+
+# deleted because only tests called them; see CHANGES.md
+DELETED = ("KktCertificate", "extract_certificate", "NoiseCovariance",
+           "effective_gram", "problem_to_dict", "dump_problem", "unvec")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_deleted_names_stay_deleted(name):
+    module = importlib.import_module(name)
+    assert [n for n in DELETED if hasattr(module, n)] == []
+
+
+def test_deleted_attributes_stay_deleted(demo_channel):
+    budget = secrecap.PerAntennaBudget(caps=[1.0, 2.0], total=5.0)
+    assert not hasattr(budget, "total_cap_vacuous")
+    obj = secrecap.BarrierObjective(demo_channel, 100.0, 10.0)
+    assert not hasattr(obj, "channel")

@@ -15,7 +15,6 @@ from secrecap.matcalc import (
     kron,
     psd_sqrt,
     sym,
-    unvec,
     unvech,
     vec,
     vech,
@@ -110,7 +109,7 @@ class TestReducedDuplication:
         n1, n2 = 3, 2
         db = rng.standard_normal((n2, n1))
         dt = reduced_duplication_matrix(n1, n2)
-        dk = unvec(dt @ vec(db), n1 + n2, n1 + n2)
+        dk = (dt @ vec(db)).reshape((n1 + n2, n1 + n2), order="F")
         np.testing.assert_array_equal(dk[:n1, :n1], np.zeros((n1, n1)))
         np.testing.assert_array_equal(dk[n1:, n1:], np.zeros((n2, n2)))
         np.testing.assert_array_equal(dk[n1:, :n1], db)

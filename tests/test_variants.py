@@ -46,12 +46,10 @@ class TestPerAntennaBudget:
     def test_vacuous_total_cap_dropped(self):
         b = PerAntennaBudget(caps=[1.0, 2.0], total=5.0)
         assert b.total is None
-        assert b.total_cap_vacuous
 
     def test_binding_total_cap_kept(self):
         b = PerAntennaBudget(caps=[1.0, 2.0], total=2.0)
         assert b.total == 2.0
-        assert not b.total_cap_vacuous
 
     def test_rejects_bad_caps(self):
         with pytest.raises(ValueError):
