@@ -3,7 +3,7 @@
 
 Runs the damped Newton iteration at several fixed barrier parameters from the
 standard starting point and prints the residual history of each run, then the
-full barrier schedule with the secrecy-rate trace. The residual columns show
+full barrier schedule: how each stage started and the secrecy-rate trace. The residual columns show
 the two convergence phases (roughly linear, then quadratic once the basin is
 reached). Use --csv to dump the schedule trace for external plotting, in the
 CSV format of ``secrecap trace-export``.
@@ -51,8 +51,18 @@ def main():
                for h in histories.values()]
         print(f"{k:4d}  " + "  ".join(row))
 
-    print("\nbarrier schedule (warm starts), rates per accepted step:")
+    print("\nbarrier schedule, each stage from the previous central point's "
+          "tangent prediction:")
     sol = solve_minimax(ch, args.power, SolverConfig())
+    for k, (t, rep) in enumerate(sol.stage_reports):
+        if rep.rerun:
+            start = "previous central point, after the predicted start failed"
+        elif rep.predictor_step is not None:
+            start = f"predicted start (step {rep.predictor_step:g})"
+        else:
+            start = "previous central point" if k else "standard start"
+        print(f"t = {t:g}: {rep.iterations} steps from the {start}")
+    print("\nrates per accepted step:")
     print(f"{'t':>9}  {'step':>4}  {'residual':>10}  {'f (nats)':>10}  {'C (nats)':>10}")
     for r in sol.trace:
         print(f"{r.t:9g}  {r.iteration:4d}  {r.residual:10.3e}  "

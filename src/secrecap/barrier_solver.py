@@ -2,8 +2,12 @@
 barrier point's covariance.
 
 The schedule solves the barrier-augmented saddle system at t = t0, mu*t0,
-mu^2*t0, ... (capped at t_max), reusing the previous primal-dual iterate as
-the start for the next stage. Stops early once the stage objective's gap
+mu^2*t0, ... (capped at t_max). Each stage after the first starts from the
+first-order prediction of its central point along the central path's
+tangent at the previous stage's central point w (``kkt_newton.predict``,
+Boyd & Vandenberghe, Convex Optimization, §11.3-11.4), or from w itself
+where the prediction is rejected; a stage that fails from a predicted start
+is solved once more from w. Stops early once the stage objective's gap
 bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
 schedule runs to t_max, mirroring the usual experiment protocol.
 
@@ -209,9 +213,9 @@ def _zero_solution(ch: ChannelPair, power: float,
 
 
 def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages):
-    """Warm-started Newton solves of one iterate, or of a stack of them with
-    one row per channel, at each t of ``stages``; the channels move in
-    lockstep.
+    """Newton solves of one iterate, or of a stack of them with one row per
+    channel, at each t of ``stages``, each stage from the predicted start of
+    ``newton_solve(..., previous=)``; the channels move in lockstep.
 
     ``make_objective(t)`` builds the stage objective over every channel.
     Each accepted step adds a trace row to its channel, which keeps a copy of
@@ -229,6 +233,7 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
     errors = [None] * n
     knobs = dict(eps=cfg.eps_newton, max_iter=cfg.max_newton_iter, alpha=cfg.alpha,
                  beta=cfg.beta)
+    previous = None
     for t in stages:
         obj = make_objective(t)
 
@@ -237,7 +242,9 @@ def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages)
             for row, z, rn, si in zip(_rows(st), np.atleast_2d(st.z), rnorm, s):
                 traces[row].append(TraceRecord(t, k, rn, si, channels[row], z.copy()))
 
-        state, *stage = newton_solve(obj, state, callback=record, **knobs)
+        state, *stage = newton_solve(obj, state, callback=record, previous=previous,
+                                     **knobs)
+        previous = obj
         failed = []
         for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
             if exc is None and not report.converged:

@@ -34,6 +34,10 @@ leading axis), and a row that fails returns its SingularKktError or
 LineSearchError as a value in the list of errors instead of raising it. No
 row's failure moves another row. One iterate runs the one-matrix kernels,
 which are faster than a stack of one.
+
+``predict`` starts a barrier stage from the previous stage's central point
+by one tangent step of the central path, solved with the previous stage's
+KKT matrix, and ``newton_solve(..., previous=)`` solves a stage from it.
 """
 
 from __future__ import annotations
@@ -54,10 +58,12 @@ __all__ = [
     "newton_step",
     "line_search",
     "newton_solve",
+    "predict",
     "residual",
 ]
 
 S_MIN = 1e-12                # line-search stagnation floor
+PREDICT_S_MIN = 2.0**-6      # the predictor's step halves at most six times
 DEFAULT_MAX_ITER = 200
 
 
@@ -73,11 +79,19 @@ class KktSystem:
 class NewtonReport:
     """What one Newton solve observed: the residual norm at the start and
     after each accepted step, the accepted step sizes, and why it stopped
-    short of the tolerance (None once it met it)."""
+    short of the tolerance (None once it met it).
+
+    A stage solved from the previous stage's central point w also records
+    its start: ``predictor_step``, the accepted step along the central
+    path's tangent (None without a previous stage and for a rejected
+    prediction), and ``rerun``, whether the solve from the prediction failed
+    and the steps listed are those of a second solve from w."""
 
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     failure: str | None = None
+    predictor_step: float | None = None
+    rerun: bool = False
 
     @property
     def iterations(self) -> int:
@@ -228,7 +242,7 @@ def _trial_norm(obj, state: SaddleState, dz, dlam, s: float) -> tuple:
 
 
 def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
-                beta: float, r0_norm=None):
+                beta: float, r0_norm=None, s_min: float = S_MIN):
     """Backtracking on the residual norm (accept while
     |r(w + s dw)| > (1 - alpha s)|r(w)| shrink s by beta), with trial points
     outside the barrier domain treated as infinite residual.
@@ -236,7 +250,7 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     ``r0_norm`` lists the residual norms at ``state``, one per row (computed
     when None). Returns (s, new_state, new_residual_norms, errors), the
     lists aligned with the rows of ``state``: a row whose s fell below
-    ``S_MIN`` keeps its iterate, has s and norm NaN and its LineSearchError
+    ``s_min`` keeps its iterate, has s and norm NaN and its LineSearchError
     in ``errors`` (None for the other rows). Every row of a stack backtracks
     on its own norm, and all rows still searching share s, so one trial
     evaluates them together. Callers stop on |r| = 0 before invoking this;
@@ -254,7 +268,7 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     pos = None  # positions still searching, once a trial rejected one
     base = state
     s = 1.0
-    while s >= S_MIN:
+    while s >= s_min:
         trial, _, rnorm = _trial_norm(obj, base, dz, dlam, s)
         ok = [rn <= (1.0 - alpha * s) * r0_i for rn, r0_i in zip(rnorm, r0)]
         if all(ok):
@@ -281,7 +295,7 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     s_out, rn_out, errors = [math.nan] * n, [math.nan] * n, [None] * n
     for p, r0_i in zip(pos, r0):  # the rows that stagnated
         errors[p] = LineSearchError(
-            f"line search stagnated: s < {S_MIN:g}, |r|={r0_i:.3e}, "
+            f"line search stagnated: s < {s_min:g}, |r|={r0_i:.3e}, "
             f"last trial |r|={last[p]:.3e}")
     rows = []
     for p_acc, s_acc, rn_acc, trial in pieces:
@@ -301,9 +315,47 @@ def _in_order(pieces: list) -> SaddleState:
     return SaddleState.concat([rows for _, rows in pieces]).take(order)
 
 
+def predict(previous, obj, state: SaddleState, alpha: float):
+    """The start of stage ``obj`` from ``state``, a central point of stage
+    ``previous``: the first-order prediction along the central path
+
+        w + (1/t - 1/t') T^{-1} [grad phi; 0]
+
+    with T the KKT matrix of ``previous`` at w = ``state`` and phi its
+    barrier sum (``barrier_gradient``). The residual depends on s = 1/t only
+    through s grad phi, and the equality row not at all. The step solves by
+    ``newton_step`` (its refinement and backward-error gate) and is tried
+    under ``obj`` by ``line_search``, halving at most six times.
+
+    Returns (start, steps), one entry per row: the accepted step size, or
+    None for a row whose prediction is rejected or whose system is
+    singular; such a row starts from ``state``.
+    """
+    t_matrix = assemble(previous, state).kkt_matrix
+    r = (1.0 / obj.t - 1.0 / previous.t) * previous.barrier_gradient(state)
+    if obj.constraint is not None:
+        r = np.concatenate([r, np.zeros(r.shape[:-1] + (1,))], axis=-1)
+    dw, errors = newton_step(KktSystem(residual=r, kkt_matrix=t_matrix))
+    ok = [i for i, e in enumerate(errors) if e is None]
+    steps = [None] * len(errors)
+    if not ok:
+        return state, steps
+    whole = len(ok) == len(errors)
+    s, trial, _, ls_errors = line_search(
+        obj, state if whole else state.take(ok), dw if whole else dw[ok], alpha, 0.5,
+        s_min=PREDICT_S_MIN)
+    for i, si, e in zip(ok, s, ls_errors):
+        if e is None:
+            steps[i] = si
+    if whole:
+        return trial, steps
+    bad = [i for i, e in enumerate(errors) if e is not None]
+    return _in_order([(ok, trial), (bad, state.take(bad))]), steps
+
+
 def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
                  max_iter: int = DEFAULT_MAX_ITER, alpha: float = 0.3,
-                 beta: float = 0.5, callback=None):
+                 beta: float = 0.5, callback=None, previous=None):
     """Damped Newton iteration until |r| <= eps: the one Newton loop.
 
     One iterate, or a stack of them (``SaddleState`` rows, one per channel of
@@ -321,7 +373,16 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     runs after each accepted step with the rows that accepted it (the one
     iterate, or a stack) and lists of their residual norms and step sizes;
     k is the same for all of them.
+
+    With ``previous``, the stage objective at which ``state`` is central,
+    each row starts from the start ``predict`` gives it instead, and a row
+    that fails from a predicted start is solved once more from ``state``;
+    the callback sees the steps of both solves. Each report records the
+    start.
     """
+    if previous is not None:
+        return _from_prediction(previous, obj, state, dict(
+            eps=eps, max_iter=max_iter, alpha=alpha, beta=beta, callback=callback))
     n = 1 if state.x.ndim == 1 else len(state.x)
     reports = [NewtonReport() for _ in range(n)]
     errors = [None] * n
@@ -386,3 +447,24 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
         if callback is not None:
             callback(k, state, rnorm, s)
     return _in_order(done), reports, errors
+
+
+def _from_prediction(previous, obj, state: SaddleState, knobs: dict):
+    """``newton_solve`` from the rows' predicted starts, with the rows that
+    fail from one solved again from ``state``."""
+    start, steps = predict(previous, obj, state, knobs["alpha"])
+    final, reports, errors = newton_solve(obj, start, **knobs)
+    redo = [i for i, (si, rep) in enumerate(zip(steps, reports))
+            if si is not None and not rep.converged]
+    if redo:
+        one = state.x.ndim == 1
+        again, reports_2, errors_2 = newton_solve(
+            obj, state if one else state.take(redo), **knobs)
+        for i, rep, e in zip(redo, reports_2, errors_2):
+            reports[i], errors[i], rep.rerun = rep, e, True
+        keep = [i for i in range(len(steps)) if i not in redo]
+        final = again if not keep else _in_order(
+            [(keep, final.take(keep)), (redo, again)])
+    for rep, si in zip(reports, steps):
+        rep.predictor_step = si
+    return final, reports, errors

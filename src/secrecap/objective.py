@@ -450,6 +450,20 @@ class BarrierObjective:
         out[fac.kept] = g
         return out
 
+    def barrier_gradient(self, state: SaddleState) -> np.ndarray:
+        """The gradient of the barrier sum phi = ln|R| - ln|K| + sum ln(b - A x)
+        at ``state`` (per row for a stack), from its factors: the
+        stationarity block depends on t only through (1/t) grad phi."""
+        fac = self._inside(state)
+        grads = [fac.Rinv]
+        if self.ny:
+            grads.append(-fac.Kinv)
+        g = _gradient(self._ix, *grads)
+        if self.limits:
+            for cols, a, w in self._limit_blocks(1.0 / fac.slack):
+                g[cols] -= w @ a
+        return g
+
     def newton_system(self, state: SaddleState) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian); the gradient is the one ``newton_gradient``
         kept at ``state`` when this objective computed it."""

@@ -24,6 +24,18 @@ def random_channel(rng, m, n1, n2):
     return ChannelPair(rng.standard_normal((n1, m)), rng.standard_normal((n2, m)))
 
 
+def c08_channels(count):
+    """The first ``count`` degraded channels (W1 = W2 + L L') of acceptance
+    check c08, drawn as it draws them."""
+    rng = np.random.default_rng(20260805)
+    out = []
+    for _ in range(count):
+        h2 = rng.standard_normal((2, 2))
+        extra = rng.standard_normal((1, 2))
+        out.append(ChannelPair(np.vstack([h2, extra]), h2))
+    return out
+
+
 def random_spd(rng, m, trace=None):
     """Random symmetric positive definite matrix, optionally trace-normalized."""
     a = rng.standard_normal((m, m))

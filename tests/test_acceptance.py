@@ -6,7 +6,9 @@ independent reference routines (grids, water-filling, finite differences)
 inside the tests.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +30,11 @@ from secrecap import (
     solve_per_antenna,
 )
 from secrecap.barrier_solver import purify
-from secrecap.cli import run_batch
+from secrecap.cli import _batch_channels, run_batch
 from secrecap.kkt_newton import assemble, newton_solve, newton_step
 from secrecap.matcalc import vec, vech
 
 from conftest import (
-    DEMO_H1,
-    DEMO_H2,
     random_channel,
     random_feasible_k21,
     random_spd,
@@ -320,10 +320,24 @@ def test_c11_batch_step_statistics():
     steps = [row["steps"] for row in summary["per_channel"]]
     within = sum(1 for s in steps if s <= 60)
     assert within >= 90
+    # each stage starts from the central path's tangent prediction
+    assert summary["stats"]["median"] <= 20
+    assert summary["stats"]["max"] <= 30
     assert elapsed < 300.0
+    # each channel's f within the summed gap bounds of the benchmark bank's
+    # reference for this protocol
+    bank = Path(__file__).resolve().parent.parent / "perfbench" / "bank.json"
+    with open(bank) as fh:
+        refs = json.load(fh)["batch_c11"]
+    sols = solve_minimax(_batch_channels(4, 3, 3, 100, 20261107), 10.0, cfg)
+    worst = 0.0
+    for sol, row, (f_ref, gap_ref) in zip(sols, summary["per_channel"], refs, strict=True):
+        assert sol.newton_steps_total == row["steps"]
+        assert abs(sol.capacity_upper - f_ref) <= sol.gap_bound + gap_ref
+        worst = max(worst, abs(sol.capacity_upper - f_ref) / (sol.gap_bound + gap_ref))
     print(f"ACCEPTANCE C11 PASS: {within}/100 channels within 60 Newton steps "
-          f"(median {summary['stats']['median']:.0f}, max {summary['stats']['max']}) "
-          f"({elapsed:.1f} s)")
+          f"(median {summary['stats']['median']:.0f}, max {summary['stats']['max']}); "
+          f"|f - f_ref| <= {worst:.1e} (gap + gap_ref) ({elapsed:.1f} s)")
 
 
 def test_c12_dual_self_consistency(demo_channel):

@@ -25,7 +25,7 @@ from secrecap.barrier_solver import purify
 from secrecap.kkt_newton import newton_solve
 from secrecap.matcalc import sym, unvech, vec, vech
 
-from conftest import DEMO_H1, DEMO_H2, random_channel, random_spd
+from conftest import DEMO_H1, DEMO_H2, c08_channels, random_channel, random_spd
 
 TIGHT = SolverConfig(t_max=1e8, eps_newton=1e-9)
 
@@ -402,6 +402,44 @@ def assert_same_bits(a, b):
     assert a.R_star.power == b.R_star.power
 
 
+class TestStageStarts:
+    # each stage's report records how it started: the accepted step along
+    # the central path's tangent, or None, and whether it was rerun
+
+    def test_predictions_accepted(self, demo_channel):
+        sol = solve_minimax(demo_channel, 10.0)
+        starts = [(rep.predictor_step, rep.rerun) for _, rep in sol.stage_reports]
+        assert starts == [(None, False)] + [(1.0, False)] * 3
+        assert sol.newton_steps_total == sum(
+            rep.iterations for _, rep in sol.stage_reports) == 19
+
+    def test_predictions_rejected(self, demo_channel):
+        # at caps of 1e-4 the central path bends too fast for the tangent,
+        # so every stage starts from the previous central point
+        sol = solve(demo_channel, PerAntennaBudget(caps=[1e-4, 1e-4]))
+        starts = [(rep.predictor_step, rep.rerun) for _, rep in sol.stage_reports]
+        assert starts == [(None, False)] * 4
+
+    def test_stage_rerun_from_the_central_point(self):
+        # c08's first channel (|K21*| = 0.9996) stagnates from every
+        # predicted start at t = 1e5; the stage solves once more from the
+        # central point of t = 1e4, and the failed solve's rows stay in the
+        # trace, so newton_steps_total counts every step taken
+        ch = c08_channels(1)[0]
+        sol = solve_minimax(ch, 10.0, SolverConfig(t_max=1e7))
+        reports = dict(sol.stage_reports)
+        assert [t for t, rep in sol.stage_reports if rep.rerun] == [1e5]
+        assert reports[1e5].predictor_step is not None and reports[1e5].converged
+        rows = [r.iteration for r in sol.trace if r.t == 1e5]
+        tried = len(rows) - reports[1e5].iterations
+        assert tried > 0
+        assert rows == list(range(1, tried + 1)) + list(
+            range(1, reports[1e5].iterations + 1))
+        assert sol.newton_steps_total == len(sol.trace) == tried + sum(
+            rep.iterations for _, rep in sol.stage_reports)
+        assert np.linalg.norm(sol.K21_star, 2) > 0.999
+
+
 class TestSolve:
     @pytest.mark.parametrize("case", ["degraded", "indefinite", "budget"])
     def test_same_bits_as_shorthand(self, demo_channel, case):
@@ -455,13 +493,7 @@ class TestSolveDegraded:
                 b.capacity_achievable, abs=1e-5
             )
 
-    @pytest.mark.parametrize("power", [
-        0.1,
-        pytest.param(1.0, marks=pytest.mark.xfail(strict=True, raises=SolverError, reason=(
-            "known: the minimax solve is not converged after 200 iterations "
-            "at t = 1e5, while P = 0.1 and 10 converge"))),
-        10.0,
-    ])
+    @pytest.mark.parametrize("power", [0.1, 1.0, 10.0])
     def test_minimax_solves_where_degraded_does(self, power):
         ch = degraded_channel(np.random.default_rng(66), m=2, n2=2, rank=1)
         a, b = solve(ch, power), solve_minimax(ch, power)

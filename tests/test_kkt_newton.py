@@ -5,7 +5,8 @@ import pytest
 
 from secrecap import (
     BarrierObjective,
-    ChannelPair,
+    DegradedBarrierObjective,
+    PerAntennaBarrierObjective,
     SaddleState,
     SingularKktError,
     initial_point,
@@ -17,6 +18,7 @@ from secrecap.kkt_newton import (
     line_search,
     newton_solve,
     newton_step,
+    predict,
     residual,
 )
 from secrecap.matcalc import vec, vech
@@ -429,7 +431,8 @@ class TestNewtonSolve:
                                          eps=eps, max_iter=max_iter)
         assert err is None
         assert [f.name for f in dataclasses.fields(NewtonReport)] == [
-            "residual_norms", "step_sizes", "failure"]
+            "residual_norms", "step_sizes", "failure", "predictor_step", "rerun"]
+        assert rep.predictor_step is None and rep.rerun is False  # no previous stage
         if failure is None:
             assert rep.failure is None
         else:
@@ -530,3 +533,100 @@ class TestNewtonSolve:
         assert len(seen) == rep.iterations
         assert [k for k, _, _ in seen] == list(range(1, rep.iterations + 1))
         assert [rn for _, rn, _ in seen] == rep.residual_norms[1:]
+
+
+class TestPredict:
+    """The start of a barrier stage from the previous stage's central point:
+    the first-order prediction along the central path."""
+
+    @staticmethod
+    def central(obj, start):
+        w, reports, _ = newton_solve(obj, start, eps=1e-13)
+        assert all(rep.converged for rep in reports)
+        return w
+
+    @pytest.mark.parametrize("kind", ["minimax", "degraded", "per_antenna"])
+    def test_barrier_gradient_is_the_derivative_in_one_over_t(self, demo_channel, kind):
+        # the residual depends on 1/t only through (1/t) grad phi
+        rng = np.random.default_rng(7)
+        if kind == "degraded":
+            make = lambda t: DegradedBarrierObjective(demo_channel, t, 10.0)
+            st = SaddleState(x=vech(random_spd(rng, 2, trace=10.0)), y=np.zeros(0))
+        else:
+            if kind == "minimax":
+                make = lambda t: BarrierObjective(demo_channel, t, 10.0)
+            else:
+                make = lambda t: PerAntennaBarrierObjective(demo_channel, t, [8.0, 9.0])
+            st = random_interior_state(rng, demo_channel, 10.0)
+        a, b = make(100.0), make(1e3)
+        diff = a.newton_gradient(st) - b.newton_gradient(st)
+        np.testing.assert_allclose(diff, (1 / 100.0 - 1 / 1e3) * a.barrier_gradient(st),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_prediction_is_the_central_path_tangent(self, demo_channel):
+        prev = BarrierObjective(demo_channel, 100.0, 10.0)
+        w = self.central(prev, initial_point(demo_channel, 10.0))
+        # the tangent by a finite difference of two central points
+        near = BarrierObjective(demo_channel, 100.0 * (1 + 1e-6), 10.0)
+        w_near = self.central(near, w)
+        tangent = (w_near.z - w.z) / (1 / near.t - 1 / prev.t)
+        nxt = BarrierObjective(demo_channel, 1e3, 10.0)
+        start, steps = predict(prev, nxt, w, alpha=0.3)
+        assert steps == [1.0]
+        np.testing.assert_allclose(start.z - w.z, (1 / nxt.t - 1 / prev.t) * tangent,
+                                   rtol=1e-4)
+        assert np.linalg.norm(residual(nxt, start)) < 0.7 * np.linalg.norm(residual(nxt, w))
+
+    def test_rejected_prediction_starts_from_the_central_point(self, demo_channel):
+        # at caps of 1e-2 the central path bends too fast for the tangent:
+        # no step down to 1/64 decreases the residual enough
+        make = lambda t: PerAntennaBarrierObjective(demo_channel, t, [1e-2, 1e-2])
+        prev, nxt = make(100.0), make(1e3)
+        w = self.central(prev, SaddleState(x=vech(np.diag([5e-3, 5e-3])),
+                                           y=np.zeros(4), lam=0.0))
+        start, steps = predict(prev, nxt, w, alpha=0.3)
+        assert steps == [None] and start is w
+        _, (rep,), _ = newton_solve(nxt, w, previous=prev)
+        _, (ref,), _ = newton_solve(nxt, w)
+        assert (rep.predictor_step, rep.rerun) == (None, False)
+        assert (rep.residual_norms, rep.step_sizes) == (ref.residual_norms, ref.step_sizes)
+
+    def test_singular_prediction_starts_from_the_central_point(self, demo_channel):
+        class NanHessian(BarrierObjective):
+            def newton_system(self, state):
+                g, h = super().newton_system(state)
+                return g, np.full_like(h, np.nan)
+
+        w = self.central(BarrierObjective(demo_channel, 100.0, 10.0),
+                         initial_point(demo_channel, 10.0))
+        prev, nxt = NanHessian(demo_channel, 100.0, 10.0), BarrierObjective(
+            demo_channel, 1e3, 10.0)
+        start, steps = predict(prev, nxt, w, alpha=0.3)
+        assert steps == [None] and start is w
+        _, (rep,), _ = newton_solve(nxt, w, previous=prev)
+        _, (ref,), _ = newton_solve(nxt, w)
+        assert rep.predictor_step is None
+        assert (rep.residual_norms, rep.step_sizes) == (ref.residual_norms, ref.step_sizes)
+
+    def test_singular_row_of_a_stack_starts_from_its_central_point(self, demo_channel):
+        # one row's tangent system is singular: that row keeps w, the other
+        # row takes its prediction, bit for bit as alone
+        class NanRowOne(BarrierObjective):
+            def newton_system(self, state):
+                g, h = super().newton_system(state)
+                h = h.copy()
+                h[1] = np.nan
+                return g, h
+
+        other = random_channel(np.random.default_rng(3), 2, 2, 2)
+        channels = [demo_channel, other]
+        prev = BarrierObjective(channels, 100.0, 10.0)
+        w = self.central(prev, SaddleState.stack(
+            [initial_point(c, 10.0) for c in channels]))
+        nxt = BarrierObjective(channels, 1e3, 10.0)
+        start, steps = predict(NanRowOne(channels, 100.0, 10.0), nxt, w, alpha=0.3)
+        assert steps[1] is None and steps[0] is not None
+        np.testing.assert_array_equal(start.z[1], w.z[1])
+        alone, _ = predict(prev, nxt, w, alpha=0.3)
+        np.testing.assert_array_equal(start.z[0], alone.z[0])
+        assert start.rows.tolist() == [0, 1]

@@ -1,7 +1,8 @@
 """Channels solved together in lockstep (``solve_minimax`` of a list,
 which ``cli.run_batch`` calls) give each channel exactly its serial solve:
 the same step count, the same converged flag and the same capacity under
-``==``, the same trace rows, and a failing channel changes no other row."""
+``==``, the same trace rows and stage reports, and a failing channel changes
+no other row."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from secrecap import (
 from secrecap.kkt_newton import KktSystem, assemble, newton_solve, newton_step
 from secrecap.matcalc import vech
 
-from conftest import DEMO_H1, DEMO_H2
+from conftest import DEMO_H1, DEMO_H2, c08_channels
 
 # the CI problem that must fail: identical channels and a deep schedule
 IDENTICAL = ChannelPair(DEMO_H1, DEMO_H1)
@@ -60,6 +61,7 @@ def assert_same_row(row, ref):
     assert row.capacity_upper == ref.capacity_upper
     assert row.lambda_star == ref.lambda_star
     assert row.trace == ref.trace
+    assert row.stage_reports == ref.stage_reports
     np.testing.assert_array_equal(row.R_star.R, ref.R_star.R)
     np.testing.assert_array_equal(row.K21_star, ref.K21_star)
 
@@ -116,20 +118,55 @@ def test_failing_channel_moves_no_other_row():
         assert_same_row(row, alone)
 
 
-@pytest.mark.parametrize("picks", [[1, 11], [11, 1], [1, 11, 3], [1, 2, 11, 3]])
+@pytest.mark.parametrize("picks", [[3, 11], [11, 3], [3, 11, 22], [3, 2, 11, 22]])
 def test_rows_failing_at_successive_stages_equal_serial_solves(picks):
-    # with six iterations per stage, channels 1, 11 and 3 fail at t = 1e2,
-    # 1e3 and 1e4 of a schedule up to 1e7, and channel 2 converges: every
-    # row still equals its serial solve when no row is left before the last
-    # stage
-    cfg = SolverConfig(max_newton_iter=6, t_max=1e7)
-    pool = random_channels((2, 2, 2), 12, seed=21)
+    # with four iterations per stage from t0 = 0.01, channels 3, 11 and 22
+    # fail at t = 10, 1e2 and 1e3 of a schedule up to 1e7, each once from
+    # its predicted start and once more from the previous central point,
+    # and channel 2 converges: every row still equals its serial solve when
+    # no row is left before the last stage
+    cfg = SolverConfig(t0=0.01, max_newton_iter=4, t_max=1e7)
+    pool = random_channels((2, 2, 2), 23, seed=21)
     channels = [pool[i] for i in picks]
     rows = solve_minimax(channels, 10.0, cfg)
     for i, ch, row in zip(picks, channels, rows):
         ref = serial(ch, 10.0, cfg)
         assert isinstance(ref, SolverError) is (i != 2)
+        if i != 2:  # both solves of the failing stage are in the trace
+            t_fail = {3: 10.0, 11: 100.0, 22: 1e3}[i]
+            assert [r.iteration for r in ref.trace if r.t == t_fail] == [1, 2, 3, 4] * 2
         assert_same_row(row, ref)
+
+
+def test_row_rerun_from_the_central_point_equals_serial_solve():
+    # c08's first channel (|K21*| = 0.9996) stagnates from its predicted
+    # start at t = 1e5 and solves once more from the central point of
+    # t = 1e4; the failed solve's trace rows stay. In a stack with two
+    # channels that take every prediction, each row is its serial solve.
+    cfg = SolverConfig(t_max=1e7)
+    channels = c08_channels(3)
+    rows = solve_minimax(channels, 10.0, cfg)
+    reruns = [[t for t, rep in row.stage_reports if rep.rerun] for row in rows]
+    assert reruns == [[1e5], [], []]
+    first = rows[0]
+    assert first.newton_steps_total > sum(rep.iterations for _, rep in first.stage_reports)
+    for ch, row in zip(channels, rows):
+        assert_same_row(row, serial(ch, 10.0, cfg))
+
+
+def test_row_with_a_rejected_prediction_equals_serial_solve():
+    # at mu = 100 the tangent prediction of channel 1 to t = 1e4 fails the
+    # residual-decrease test at every step size tried, so that row starts
+    # from the central point of t = 1e2, while the other rows start from
+    # their predictions
+    cfg = SolverConfig(mu=100.0, t_max=1e8)
+    channels = random_channels((2, 2, 2), 3, seed=21)
+    rows = solve_minimax(channels, 10.0, cfg)
+    starts = [[rep.predictor_step for _, rep in row.stage_reports] for row in rows]
+    assert starts[1][:2] == [None, None]
+    assert all(s is not None for s in starts[0][1:] + starts[2][1:])
+    for ch, row in zip(channels, rows):
+        assert_same_row(row, serial(ch, 10.0, cfg))
 
 
 def test_reversely_degraded_channel_short_circuits_in_a_list():
