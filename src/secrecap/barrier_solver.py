@@ -11,6 +11,10 @@ is solved once more from w. Stops early once the stage objective's gap
 bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
 schedule runs to t_max, mirroring the usual experiment protocol.
 
+Every solve, the dual's bordered one too, runs this schedule in
+``_solve_together``: one channel as one iterate, a list of them as one stack
+of iterates in lockstep.
+
 Reported capacities carry the 1/2 rate factor (nats); the dual variable
 lives in the solver's log-det convention.
 """
@@ -186,15 +190,6 @@ class SaddleSolution:
         return len(self.trace)
 
 
-def _schedule(cfg: SolverConfig):
-    t = cfg.t0
-    while True:
-        yield t
-        if t >= cfg.t_max * (1.0 - 1e-12):
-            return
-        t = min(t * cfg.mu, cfg.t_max)
-
-
 def _zero_solution(ch: ChannelPair, power: float,
                    cfg: SolverConfig) -> SaddleSolution:
     """R* = 0 of a reversely degraded channel, whose capacity is zero."""
@@ -210,59 +205,6 @@ def _zero_solution(ch: ChannelPair, power: float,
         gap_met=None if cfg.eps_gap is None else True,
         mode="zero",
     )
-
-
-def _run_schedule(make_objective, state: SaddleState, cfg: SolverConfig, stages):
-    """Newton solves of one iterate, or of a stack of them with one row per
-    channel, at each t of ``stages``, each stage from the predicted start of
-    ``newton_solve(..., previous=)``; the channels move in lockstep.
-
-    ``make_objective(t)`` builds the stage objective over every channel.
-    Each accepted step adds a trace row to its channel, which keeps a copy of
-    the new iterate and evaluates its rates when read. A channel whose stage misses its
-    Newton tolerance leaves the schedule with a SolverError (the
-    SingularKktError that ``newton_solve`` returns for an unsolved KKT
-    system) that carries the rows recorded so far; the other channels go on.
-    Returns (state of the channels that solved every stage, last stage
-    objective, gap_met, and per channel its trace, its (t, NewtonReport)
-    pairs and its error or None).
-    """
-    n = 1 if state.x.ndim == 1 else len(state.x)
-    traces = [[] for _ in range(n)]
-    reports = [[] for _ in range(n)]
-    errors = [None] * n
-    knobs = dict(eps=cfg.eps_newton, max_iter=cfg.max_newton_iter, alpha=cfg.alpha,
-                 beta=cfg.beta)
-    previous = None
-    for t in stages:
-        obj = make_objective(t)
-
-        def record(k, st, rnorm, s, channels=obj.channels, t=t):
-            # each row copies its own z: a row of the stack would keep all of it
-            for row, z, rn, si in zip(_rows(st), np.atleast_2d(st.z), rnorm, s):
-                traces[row].append(TraceRecord(t, k, rn, si, channels[row], z.copy()))
-
-        state, *stage = newton_solve(obj, state, callback=record, previous=previous,
-                                     **knobs)
-        previous = obj
-        failed = []
-        for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
-            if exc is None and not report.converged:
-                exc = SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
-            if exc is None:
-                reports[row].append((t, report))
-            else:
-                exc.trace = traces[row]
-                errors[row] = exc
-                failed.append(i)
-        if len(failed) == len(stage[0]):  # no channel is left
-            break
-        if failed:
-            state = state.take(np.delete(np.arange(len(state.x)), failed))
-        if cfg.eps_gap is not None and obj.gap() <= cfg.eps_gap:
-            break
-    gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
-    return state, obj, gap_met, traces, reports, errors
 
 
 def _rows(state: SaddleState) -> list:
@@ -341,79 +283,110 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
             raise ValueError("mode 'per_antenna' needs a PerAntennaBudget")
         if not 0 < power < np.inf:
             raise ValueError(f"power must be finite and positive, got {power}")
-    if not isinstance(ch, ChannelPair):
-        if mode != "minimax" or budget:
-            raise ValueError("a sequence of channels solves only in minimax mode, "
-                             "with a total power")
-        return _solve_lockstep(list(ch), power, cfg)
+    one = isinstance(ch, ChannelPair)
+    if not one and (mode != "minimax" or budget):
+        raise ValueError("a sequence of channels solves only in minimax mode, "
+                         "with a total power")
     if budget:
         mode = "per_antenna"  # the objective checks one cap per antenna
-    else:
-        kind, eigs = classify_degraded(ch)
-        if mode == "auto":
-            mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"
-        if mode == "degraded" and kind is not Degradedness.DEGRADED:
-            raise ValueError(
-                f"solve_degraded requires a degraded channel, got {kind.value} "
-                f"(difference eigenvalues {eigs})"
-            )
-    if mode == "per_antenna":
         objective, args = PerAntennaBarrierObjective, (power.caps, power.total)
-        start = _per_antenna_start(ch, power)
-    elif mode == "degraded":
-        objective, args = DegradedBarrierObjective, (power,)
-        start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
     else:
         objective, args = BarrierObjective, (power,)
-        start = initial_point(ch, power)
-        if kind is Degradedness.REVERSELY_DEGRADED:
-            return _zero_solution(ch, power, cfg)
-    (result,) = _solve_together(objective, args, [ch], [start], mode, cfg,
-                                _schedule(cfg))
-    if isinstance(result, SolverError):
-        raise result
-    return result
-
-
-def _solve_lockstep(channels: list, power: float, cfg: SolverConfig) -> list:
-    """Each channel's minimax solution or SolverError, the channels that are
-    not reversely degraded solved together."""
-    results, members = [None] * len(channels), []
+    channels = [ch] if one else list(ch)
+    results, starts = [None] * len(channels), {}
     for i, c in enumerate(channels):
-        if classify_degraded(c)[0] is Degradedness.REVERSELY_DEGRADED:
+        if budget:
+            starts[i] = _per_antenna_start(c, power)
+            continue
+        kind, eigs = classify_degraded(c)
+        if mode == "auto":  # one channel only
+            mode = "degraded" if kind is Degradedness.DEGRADED else "minimax"
+        if mode == "degraded":
+            if kind is not Degradedness.DEGRADED:
+                raise ValueError(
+                    f"solve_degraded requires a degraded channel, got {kind.value} "
+                    f"(difference eigenvalues {eigs})"
+                )
+            objective = DegradedBarrierObjective
+            starts[i] = SaddleState(x=vech(np.eye(c.m) * (power / c.m)), y=np.zeros(0))
+        elif kind is Degradedness.REVERSELY_DEGRADED:
             results[i] = _zero_solution(c, power, cfg)
         else:
-            members.append(i)
-    if members:
-        group = [channels[i] for i in members]
-        solved = _solve_together(BarrierObjective, (power,), group,
-                                 [initial_point(c, power) for c in group], "minimax",
-                                 cfg, _schedule(cfg))
-        for i, result in zip(members, solved):
+            starts[i] = initial_point(c, power)
+    if starts:
+        solved = _solve_together(objective, args, [channels[i] for i in starts],
+                                 list(starts.values()), mode, cfg)
+        for i, result in zip(starts, solved):
             results[i] = result
-    return results
+    if one and isinstance(results[0], SolverError):
+        raise results[0]
+    return results[0] if one else results
 
 
 def _solve_together(objective, args: tuple, channels: list, starts: list, mode: str,
-                    cfg: SolverConfig, stages) -> list:
-    """The schedule ``stages`` of ``objective`` over ``channels`` from
-    ``starts``, in lockstep; each channel's SaddleSolution or SolverError.
-    One channel iterates without a leading axis."""
+                    cfg: SolverConfig) -> list:
+    """The barrier schedule of ``objective`` over ``channels`` from
+    ``starts`` in lockstep (one channel iterates without a leading axis):
+    each channel's SaddleSolution or SolverError.
+
+    Each accepted step adds a trace row to its channel, which keeps a copy
+    of the new iterate and evaluates its rates when read. A channel whose
+    stage misses its Newton tolerance leaves the schedule with a SolverError
+    (the SingularKktError that ``newton_solve`` returns for an unsolved KKT
+    system) that carries the rows recorded so far; the other channels go on.
+    """
     one = len(channels) == 1
-    stacked = channels[0] if one else channels
-    state, obj, gap_met, traces, reports, errors = _run_schedule(
-        lambda t: objective(stacked, t, *args),
-        starts[0] if one else SaddleState.stack(starts), cfg, stages)
-    row_of = {row: j for j, row in enumerate(_rows(state))}
-    return [errors[i] or _solution(obj, state if one else state.row(row_of[i]), c,
-                                   mode, gap_met, traces[i], reports[i])
-            for i, c in enumerate(channels)]
+    traces = [[] for _ in channels]
+    reports = [[] for _ in channels]
+    errors = [None] * len(channels)
+    knobs = dict(eps=cfg.eps_newton, max_iter=cfg.max_newton_iter, alpha=cfg.alpha,
+                 beta=cfg.beta)
+    state = starts[0] if one else SaddleState.stack(starts)
+    t, previous = cfg.t0, None
+    while True:
+        obj = objective(channels[0] if one else channels, t, *args)
+
+        def record(k, st, rnorm, s, t=t):
+            # each row copies its own z: a row of the stack would keep all of it
+            for row, z, rn, si in zip(_rows(st), np.atleast_2d(st.z), rnorm, s):
+                traces[row].append(TraceRecord(t, k, rn, si, channels[row], z.copy()))
+
+        state, *stage = newton_solve(obj, state, callback=record, previous=previous,
+                                     **knobs)
+        previous = obj
+        failed = []
+        for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
+            if exc is None and not report.converged:
+                exc = SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
+            if exc is None:
+                reports[row].append((t, report))
+            else:
+                exc.trace = traces[row]
+                errors[row] = exc
+                failed.append(i)
+        gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
+        # the rows of failed channels stay in the last state, unread
+        if len(failed) == len(stage[0]) or gap_met or t >= cfg.t_max * (1.0 - 1e-12):
+            break
+        if failed:
+            state = state.take(np.delete(np.arange(len(state.x)), failed))
+        t = min(t * cfg.mu, cfg.t_max)
+    # one iterate as a stack of one; row j of the stack is channel _rows(state)[j]
+    rm, k21 = obj.unpack(SaddleState(np.atleast_2d(state.x), np.atleast_2d(state.y)))
+    lam = np.atleast_1d(state.lam)
+    results = list(errors)
+    for j, i in enumerate(_rows(state)):
+        if errors[i] is None:
+            results[i] = _solution(obj, channels[i], rm[j],
+                                   None if k21 is None else k21[j], lam[j], mode,
+                                   gap_met, traces[i], reports[i])
+    return results
 
 
-def _solution(obj: BarrierObjective, state: SaddleState, ch: ChannelPair, mode: str,
-              gap_met, trace: list, reports: list) -> SaddleSolution:
-    """The SaddleSolution of a channel's last stage iterate ``state``."""
-    rm, k21 = obj.unpack(state)
+def _solution(obj: BarrierObjective, ch: ChannelPair, rm: np.ndarray, k21, lam,
+              mode: str, gap_met, trace: list, reports: list) -> SaddleSolution:
+    """The SaddleSolution of a channel's last stage point (R, K21, lam); K21
+    is None without a K block."""
     c_raw = secrecy_rate(ch, rm)
     bound = obj.gap()
     if k21 is None:  # no K block: f is C, and C + gap bounds the capacity
@@ -421,7 +394,7 @@ def _solution(obj: BarrierObjective, state: SaddleState, ch: ChannelPair, mode: 
     else:
         upper = minimax_objective(ch, rm, k21)
     # barrier rows have no multiplier; a free power (per-antenna, rate) is tr R*
-    lam = None if obj.constraint is None else -state.lam
+    lam = None if obj.constraint is None else -float(lam)
     budget = float(np.trace(rm)) if obj.power is None else obj.power
     return SaddleSolution(
         R_star=TransmitCovariance(rm, budget),

@@ -94,10 +94,9 @@ class SaddleState:
 
     A stack of iterates, one per channel of a stacked objective, gives x and
     y a leading axis and lam one entry per row; ``rows`` names the
-    objective's channel of each row (None: row i is channel i; one iterate
-    taken from a stack keeps its channel as a one-entry ``rows``). ``cache``
+    objective's channel of each row (None: row i is channel i). ``cache``
     is what an objective keeps for this iterate, as (objective, value);
-    ``take``, ``concat`` and ``row`` carry it along.
+    ``take`` and ``concat`` carry it along.
     """
 
     x: np.ndarray
@@ -143,15 +142,6 @@ class SaddleState:
         """One stack of the single iterates ``states``."""
         return SaddleState(np.stack([s.x for s in states]), np.stack([s.y for s in states]),
                            np.array([s.lam for s in states], dtype=float))
-
-    def row(self, i: int) -> "SaddleState":
-        """Row ``i`` of a stack as one iterate."""
-        cache = self.cache and (self.cache[0], self.cache[1].take(i))
-        if self.rows is None:  # row i is channel i, and None names channel 0
-            rows = None if i == 0 else np.array([i])
-        else:
-            rows = self.rows[i:i + 1]
-        return SaddleState(self.x[i], self.y[i], float(self.lam[i]), rows, cache)
 
 
 def classify_degraded(ch: ChannelPair):

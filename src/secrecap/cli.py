@@ -49,7 +49,6 @@ __all__ = [
     "main",
 ]
 
-MODES = SOLVE_MODES + ("dual",)
 SOLVER_KEYS = ("alpha", "beta", "t0", "mu", "t_max", "eps_gap", "eps_newton")
 
 
@@ -144,8 +143,9 @@ def parse_problem(data: dict) -> ProblemFile:
         power = _positive_number(raw_power, "power")
 
     mode = data.get("mode", "auto")
-    if mode not in MODES:
-        raise ProblemFormatError(f"field 'mode' must be one of {MODES}, got '{mode}'")
+    if mode not in SOLVE_MODES:
+        raise ProblemFormatError(
+            f"field 'mode' must be one of {SOLVE_MODES}, got '{mode}'")
 
     power_total = data.get("power_total")
     if power_total is not None:
@@ -313,18 +313,6 @@ def _partial_result(exc: SolverError, ch: ChannelPair, cfg: SolverConfig,
     )
 
 
-def _dispatch_solve(prob: ProblemFile, ch: ChannelPair,
-                    cfg: SolverConfig) -> SaddleSolution:
-    if prob.mode == "dual":
-        raise ProblemFormatError("mode 'dual' is handled by the dual command")
-    if prob.mode == "per_antenna" and not prob.per_antenna:
-        raise ProblemFormatError("mode 'per_antenna' needs a per-antenna 'power' vector")
-    # a per-antenna budget solves per-antenna whatever the mode
-    power = (PerAntennaBudget(caps=prob.power, total=prob.power_total)
-             if prob.per_antenna else float(prob.power))
-    return solve(ch, power, cfg, prob.mode)
-
-
 def _run_problem(args, run) -> int:
     """Load ``args.problem``, time ``run(prob, ch, cfg)`` -> (P* or None,
     solution) and write its result, or after a solver failure the partial
@@ -355,9 +343,14 @@ def _run_problem(args, run) -> int:
 
 def cmd_solve(args) -> int:
     def run(prob, ch, cfg):
-        if args.mode is not None:
-            prob.mode = args.mode
-        return None, _dispatch_solve(prob, ch, cfg)
+        mode = prob.mode if args.mode is None else args.mode
+        if mode == "per_antenna" and not prob.per_antenna:
+            raise ProblemFormatError(
+                "mode 'per_antenna' needs a per-antenna 'power' vector")
+        # a per-antenna budget solves per-antenna whatever the mode
+        power = (PerAntennaBudget(caps=prob.power, total=prob.power_total)
+                 if prob.per_antenna else float(prob.power))
+        return None, solve(ch, power, cfg, mode)
 
     return _run_problem(args, run)
 
@@ -568,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem")
-    p_solve.add_argument("--mode", choices=MODES, default=None)
+    p_solve.add_argument("--mode", choices=SOLVE_MODES, default=None)
     _add_solver_flags(p_solve)
     p_solve.add_argument("-o", "--output", default=None)
     p_solve.set_defaults(func=cmd_solve)

@@ -210,8 +210,7 @@ class _Factors:
 
     def take(self, idx) -> "_Factors":
         """The factors of the rows at positions ``idx`` of the stack they were
-        built for (rows inside the domain only); of one point for an integer
-        ``idx``, without the leading axis."""
+        built for (rows inside the domain only)."""
         if self.kept is not None:
             idx = np.searchsorted(self.kept, idx)
         out = object.__new__(type(self))

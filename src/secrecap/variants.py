@@ -25,7 +25,6 @@ from .barrier_solver import (
     PerAntennaBudget,
     SaddleSolution,
     SolverConfig,
-    _schedule,
     _solve_together,
     purify,
     solve,
@@ -51,21 +50,17 @@ __all__ = [
 
 @dataclass
 class DualTarget:
-    """Required secrecy rate (nats) with a bracketing power and tolerance.
-
-    ``p_hi=None`` requests automatic bracket growth (doubling from 1).
-    """
+    """Required secrecy rate (nats), the power ``p_hi`` that bounds the
+    answer from above, and the rate tolerance at ``p_hi``."""
 
     rate: float
-    p_hi: float | None = None
+    p_hi: float
     tol_rate: float = 1e-6
 
     def __post_init__(self):
         for name in ("rate", "tol_rate", "p_hi"):
             value = getattr(self, name)
-            if name == "p_hi" and value is None:
-                continue
-            if not 0 < value < math.inf:
+            if value is None or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
@@ -74,9 +69,6 @@ def solve_per_antenna(ch: ChannelPair, budget: PerAntennaBudget,
     """``solve`` under r_ii <= P_i (plus an optional total cap), all enforced
     by barrier terms; the reported gap bound is heuristic."""
     return solve(ch, budget, cfg)
-
-
-_BRACKET_CAP = 2.0**40
 
 
 def _bordered_start(ch: ChannelPair, target: DualTarget, cfg: SolverConfig,
@@ -89,8 +81,7 @@ def _bordered_start(ch: ChannelPair, target: DualTarget, cfg: SolverConfig,
     failed = []
     for power in powers:
         (result,) = _solve_together(RateBarrierObjective, (target.rate,), [ch],
-                                    [initial_point(ch, power)], "minimax", cfg,
-                                    _schedule(cfg))
+                                    [initial_point(ch, power)], "minimax", cfg)
         if not isinstance(result, SolverError):
             return result, failed
         failed += result.trace
@@ -131,18 +122,13 @@ def _at_covariance(ch: ChannelPair, sol: SaddleSolution, r: np.ndarray) -> Saddl
 
 
 def _upper_end(ch: ChannelPair, target: DualTarget, cfg: SolverConfig) -> SaddleSolution:
-    """The minimax solution at ``p_hi``, or without it at the first of 1, 2,
-    4, ... (up to ``_BRACKET_CAP``) whose purified C reaches the rate, with
-    R* purified and scaled down its ray to the rate. A purified C short of
-    the rate by at most tol_rate is kept; by more, BracketError."""
-    hi = 1.0 if target.p_hi is None else float(target.p_hi)
-    while True:
-        sol = solve_minimax(ch, hi, cfg)
-        r = purify(ch, sol.R_star.R, sol.K21_star)
-        r_star = _ray_to_rate(ch, r, target.rate, hi)
-        if r_star is not None or target.p_hi is not None or hi >= _BRACKET_CAP:
-            break
-        hi *= 2.0
+    """The minimax solution at ``p_hi`` with R* purified and scaled down its
+    ray to the rate. A purified C short of the rate by at most tol_rate is
+    kept; by more, BracketError."""
+    hi = float(target.p_hi)
+    sol = solve_minimax(ch, hi, cfg)
+    r = purify(ch, sol.R_star.R, sol.K21_star)
+    r_star = _ray_to_rate(ch, r, target.rate, hi)
     if r_star is None and secrecy_rate(ch, r) < target.rate - target.tol_rate:
         raise BracketError(
             f"target rate unattainable within the bracket: Cs({hi:g}) = "
@@ -155,20 +141,19 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
                cfg: SolverConfig | None = None):
     """Minimum total power P* with Cs(P*) = target rate. Returns (P*,
     SaddleSolution at P*), P* = tr R* as a float, with C(R*) = rate to the
-    last bit, or at most tol_rate below it at the bracket's upper end.
+    last bit, or at most tol_rate below it at p_hi.
 
     The bordered solve (``RateBarrierObjective``) starts from R = (P0/m) I
     at the tangent bound P0 = rate / (lambda_max(W1 - W2)/2) <= P*, and if a
-    stage fails, once more from p_hi (1 without it). Its R_b, at P_b = tr R_b,
-    is purified and scaled down or up its ray to C = rate within p_hi (or
-    ``_BRACKET_CAP``). K21*, lambda*, the gap bound and the trace stay the
-    bordered solve's; f(R*, K21*) >= C(R*) is evaluated at R*. When both
-    starts fail or the ray stops short of the rate, ``_upper_end`` answers
-    instead, and a SolverError of its solve carries the trace rows of the
-    failed bordered starts ahead of its own.
+    stage fails, once more from p_hi. Its R_b, at P_b = tr R_b, is purified
+    and scaled down or up its ray to C = rate within p_hi. K21*, lambda*,
+    the gap bound and the trace stay the bordered solve's; f(R*, K21*) >=
+    C(R*) is evaluated at R*. When both starts fail or the ray stops short
+    of the rate, ``_upper_end`` answers instead: one minimax solve at p_hi,
+    and a SolverError of it carries the trace rows of the failed bordered
+    starts ahead of its own.
 
-    Raises BracketError when the rate is unattainable within the bracket
-    (or within the automatic doubling cap when p_hi is not given).
+    Raises BracketError when the rate is unattainable within p_hi.
     """
     kind, eigs = classify_degraded(ch)
     if kind is Degradedness.REVERSELY_DEGRADED:
@@ -176,14 +161,12 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
             "reversely degraded channel has zero secrecy capacity at any power"
         )
     cfg = SolverConfig() if cfg is None else cfg
-    slope = 0.5 * float(eigs.max())
-    p0 = target.rate / slope if slope > 0 else math.inf
-    p_restart = 1.0 if target.p_hi is None else float(target.p_hi)
-    sol, failed = _bordered_start(ch, target, cfg,
-                                  [p for p in (p0, p_restart) if p < math.inf])
+    # not reversely degraded: lambda_max(W1 - W2) exceeds its tolerance > 0
+    p0 = target.rate / (0.5 * float(eigs.max()))
+    p_hi = float(target.p_hi)
+    sol, failed = _bordered_start(ch, target, cfg, [p0, p_hi])
     r_star = None if sol is None else _ray_to_rate(
-        ch, purify(ch, sol.R_star.R, sol.K21_star), target.rate,
-        _BRACKET_CAP if target.p_hi is None else p_restart)
+        ch, purify(ch, sol.R_star.R, sol.K21_star), target.rate, p_hi)
     if r_star is not None:
         sol = _at_covariance(ch, sol, r_star)
     else:

@@ -180,6 +180,9 @@ class TestProblemParsing:
     def test_bad_mode(self):
         with pytest.raises(ProblemFormatError, match="'mode'"):
             parse_problem(dict(DEMO_PROBLEM, mode="fastest"))
+        # the dual is its own command, not a solver mode
+        with pytest.raises(ProblemFormatError, match="'mode'"):
+            parse_problem(dict(DEMO_PROBLEM, mode="dual"))
 
     def test_unknown_solver_key(self):
         bad = dict(DEMO_PROBLEM, solver={"gamma": 1.0})

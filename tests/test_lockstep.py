@@ -60,6 +60,9 @@ def assert_same_row(row, ref):
     assert row.capacity_achievable == ref.capacity_achievable
     assert row.capacity_upper == ref.capacity_upper
     assert row.lambda_star == ref.lambda_star
+    assert type(row.lambda_star) is type(ref.lambda_star) is float
+    for name in ("gap_bound", "t_final", "gap_met", "mode", "gap_bound_heuristic"):
+        assert getattr(row, name) == getattr(ref, name), name
     assert row.trace == ref.trace
     assert row.stage_reports == ref.stage_reports
     np.testing.assert_array_equal(row.R_star.R, ref.R_star.R)
@@ -175,6 +178,23 @@ def test_reversely_degraded_channel_short_circuits_in_a_list():
     rows = solve_minimax([ch, reverse], 1.0)
     assert rows[1].mode == "zero" and rows[1].newton_steps_total == 0
     assert_same_row(rows[0], serial(ch, 1.0))
+
+
+def test_zero_row_keeps_its_index_with_a_gap_target():
+    # a reversely degraded channel between two others: its zero row stays
+    # at index 1, and the rows around it stop on the gap target as their
+    # serial solves do
+    a, b = random_channels((2, 2, 2), 2, seed=3)
+    reverse = ChannelPair(0.5 * DEMO_H2, DEMO_H2)
+    cfg = SolverConfig(eps_gap=1e-3)
+    rows = solve_minimax([a, reverse, b], 1.0, cfg)
+    assert rows[1].mode == "zero" and rows[1].newton_steps_total == 0
+    assert rows[1].gap_met is True
+    assert_same_row(rows[1], serial(reverse, 1.0, cfg))
+    for ch, row in ((a, rows[0]), (b, rows[2])):
+        ref = serial(ch, 1.0, cfg)
+        assert ref.t_final < cfg.t_max and row.gap_met is ref.gap_met is True
+        assert_same_row(row, ref)
 
 
 @pytest.mark.parametrize("mode", ["auto", "degraded"])

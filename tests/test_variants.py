@@ -162,14 +162,6 @@ class TestSolveDual:
         # the gap m/t exceeds the rate, so the bordered point's own C is 0
         assert starts[0].capacity_achievable == 0.0
 
-    def test_automatic_bracket_growth(self):
-        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
-        # Cs(1) = 0.5 ln(5/2) ~ 0.458; ask for more so the bracket must grow
-        target = DualTarget(rate=0.55, tol_rate=1e-6)
-        p_star, sol = solve_dual(ch, target)
-        assert sol.capacity_achievable == pytest.approx(0.55, abs=1e-6)
-        assert p_star > 1.0
-
     def test_unattainable_rate_rejected(self):
         ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
         # Cs(P) -> 0.5 ln 4 ~ 0.693 as P -> inf; 0.68 needs a huge bracket
@@ -208,22 +200,24 @@ class TestSolveDual:
 
     def test_target_validation(self):
         with pytest.raises(ValueError):
-            DualTarget(rate=-0.1)
+            DualTarget(rate=-0.1, p_hi=10.0)
         with pytest.raises(ValueError):
-            DualTarget(rate=0.1, tol_rate=0.0)
+            DualTarget(rate=0.1, p_hi=10.0, tol_rate=0.0)
 
 
 @pytest.mark.parametrize(
     "field, kwargs",
     [
-        ("rate", dict(rate=math.nan)),
-        ("rate", dict(rate=math.inf)),
-        ("tol_rate", dict(rate=0.1, tol_rate=math.inf)),
-        ("tol_rate", dict(rate=0.1, tol_rate=math.nan)),
+        ("rate", dict(rate=math.nan, p_hi=10.0)),
+        ("rate", dict(rate=math.inf, p_hi=10.0)),
+        ("tol_rate", dict(rate=0.1, p_hi=10.0, tol_rate=math.inf)),
+        ("tol_rate", dict(rate=0.1, p_hi=10.0, tol_rate=math.nan)),
         ("p_hi", dict(rate=0.1, p_hi=-1.0)),
         ("p_hi", dict(rate=0.1, p_hi=0.0)),
         ("p_hi", dict(rate=0.1, p_hi=math.nan)),
         ("p_hi", dict(rate=0.1, p_hi=math.inf)),
+        # the power bound is required: no bracket is searched without it
+        ("p_hi", dict(rate=0.1, p_hi=None)),
     ],
 )
 def test_target_rejects_non_finite_fields(field, kwargs):
@@ -392,36 +386,6 @@ class TestBorderedDual:
             solve_dual(ch, DualTarget(rate=0.68, p_hi=8.0, tol_rate=1e-6))
         assert starts[0].R_star.power > 8.0
         assert powers == [8.0]
-
-    def test_grows_the_bracket_without_p_hi(self, monkeypatch):
-        # Cs(P) = 0.5 ln((1 + 4P)/(1 + P)) reaches 0.55 at P* = 2.012; one
-        # antenna has nothing to purify, so the ray meets it exactly
-        ch = ChannelPair(np.array([[2.0]]), np.array([[1.0]]))
-        target = DualTarget(rate=0.55, tol_rate=1e-6)
-        root = brentq(lambda p: 0.5 * math.log((1 + 4 * p) / (1 + p)) - 0.55, 0.1, 10,
-                      xtol=1e-300, rtol=4 * np.finfo(float).eps)
-        powers = _spy_solves(monkeypatch)
-        p_star, sol = solve_dual(ch, target)
-        assert powers == []
-        assert p_star == pytest.approx(root, rel=1e-12)
-        # without the bordered point the upper end grows 1, 2, 4, ... until
-        # its C reaches the rate, and its ray comes down to P*
-        monkeypatch.setattr(variants, "_bordered_start", lambda *args: (None, []))
-        p_upper, sol = solve_dual(ch, target)
-        assert powers == [1.0, 2.0, 4.0]
-        assert p_upper == pytest.approx(root, rel=1e-12)
-        assert sol.capacity_achievable == pytest.approx(0.55, abs=1e-15)
-
-    def test_no_p_hi_needs_no_bracket(self, demo_channel, monkeypatch):
-        # p_hi only caps the ray, so without it the bordered path gives the
-        # same answer, and neither solves a minimax problem
-        powers = _spy_solves(monkeypatch)
-        p_10, _ = solve_dual(demo_channel, DualTarget(rate=1e-5, p_hi=10.0, tol_rate=1e-7))
-        target = DualTarget(rate=1e-5, tol_rate=1e-7)
-        p_star, sol = solve_dual(demo_channel, target)
-        assert powers == []
-        assert p_star == p_10
-        assert abs(sol.capacity_achievable - target.rate) <= 1e-15
 
     @pytest.mark.parametrize("t_fail", [1e2, 1e3, 1e4, 1e5])
     @pytest.mark.parametrize("name", ["demo-0.30", "433-0-0.5"])
