@@ -153,18 +153,21 @@ def solve_dual(ch: ChannelPair, target: DualTarget,
     and a SolverError of it carries the trace rows of the failed bordered
     starts ahead of its own.
 
-    Raises BracketError when the rate is unattainable within p_hi.
+    Raises BracketError when the rate is unattainable within p_hi, or at
+    any power because lambda_max(W1 - W2) <= 0 or the channel is reversely
+    degraded.
     """
     kind, eigs = classify_degraded(ch)
-    if kind is Degradedness.REVERSELY_DEGRADED:
+    slope = 0.5 * float(eigs.max())
+    # Cs(P) <= slope * P; a zero W1 - W2 counts as degraded but has slope 0
+    if kind is Degradedness.REVERSELY_DEGRADED or slope <= 0:
         raise BracketError(
-            "reversely degraded channel has zero secrecy capacity at any power"
+            "zero secrecy capacity at any power: W1 - W2 has no eigenvalue "
+            "above its tolerance"
         )
     cfg = SolverConfig() if cfg is None else cfg
-    # not reversely degraded: lambda_max(W1 - W2) exceeds its tolerance > 0
-    p0 = target.rate / (0.5 * float(eigs.max()))
     p_hi = float(target.p_hi)
-    sol, failed = _bordered_start(ch, target, cfg, [p0, p_hi])
+    sol, failed = _bordered_start(ch, target, cfg, [target.rate / slope, p_hi])
     r_star = None if sol is None else _ray_to_rate(
         ch, purify(ch, sol.R_star.R, sol.K21_star), target.rate, p_hi)
     if r_star is not None:

@@ -390,6 +390,19 @@ class TestDualCommand:
         rc = main(["dual", str(path), "--rate", "0.5"])
         assert rc == 1
 
+    def test_identical_channels_rejected(self, tmp_path, capsys):
+        # W1 - W2 = 0 counts as degraded but has zero secrecy capacity: one
+        # error line, no result and no traceback
+        prob = dict(DEMO_PROBLEM, H2=DEMO_H1.tolist())
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps(prob))
+        rc = main(["dual", str(path), "--rate", "0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: zero secrecy capacity")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestBatchCommand:
     def test_c11_output_matches_golden(self, tmp_path):

@@ -17,7 +17,7 @@ from secrecap import (
     solve_per_antenna,
 )
 from secrecap.barrier_solver import purify
-from secrecap.channel import classify_degraded
+from secrecap.channel import Degradedness, classify_degraded
 from secrecap.errors import SolverError
 from secrecap.objective import minimax_objective, secrecy_rate
 
@@ -172,6 +172,16 @@ class TestSolveDual:
         ch = ChannelPair(DEMO_H1, 2.0 * DEMO_H1)
         with pytest.raises(BracketError):
             solve_dual(ch, DualTarget(rate=0.1, p_hi=100.0))
+
+    @pytest.mark.parametrize("w2_scale", [1.0, 1.0 + 1e-12])
+    def test_no_positive_eigenvalue_rejected(self, w2_scale):
+        # W1 - W2 exactly 0, or every eigenvalue in [-tol, 0): classified
+        # degraded, yet Cs(P) <= P lambda_max(W1 - W2)/2 = 0 at any power
+        ch = ChannelPair(DEMO_H1, math.sqrt(w2_scale) * DEMO_H1)
+        kind, eigs = classify_degraded(ch)
+        assert kind is Degradedness.DEGRADED and eigs.max() <= 0.0
+        with pytest.raises(BracketError, match="zero secrecy capacity"):
+            solve_dual(ch, DualTarget(rate=0.1, p_hi=10.0))
 
     def test_evaluated_capacity_map_monotone(self, demo_channel):
         # Cs is nondecreasing in P; verify it on a power sweep
