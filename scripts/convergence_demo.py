@@ -58,7 +58,7 @@ def main():
         if rep.rerun:
             start = "previous central point, after the predicted start failed"
         elif rep.predictor_step is not None:
-            start = f"predicted start (step {rep.predictor_step:g})"
+            start = "predicted start"
         else:
             start = "previous central point" if k else "standard start"
         print(f"t = {t:g}: {rep.iterations} steps from the {start}")

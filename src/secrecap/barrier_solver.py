@@ -63,14 +63,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Line-search, barrier-schedule and tolerance knobs.
+    """Barrier-schedule and tolerance knobs. The Newton line search has no
+    knobs: it backtracks by the constants of ``kkt_newton``.
 
     ``eps_gap=None`` disables gap-driven early stopping, so the schedule
     runs all the way to ``t_max``.
     """
 
-    alpha: float = 0.3
-    beta: float = 0.5
     t0: float = 100.0
     mu: float = 10.0
     t_max: float = 1e5
@@ -79,10 +78,6 @@ class SolverConfig:
     max_newton_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must lie in (0, 1/2)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
         if not 0 < self.t0 < math.inf:
             raise ValueError(f"t0 must be finite and positive, got {self.t0}")
         if not 1 < self.mu < math.inf:
@@ -339,8 +334,6 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
     traces = [[] for _ in channels]
     reports = [[] for _ in channels]
     errors = [None] * len(channels)
-    knobs = dict(eps=cfg.eps_newton, max_iter=cfg.max_newton_iter, alpha=cfg.alpha,
-                 beta=cfg.beta)
     state = starts[0] if one else SaddleState.stack(starts)
     t, previous = cfg.t0, None
     while True:
@@ -351,8 +344,9 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
             for row, z, rn, si in zip(_rows(st), np.atleast_2d(st.z), rnorm, s):
                 traces[row].append(TraceRecord(t, k, rn, si, channels[row], z.copy()))
 
-        state, *stage = newton_solve(obj, state, callback=record, previous=previous,
-                                     **knobs)
+        state, *stage = newton_solve(obj, state, eps=cfg.eps_newton,
+                                     max_iter=cfg.max_newton_iter, callback=record,
+                                     previous=previous)
         previous = obj
         failed = []
         for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):

@@ -11,8 +11,9 @@ Commands:
     dual <problem.json> --rate  minimum power for a target secrecy rate
     trace-export <result.json>  flat CSV of the convergence trace
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence (a partial
-result with the trace collected so far is still written).
+Exit codes: 0 success, 1 input error (a usage error too), 2 solver
+non-convergence (a partial result with the trace collected so far is still
+written).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "main",
 ]
 
-SOLVER_KEYS = ("alpha", "beta", "t0", "mu", "t_max", "eps_gap", "eps_newton")
+SOLVER_KEYS = ("t0", "mu", "t_max", "eps_gap", "eps_newton")
 
 
 class ProblemFormatError(ValueError):
@@ -541,8 +542,6 @@ def _cli_overrides(args) -> dict:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, with_newton_eps=True):
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
@@ -599,7 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) is an input error
+        return 1 if exc.code == 2 else exc.code
     return args.func(args)
 
 

@@ -21,9 +21,9 @@ vector, or None for unconstrained saddle systems); with a constraint also
 grad c: a residual reads the value alone, ``assemble`` both, and the
 objective keeps them on ``state``. Backtracking
 accepts a step only when the residual norm satisfies |r_new| <= (1 -
-alpha*s)|r_old|, which makes residual decrease a structural property of the
-iteration; trial points outside the barrier domain count as infinite
-residual.
+ALPHA*s)|r_old|, which makes residual decrease a structural property of the
+iteration; it starts at s = 1 and shrinks s by BETA, and trial points
+outside the barrier domain count as infinite residual.
 
 Every function takes one iterate or a stack of them, one row per channel of
 a stacked objective: the channels then move in lockstep through one loop,
@@ -37,7 +37,8 @@ which are faster than a stack of one.
 
 ``predict`` starts a barrier stage from the previous stage's central point
 by one tangent step of the central path, solved with the previous stage's
-KKT matrix, and ``newton_solve(..., previous=)`` solves a stage from it.
+KKT matrix and taken whole or not at all, and ``newton_solve(...,
+previous=)`` solves a stage from it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ __all__ = [
     "residual",
 ]
 
+ALPHA = 0.3                  # sufficient residual decrease per unit step
+BETA = 0.5                   # backtracking factor
 S_MIN = 1e-12                # line-search stagnation floor
-PREDICT_S_MIN = 2.0**-6      # the predictor's step halves at most six times
 DEFAULT_MAX_ITER = 200
 
 
@@ -82,10 +84,10 @@ class NewtonReport:
     short of the tolerance (None once it met it).
 
     A stage solved from the previous stage's central point w also records
-    its start: ``predictor_step``, the accepted step along the central
-    path's tangent (None without a previous stage and for a rejected
-    prediction), and ``rerun``, whether the solve from the prediction failed
-    and the steps listed are those of a second solve from w."""
+    its start: ``predictor_step``, 1.0 when it took the whole tangent step
+    (None without a previous stage and for a rejected prediction), and
+    ``rerun``, whether the solve from the prediction failed and the steps
+    listed are those of a second solve from w."""
 
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
@@ -241,25 +243,20 @@ def _trial_norm(obj, state: SaddleState, dz, dlam, s: float) -> tuple:
     return trial, r, [float(norms)] if r.ndim == 1 else norms.tolist()
 
 
-def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
-                beta: float, r0_norm=None, s_min: float = S_MIN):
+def line_search(obj, state: SaddleState, dw: np.ndarray, r0_norm=None):
     """Backtracking on the residual norm (accept while
-    |r(w + s dw)| > (1 - alpha s)|r(w)| shrink s by beta), with trial points
+    |r(w + s dw)| > (1 - ALPHA s)|r(w)| shrink s by BETA), with trial points
     outside the barrier domain treated as infinite residual.
 
     ``r0_norm`` lists the residual norms at ``state``, one per row (computed
     when None). Returns (s, new_state, new_residual_norms, errors), the
     lists aligned with the rows of ``state``: a row whose s fell below
-    ``s_min`` keeps its iterate, has s and norm NaN and its LineSearchError
+    S_MIN keeps its iterate, has s and norm NaN and its LineSearchError
     in ``errors`` (None for the other rows). Every row of a stack backtracks
     on its own norm, and all rows still searching share s, so one trial
     evaluates them together. Callers stop on |r| = 0 before invoking this;
     a zero current residual admits no decrease and would stagnate here.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
     r0 = (np.atleast_1d(_norms(residual(obj, state))).tolist() if r0_norm is None
           else list(r0_norm))
     n = len(r0)
@@ -268,9 +265,9 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
     pos = None  # positions still searching, once a trial rejected one
     base = state
     s = 1.0
-    while s >= s_min:
+    while s >= S_MIN:
         trial, _, rnorm = _trial_norm(obj, base, dz, dlam, s)
-        ok = [rn <= (1.0 - alpha * s) * r0_i for rn, r0_i in zip(rnorm, r0)]
+        ok = [rn <= (1.0 - ALPHA * s) * r0_i for rn, r0_i in zip(rnorm, r0)]
         if all(ok):
             if pos is None:  # the first trial accepted every row
                 return [s] * n, trial, rnorm, [None] * n
@@ -291,11 +288,11 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, alpha: float,
             pos, r0 = [pos[i] for i in keep], [r0[i] for i in keep]
             dz = dz[keep]
             dlam = dlam if np.ndim(dlam) == 0 else dlam[keep]
-        s *= beta
+        s *= BETA
     s_out, rn_out, errors = [math.nan] * n, [math.nan] * n, [None] * n
     for p, r0_i in zip(pos, r0):  # the rows that stagnated
         errors[p] = LineSearchError(
-            f"line search stagnated: s < {s_min:g}, |r|={r0_i:.3e}, "
+            f"line search stagnated: s < {S_MIN:g}, |r|={r0_i:.3e}, "
             f"last trial |r|={last[p]:.3e}")
     rows = []
     for p_acc, s_acc, rn_acc, trial in pieces:
@@ -315,7 +312,7 @@ def _in_order(pieces: list) -> SaddleState:
     return SaddleState.concat([rows for _, rows in pieces]).take(order)
 
 
-def predict(previous, obj, state: SaddleState, alpha: float):
+def predict(previous, obj, state: SaddleState):
     """The start of stage ``obj`` from ``state``, a central point of stage
     ``previous``: the first-order prediction along the central path
 
@@ -324,11 +321,12 @@ def predict(previous, obj, state: SaddleState, alpha: float):
     with T the KKT matrix of ``previous`` at w = ``state`` and phi its
     barrier sum (``barrier_gradient``). The residual depends on s = 1/t only
     through s grad phi, and the equality row not at all. The step solves by
-    ``newton_step`` (its refinement and backward-error gate) and is tried
-    under ``obj`` by ``line_search``, halving at most six times.
+    ``newton_step`` (its refinement and backward-error gate) and is taken
+    whole or not at all: one trial at s = 1 under ``obj``, accepted by the
+    test ``line_search`` puts to its first trial, |r| <= (1 - ALPHA)|r(w)|.
 
-    Returns (start, steps), one entry per row: the accepted step size, or
-    None for a row whose prediction is rejected or whose system is
+    Returns (start, steps), one entry per row: 1.0 for a row that takes the
+    step, or None for a row whose prediction is rejected or whose system is
     singular; such a row starts from ``state``.
     """
     t_matrix = assemble(previous, state).kkt_matrix
@@ -340,22 +338,24 @@ def predict(previous, obj, state: SaddleState, alpha: float):
     steps = [None] * len(errors)
     if not ok:
         return state, steps
-    whole = len(ok) == len(errors)
-    s, trial, _, ls_errors = line_search(
-        obj, state if whole else state.take(ok), dw if whole else dw[ok], alpha, 0.5,
-        s_min=PREDICT_S_MIN)
-    for i, si, e in zip(ok, s, ls_errors):
-        if e is None:
-            steps[i] = si
-    if whole:
+    base, dw = (state, dw) if len(ok) == len(errors) else (state.take(ok), dw[ok])
+    r0 = np.atleast_1d(_norms(residual(obj, base))).tolist()
+    trial, _, rnorm = _trial_norm(obj, base, *_split_step(obj, dw), 1.0)
+    took = [j for j, (rn, r0_j) in enumerate(zip(rnorm, r0))
+            if rn <= (1.0 - ALPHA) * r0_j]
+    if not took:
+        return state, steps
+    for j in took:
+        steps[ok[j]] = 1.0
+    if len(took) == len(errors):
         return trial, steps
-    bad = [i for i, e in enumerate(errors) if e is not None]
-    return _in_order([(ok, trial), (bad, state.take(bad))]), steps
+    rest = [i for i, si in enumerate(steps) if si is None]
+    return _in_order([([ok[j] for j in took], trial.take(took)),
+                      (rest, state.take(rest))]), steps
 
 
 def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
-                 max_iter: int = DEFAULT_MAX_ITER, alpha: float = 0.3,
-                 beta: float = 0.5, callback=None, previous=None):
+                 max_iter: int = DEFAULT_MAX_ITER, callback=None, previous=None):
     """Damped Newton iteration until |r| <= eps: the one Newton loop.
 
     One iterate, or a stack of them (``SaddleState`` rows, one per channel of
@@ -382,7 +382,7 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     """
     if previous is not None:
         return _from_prediction(previous, obj, state, dict(
-            eps=eps, max_iter=max_iter, alpha=alpha, beta=beta, callback=callback))
+            eps=eps, max_iter=max_iter, callback=callback))
     n = 1 if state.x.ndim == 1 else len(state.x)
     reports = [NewtonReport() for _ in range(n)]
     errors = [None] * n
@@ -430,8 +430,7 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
             if not keep:
                 break
             dw = dw[keep]
-        s, state, rnorm, ls_errors = line_search(obj, state, dw, alpha, beta,
-                                                 r0_norm=rnorm)
+        s, state, rnorm, ls_errors = line_search(obj, state, dw, r0_norm=rnorm)
         k += 1
         if ls_errors.count(None) < len(ls_errors):
             for p, e in zip(pos, ls_errors):
@@ -452,7 +451,7 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
 def _from_prediction(previous, obj, state: SaddleState, knobs: dict):
     """``newton_solve`` from the rows' predicted starts, with the rows that
     fail from one solved again from ``state``."""
-    start, steps = predict(previous, obj, state, knobs["alpha"])
+    start, steps = predict(previous, obj, state)
     final, reports, errors = newton_solve(obj, start, **knobs)
     redo = [i for i, (si, rep) in enumerate(zip(steps, reports))
             if si is not None and not rep.converged]

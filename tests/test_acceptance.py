@@ -75,7 +75,7 @@ def test_c02_newton_convergence_speed(demo_channel):
     obj = BarrierObjective(demo_channel, t=1e3, power=10.0)
     start = time.perf_counter()
     _, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
-                                     eps=1e-10, alpha=0.3, beta=0.5)
+                                     eps=1e-10)
     elapsed = time.perf_counter() - start
     assert err is None and rep.converged
     assert rep.final_residual_norm <= 1e-10

@@ -84,15 +84,15 @@ class TestGapBound:
 class TestSolverConfig:
     def test_defaults_match_reference_protocol(self):
         cfg = SolverConfig()
-        assert (cfg.alpha, cfg.beta) == (0.3, 0.5)
+        assert (kkt_newton.ALPHA, kkt_newton.BETA) == (0.3, 0.5)
         assert (cfg.t0, cfg.mu, cfg.t_max) == (100.0, 10.0, 1e5)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"alpha": 0.6},
-            {"alpha": 0.0},
-            {"beta": 1.0},
+            {"t0": -1.0},
+            {"mu": 0.5},
+            {"eps_newton": -1e-10},
             {"t0": 0.0},
             {"mu": 1.0},
             {"t_max": 1.0},
@@ -419,6 +419,16 @@ class TestStageStarts:
         sol = solve(demo_channel, PerAntennaBudget(caps=[1e-4, 1e-4]))
         starts = [(rep.predictor_step, rep.rerun) for _, rep in sol.stage_reports]
         assert starts == [(None, False)] * 4
+
+    def test_prediction_failing_the_whole_step_starts_from_the_central_point(
+            self, demo_channel):
+        # with caps of 30 and a total of 48 the tangent step to t = 1e4 does
+        # not decrease the residual enough at s = 1 (half of it would): the
+        # stage starts from the central point of t = 1e3
+        sol = solve(demo_channel, PerAntennaBudget(caps=[30.0, 30.0], total=48.0))
+        starts = [(rep.predictor_step, rep.rerun) for _, rep in sol.stage_reports]
+        assert starts == [(None, False), (1.0, False), (None, False), (1.0, False)]
+        assert [rep.iterations for _, rep in sol.stage_reports] == [6, 6, 6, 3]
 
     def test_stage_rerun_from_the_central_point(self):
         # c08's first channel (|K21*| = 0.9996) stagnates from every

@@ -96,6 +96,8 @@ class TestProblemParsing:
         ("solve", {"power": [2.0, 3.0], "power_total": True}, "power_total"),
         ("dual", {"dual_rate": True}, "dual_rate"),
         ("dual", {"dual_rate": 0.3, "dual_tol_rate": True}, "dual_tol_rate"),
+        ("dual", {"dual_rate": 0.3, "solver": {"t0": True}}, "t0"),
+        ("dual", {"dual_rate": 0.3, "solver": {"eps_gap": True}}, "eps_gap"),
     ] + [("solve", {"solver": {key: True}}, key) for key in cli.SOLVER_KEYS])
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys, command, patch,
                                           field):
@@ -114,6 +116,8 @@ class TestProblemParsing:
         ("solve", {"power": [4.0, 6.0], "power_total": "8"}, "power_total"),
         ("dual", {"dual_rate": "0.3"}, "dual_rate"),
         ("dual", {"dual_rate": 0.3, "dual_tol_rate": "1e-6"}, "dual_tol_rate"),
+        ("dual", {"dual_rate": 0.3, "solver": {"t0": "1"}}, "t0"),
+        ("dual", {"dual_rate": 0.3, "solver": {"eps_gap": "1"}}, "eps_gap"),
     ] + [("solve", {"solver": {key: "1"}}, key) for key in cli.SOLVER_KEYS])
     def test_json_string_is_not_a_number(self, tmp_path, capsys, command, patch,
                                          field):
@@ -156,6 +160,9 @@ class TestProblemParsing:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, patch, field", [
+        ("dual", {"dual_rate": 0.3, "solver": {"mu": None}}, "mu"),
+        ("dual", {"dual_rate": 0.3, "solver": {"eps_newton": None}}, "eps_newton"),
+    ] + [
         ("solve", {"solver": {key: None}}, key)
         for key in cli.SOLVER_KEYS if key != "eps_gap"
     ] + [("dual", {"dual_rate": 0.3, "solver": {"t0": None}}, "t0")])
@@ -188,6 +195,15 @@ class TestProblemParsing:
         bad = dict(DEMO_PROBLEM, solver={"gamma": 1.0})
         with pytest.raises(ProblemFormatError, match="gamma"):
             parse_problem(bad)
+
+    def test_line_search_override_is_unknown(self, tmp_path, capsys):
+        # the line search's constants are not solver settings
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(dict(DEMO_PROBLEM, solver={"alpha": 0.3})))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown solver override(s): ['alpha']\n"
+        assert captured.out == ""
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -402,6 +418,30 @@ class TestDualCommand:
         assert captured.err.startswith("error: zero secrecy capacity")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+class TestUsageErrors:
+    # argparse's own usage errors are input errors, exit 1: exit 2 means a
+    # solve that did not converge
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "required: command"),
+        (["solve"], "required: problem"),
+        (["solve", "{problem}", "--mode", "bogus"], "invalid choice: 'bogus'"),
+        (["batch", "--m", "1", "--n1", "1", "--n2", "1", "--count", "x", "--seed", "1"],
+         "invalid int value: 'x'"),
+    ], ids=["no-command", "no-problem", "bad-mode", "bad-count"])
+    def test_exit_1_with_the_message(self, demo_problem_file, capsys, argv, message):
+        assert main([a.format(problem=demo_problem_file) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.err.startswith("usage: secrecap")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: secrecap")
 
 
 class TestBatchCommand:

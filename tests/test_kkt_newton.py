@@ -11,6 +11,7 @@ from secrecap import (
     SingularKktError,
     initial_point,
 )
+from secrecap import kkt_newton
 from secrecap.kkt_newton import (
     KktSystem,
     NewtonReport,
@@ -311,7 +312,7 @@ class TestLineSearch:
         sys = assemble(obj, st)
         dw, errors = newton_step(sys)
         assert errors == [None]
-        (s,), _, (rnorm,), errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+        (s,), _, (rnorm,), errors = line_search(obj, st, dw)
         assert errors == [None]
         assert s == 1.0
         assert rnorm <= (1 - 0.3) * np.linalg.norm(sys.residual)
@@ -325,25 +326,16 @@ class TestLineSearch:
             dw, errors = newton_step(sys)
             assert errors == [None]
             r0 = np.linalg.norm(sys.residual)
-            (s,), _, (rnorm,), errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+            (s,), _, (rnorm,), errors = line_search(obj, st, dw)
             assert errors == [None]
             assert rnorm <= (1 - 0.3 * s) * r0
-
-    def test_parameter_validation(self, demo_channel):
-        obj = BarrierObjective(demo_channel, 100.0, 10.0)
-        st = initial_point(demo_channel, 10.0)
-        dw = np.zeros(obj.nx + obj.ny + 1)
-        with pytest.raises(ValueError):
-            line_search(obj, st, dw, alpha=0.7, beta=0.5)
-        with pytest.raises(ValueError):
-            line_search(obj, st, dw, alpha=0.3, beta=1.0)
 
 
 class TestNewtonSolve:
     def test_demo_channel_fixed_t_converges_fast(self, demo_channel):
         obj = BarrierObjective(demo_channel, 1e3, 10.0)
         st, (rep,), (err,) = newton_solve(obj, initial_point(demo_channel, 10.0),
-                                          eps=1e-10, alpha=0.3, beta=0.5)
+                                          eps=1e-10)
         assert err is None and rep.converged
         assert rep.iterations <= 25
         assert rep.final_residual_norm <= 1e-10
@@ -507,7 +499,7 @@ class TestNewtonSolve:
         for _ in range(3):
             dw, errors = newton_step(assemble(obj, st))
             assert errors.count(None) == len(errors)
-            _, st, _, errors = line_search(obj, st, dw, alpha=0.3, beta=0.5)
+            _, st, _, errors = line_search(obj, st, dw)
             assert errors.count(None) == len(errors)
         builds = []
         real = BarrierObjective._gradient_from
@@ -533,6 +525,16 @@ class TestNewtonSolve:
         assert len(seen) == rep.iterations
         assert [k for k, _, _ in seen] == list(range(1, rep.iterations + 1))
         assert [rn for _, rn, _ in seen] == rep.residual_norms[1:]
+
+
+class NanRowOne(BarrierObjective):
+    """A stacked objective whose second row's Hessian is NaN."""
+
+    def newton_system(self, state):
+        g, h = super().newton_system(state)
+        h = h.copy()
+        h[1] = np.nan
+        return g, h
 
 
 class TestPredict:
@@ -571,7 +573,7 @@ class TestPredict:
         w_near = self.central(near, w)
         tangent = (w_near.z - w.z) / (1 / near.t - 1 / prev.t)
         nxt = BarrierObjective(demo_channel, 1e3, 10.0)
-        start, steps = predict(prev, nxt, w, alpha=0.3)
+        start, steps = predict(prev, nxt, w)
         assert steps == [1.0]
         np.testing.assert_allclose(start.z - w.z, (1 / nxt.t - 1 / prev.t) * tangent,
                                    rtol=1e-4)
@@ -579,12 +581,12 @@ class TestPredict:
 
     def test_rejected_prediction_starts_from_the_central_point(self, demo_channel):
         # at caps of 1e-2 the central path bends too fast for the tangent:
-        # no step down to 1/64 decreases the residual enough
+        # the whole step does not decrease the residual enough
         make = lambda t: PerAntennaBarrierObjective(demo_channel, t, [1e-2, 1e-2])
         prev, nxt = make(100.0), make(1e3)
         w = self.central(prev, SaddleState(x=vech(np.diag([5e-3, 5e-3])),
                                            y=np.zeros(4), lam=0.0))
-        start, steps = predict(prev, nxt, w, alpha=0.3)
+        start, steps = predict(prev, nxt, w)
         assert steps == [None] and start is w
         _, (rep,), _ = newton_solve(nxt, w, previous=prev)
         _, (ref,), _ = newton_solve(nxt, w)
@@ -601,7 +603,7 @@ class TestPredict:
                          initial_point(demo_channel, 10.0))
         prev, nxt = NanHessian(demo_channel, 100.0, 10.0), BarrierObjective(
             demo_channel, 1e3, 10.0)
-        start, steps = predict(prev, nxt, w, alpha=0.3)
+        start, steps = predict(prev, nxt, w)
         assert steps == [None] and start is w
         _, (rep,), _ = newton_solve(nxt, w, previous=prev)
         _, (ref,), _ = newton_solve(nxt, w)
@@ -611,22 +613,44 @@ class TestPredict:
     def test_singular_row_of_a_stack_starts_from_its_central_point(self, demo_channel):
         # one row's tangent system is singular: that row keeps w, the other
         # row takes its prediction, bit for bit as alone
-        class NanRowOne(BarrierObjective):
-            def newton_system(self, state):
-                g, h = super().newton_system(state)
-                h = h.copy()
-                h[1] = np.nan
-                return g, h
-
         other = random_channel(np.random.default_rng(3), 2, 2, 2)
         channels = [demo_channel, other]
         prev = BarrierObjective(channels, 100.0, 10.0)
         w = self.central(prev, SaddleState.stack(
             [initial_point(c, 10.0) for c in channels]))
         nxt = BarrierObjective(channels, 1e3, 10.0)
-        start, steps = predict(NanRowOne(channels, 100.0, 10.0), nxt, w, alpha=0.3)
+        start, steps = predict(NanRowOne(channels, 100.0, 10.0), nxt, w)
         assert steps[1] is None and steps[0] is not None
         np.testing.assert_array_equal(start.z[1], w.z[1])
-        alone, _ = predict(prev, nxt, w, alpha=0.3)
+        alone, _ = predict(prev, nxt, w)
         np.testing.assert_array_equal(start.z[0], alone.z[0])
         assert start.rows.tolist() == [0, 1]
+
+    def test_one_whole_trial_per_row_with_a_step(self, demo_channel, monkeypatch):
+        # the tangent step is tried once, at s = 1: a rejected row gets no
+        # shorter trial, and a row whose system is singular gets no trial
+        trials = []
+        real = kkt_newton._trial_norm
+
+        def counted(obj, state, dz, dlam, s):
+            trials.append((len(np.atleast_2d(state.x)), s))
+            return real(obj, state, dz, dlam, s)
+
+        monkeypatch.setattr(kkt_newton, "_trial_norm", counted)
+        make = lambda t: PerAntennaBarrierObjective(demo_channel, t, [1e-2, 1e-2])
+        w = self.central(make(100.0), SaddleState(x=vech(np.diag([5e-3, 5e-3])),
+                                                  y=np.zeros(4), lam=0.0))
+        trials.clear()
+        assert predict(make(100.0), make(1e3), w)[1] == [None]
+        assert trials == [(1, 1.0)]
+
+        channels = [demo_channel, random_channel(np.random.default_rng(3), 2, 2, 2)]
+        w = self.central(BarrierObjective(channels, 100.0, 10.0), SaddleState.stack(
+            [initial_point(c, 10.0) for c in channels]))
+        nxt = BarrierObjective(channels, 1e3, 10.0)
+        trials.clear()
+        assert predict(BarrierObjective(channels, 100.0, 10.0), nxt, w)[1] == [1.0, 1.0]
+        assert trials == [(2, 1.0)]
+        trials.clear()
+        assert predict(NanRowOne(channels, 100.0, 10.0), nxt, w)[1] == [1.0, None]
+        assert trials == [(1, 1.0)]
