@@ -31,7 +31,6 @@ def main():
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--power", type=float, default=10.0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--large", action="store_true",
                     help="run the m=5, n1=n2=10 system at residual 1e-8 "
                          "instead of m=4, n1=n2=3 at 1e-10")
@@ -45,8 +44,7 @@ def main():
     cfg = SolverConfig(t0=100.0, mu=10.0, t_max=1e5, eps_newton=target)
     print(f"m={m}, n1={n1}, n2={n2}, {args.count} channels, seed {args.seed}, "
           f"residual target {target:g}")
-    summary = run_batch(m, n1, n2, args.count, args.seed, args.power, cfg,
-                        jobs=args.jobs)
+    summary = run_batch(m, n1, n2, args.count, args.seed, args.power, cfg)
     print_histogram(summary)
 
     steps = np.array([r["steps"] for r in summary["per_channel"] if r["converged"]])

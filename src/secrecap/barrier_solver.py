@@ -187,7 +187,8 @@ class SaddleSolution:
 
 def _zero_solution(ch: ChannelPair, power: float,
                    cfg: SolverConfig) -> SaddleSolution:
-    """R* = 0 of a reversely degraded channel, whose capacity is zero."""
+    """R* = 0 of a channel whose W1 - W2 has no positive eigenvalue (a
+    reversely degraded one, or H2 = H1), whose capacity is zero."""
     return SaddleSolution(
         R_star=TransmitCovariance(np.zeros((ch.m, ch.m)), power),
         K21_star=np.zeros((ch.n2, ch.n1)),
@@ -249,8 +250,9 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
     method, for a total budget P or a ``PerAntennaBudget``.
 
     Given P, ``minimax`` solves over (R, K) with tr R = P on any channel and
-    short-circuits a reversely degraded one to the exact zero-capacity
-    solution; ``degraded`` requires W1 >= W2 and maximizes
+    short-circuits one whose W1 - W2 has no positive eigenvalue (reversely
+    degraded, or identical channels) to the exact zero-capacity solution;
+    ``degraded`` requires W1 >= W2 and maximizes
     C(R) + (1/t) ln|R| without the noise-covariance block, with gap bound
     m/t; ``auto`` takes the degraded path whenever it applies. A budget
     always solves per-antenna: r_ii <= P_i and an optional total cap act as
@@ -304,7 +306,7 @@ def solve(ch: ChannelPair | Sequence[ChannelPair], power: float | PerAntennaBudg
                 )
             objective = DegradedBarrierObjective
             starts[i] = SaddleState(x=vech(np.eye(c.m) * (power / c.m)), y=np.zeros(0))
-        elif kind is Degradedness.REVERSELY_DEGRADED:
+        elif kind is Degradedness.REVERSELY_DEGRADED or eigs.max() <= 0:
             results[i] = _zero_solution(c, power, cfg)
         else:
             starts[i] = initial_point(c, power)

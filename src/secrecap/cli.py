@@ -7,7 +7,9 @@ representation, so results reload bit-exactly.
 
 Commands:
     solve <problem.json>        compute capacity and optimal covariance
-    batch --m --n1 --n2 ...     seeded random-channel step-count statistics
+    batch --m --n1 --n2 ...     seeded random-channel step-count statistics,
+                                the channels solved in process as one
+                                lockstep stack
     dual <problem.json> --rate  minimum power for a target secrecy rate
     trace-export <result.json>  flat CSV of the convergence trace
 
@@ -21,8 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -393,51 +393,27 @@ def _batch_channels(m: int, n1: int, n2: int, count: int, seed: int):
     return out
 
 
-def _solve_batch(channels_power_cfg) -> list[dict]:
-    """Rows of channels solved together: one lockstep minimax solve."""
-    channels, power, cfg = channels_power_cfg
-    rows = []
-    for sol in solve_minimax(channels, power, cfg):
-        failed = isinstance(sol, SolverError)
-        rows.append({
-            "steps": len(sol.trace) if failed else sol.newton_steps_total,
-            "converged": not failed,
-            "capacity_nats": None if failed else sol.capacity_achievable,
-        })
-    return rows
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
               cfg: SolverConfig, jobs: int = 1) -> dict:
     """Seeded random-channel sweep; deterministic summary for a fixed seed.
 
-    The channels are solved in lockstep (``solve_minimax`` of a list): each
-    Newton round advances every channel still iterating by one stacked step,
-    and each channel's row is bit for bit its serial solve. With
-    ``jobs > 1`` the channels are split into that many contiguous blocks,
-    at most one per channel and per usable CPU, and each block is solved in
-    lockstep by a forked worker process; the summary is the same for every
-    ``jobs``. Without the ``fork`` start method they are solved in-process.
+    The channels are solved in lockstep, in process (``solve_minimax`` of a
+    list): each Newton round advances every channel still iterating by one
+    stacked step, and each channel's row is bit for bit its serial solve.
+    ``jobs`` is ignored. It is kept only for ``perfbench/workloads.py``,
+    which passes it, until the benchmark side of ROADMAP items 7 and 18
+    drops it.
     """
     channels = _batch_channels(m, n1, n2, count, seed)
-    workers = min(jobs, count, _usable_cpus())
-    # fork, not spawn: a spawned worker would import numpy and scipy again,
-    # and forked workers see the same module state as an in-process solve.
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        bounds = np.linspace(0, count, workers + 1).round().astype(int)
-        work = [(channels[a:b], power, cfg) for a, b in zip(bounds, bounds[1:])]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = [row for block in pool.map(_solve_batch, work) for row in block]
-    else:
-        rows = _solve_batch((channels, power, cfg))
-    rows = [{"index": i, **row} for i, row in enumerate(rows)]
+    rows = []
+    for i, sol in enumerate(solve_minimax(channels, power, cfg)):
+        failed = isinstance(sol, SolverError)
+        rows.append({
+            "index": i,
+            "steps": len(sol.trace) if failed else sol.newton_steps_total,
+            "converged": not failed,
+            "capacity_nats": None if failed else sol.capacity_achievable,
+        })
 
     steps = [r["steps"] for r in rows if r["converged"]]
     failures = sum(1 for r in rows if not r["converged"])
@@ -478,7 +454,7 @@ def run_batch(m: int, n1: int, n2: int, count: int, seed: int, power: float,
 def cmd_batch(args) -> int:
     for flag, value, least in (("--m", args.m, 1), ("--n1", args.n1, 0),
                                ("--n2", args.n2, 0), ("--count", args.count, 1),
-                               ("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+                               ("--seed", args.seed, 0)):
         if value < least:
             print(f"error: {flag} must be at least {least}", file=sys.stderr)
             return 1
@@ -492,7 +468,7 @@ def cmd_batch(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = run_batch(args.m, args.n1, args.n2, args.count, args.seed,
-                        args.power, cfg, jobs=args.jobs)
+                        args.power, cfg)
     _write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", args.output)
     return 0 if summary["failures"] == 0 else 2
 
@@ -571,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--n2", type=int, required=True)
     p_batch.add_argument("--count", type=int, required=True)
     p_batch.add_argument("--seed", type=int, required=True)
-    p_batch.add_argument("--jobs", type=int, default=1)
     p_batch.add_argument("--power", type=float, default=10.0)
     p_batch.add_argument("--target-residual", dest="eps_newton", type=float,
                          default=None)

@@ -136,14 +136,20 @@ class TestSolveMinimax:
         assert sol.capacity_achievable == pytest.approx(0.5 * np.log(2.5), abs=1e-4)
 
     def test_identical_channels_zero_capacity(self):
-        # worst-case noise for identical channels sits on the feasibility
-        # boundary (|K21| -> 1), so deep schedules cannot reach 1e-10
-        # residuals in floating point; a short schedule already certifies
-        # the zero capacity (C(R) is identically zero here for every R)
+        # W1 - W2 = 0 has no positive eigenvalue, so C(R) is zero for every
+        # R: the exact zero solution, alone and as a row of a list. Solved,
+        # the worst-case noise sits on the feasibility boundary (|K21| -> 1)
+        # and the stage at t = 1e4 stagnates.
         rng = np.random.default_rng(60)
         h = rng.standard_normal((2, 2))
-        sol = solve_minimax(ChannelPair(h, h), 10.0, SolverConfig(t_max=1e3))
-        assert sol.capacity_achievable <= 1e-6
+        other = ChannelPair(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        alone = solve_minimax(ChannelPair(h, h), 10.0)
+        rows = solve_minimax([other, ChannelPair(h, h)], 10.0)
+        for sol in (alone, rows[1]):
+            assert sol.mode == "zero"
+            assert sol.capacity_achievable == sol.capacity_upper == 0.0
+            assert sol.newton_steps_total == 0
+        assert rows[0].mode == "minimax"
 
     def test_reversely_degraded_short_circuit(self):
         sol = solve_minimax(ChannelPair(DEMO_H1, 2.0 * DEMO_H1), 10.0)

@@ -70,7 +70,7 @@ def test_traced_solves_feed_the_metrics(bench, capsys):
         # whose rate lies above Cs(p_hi) makes one at p_hi, then raises
         with pytest.raises(BracketError):
             variants.solve_dual(demo, DualTarget(rate=0.3, p_hi=1.0), cfg)
-        cli.run_batch(2, 1, 1, 2, 0, 1.0, cfg, jobs=1)
+        cli.run_batch(2, 1, 1, 2, 0, 1.0, cfg)
     finally:
         assert tracer.restore() == []
     assert capsys.readouterr().out == ""
@@ -83,4 +83,22 @@ def test_traced_solves_feed_the_metrics(bench, capsys):
                  "objective.DegradedBarrierObjective.gradient_us",
                  "objective.PerAntennaBarrierObjective.system_us",
                  "matcalc.kron_calls_per_step", "channel.self_ms_per_step"):
+        assert metrics[name]["value"] > 0, name
+
+
+def test_traced_batch_feeds_the_metrics(bench):
+    # the benchmark's batch workload passes jobs=2; every solve of the batch
+    # must still run where the tracer records its spans
+    from secrecap import cli
+
+    tracing, layers = bench
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        cli.run_batch(2, 1, 1, 2, 0, 1.0, SolverConfig(t_max=1e3), jobs=2)
+    finally:
+        assert tracer.restore() == []
+    metrics, _ = layers.per_layer_metrics(tracer, 2)
+    for name in ("kkt_newton.step_ms", "cli.busy_s"):
         assert metrics[name]["value"] > 0, name

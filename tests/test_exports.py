@@ -14,11 +14,12 @@ MODULES = ["secrecap"] + [f"secrecap.{m.name}"
 
 # deleted because only tests called them, or because one path took their
 # place (the schedule loop of ``_solve_together``, the dual's given p_hi, the
-# CLI's solve command and the predictor's whole step); see CHANGES.md
+# CLI's solve command, the predictor's whole step and the in-process
+# lockstep batch); see CHANGES.md
 DELETED = ("KktCertificate", "extract_certificate", "NoiseCovariance",
            "effective_gram", "problem_to_dict", "dump_problem", "unvec",
            "_schedule", "_run_schedule", "_solve_lockstep", "_BRACKET_CAP", "MODES",
-           "_dispatch_solve", "PREDICT_S_MIN")
+           "_dispatch_solve", "PREDICT_S_MIN", "_usable_cpus", "_solve_batch")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,3 +54,10 @@ def test_deleted_attributes_stay_deleted(demo_channel):
 def test_deleted_cli_flags_stay_deleted(capsys, command, flag):
     assert cli.main([*command, flag, "0.3"]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_batch_jobs_flag_stays_deleted(capsys):
+    # the batch is one lockstep solve in process: no worker count to give
+    assert cli.main(["batch", "--m", "1", "--n1", "1", "--n2", "1", "--count", "1",
+                     "--seed", "1", "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
