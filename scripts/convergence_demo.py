@@ -52,7 +52,8 @@ def main():
         print(f"{k:4d}  " + "  ".join(row))
 
     print("\nbarrier schedule, each stage from the previous central point's "
-          "tangent prediction:")
+          "tangent prediction; every stage before the last stops once its "
+          "Newton decrement is at most 1/t:")
     sol = solve_minimax(ch, args.power, SolverConfig())
     for k, (t, rep) in enumerate(sol.stage_reports):
         if rep.rerun:

@@ -7,9 +7,13 @@ first-order prediction of its central point along the central path's
 tangent at the previous stage's central point w (``kkt_newton.predict``,
 Boyd & Vandenberghe, Convex Optimization, §11.3-11.4), or from w itself
 where the prediction is rejected; a stage that fails from a predicted start
-is solved once more from w. Stops early once the stage objective's gap
-bound drops below ``eps_gap`` when that tolerance is set; otherwise the full
-schedule runs to t_max, mirroring the usual experiment protocol.
+is solved once more from w. Every stage before the last centers only
+approximately (§11.3.1): it stops after a whole Newton step whose decrement
+sum_i |r_i dw_i| was at most 1/t, a test in nats that does not depend on the
+units of P; the last stage solves to ``eps_newton``. Stops early once the
+stage objective's gap bound drops below ``eps_gap`` when that tolerance is
+set; otherwise the full schedule runs to t_max, mirroring the usual
+experiment protocol.
 
 Every solve, the dual's bordered one too, runs this schedule in
 ``_solve_together``: one channel as one iterate, a list of them as one stack
@@ -340,6 +344,8 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
     t, previous = cfg.t0, None
     while True:
         obj = objective(channels[0] if one else channels, t, *args)
+        gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
+        last = gap_met or t >= cfg.t_max * (1.0 - 1e-12)
 
         def record(k, st, rnorm, s, t=t):
             # each row copies its own z: a row of the stack would keep all of it
@@ -348,7 +354,8 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
 
         state, *stage = newton_solve(obj, state, eps=cfg.eps_newton,
                                      max_iter=cfg.max_newton_iter, callback=record,
-                                     previous=previous)
+                                     previous=previous,
+                                     loose=None if last else 1.0 / t)
         previous = obj
         failed = []
         for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
@@ -360,9 +367,8 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
                 exc.trace = traces[row]
                 errors[row] = exc
                 failed.append(i)
-        gap_met = None if cfg.eps_gap is None else obj.gap() <= cfg.eps_gap
         # the rows of failed channels stay in the last state, unread
-        if len(failed) == len(stage[0]) or gap_met or t >= cfg.t_max * (1.0 - 1e-12):
+        if len(failed) == len(stage[0]) or last:
             break
         if failed:
             state = state.take(np.delete(np.arange(len(state.x)), failed))

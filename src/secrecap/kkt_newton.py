@@ -38,7 +38,10 @@ which are faster than a stack of one.
 ``predict`` starts a barrier stage from the previous stage's central point
 by one tangent step of the central path, solved with the previous stage's
 KKT matrix and taken whole or not at all, and ``newton_solve(...,
-previous=)`` solves a stage from it.
+previous=)`` solves a stage from it. ``newton_solve(..., loose=)`` centers
+only approximately: a row also stops after a whole step whose Newton
+decrement sum_i |r_i dw_i| was at most ``loose``, which the barrier schedule
+sets to 1/t on every stage before the last.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class KktSystem:
 class NewtonReport:
     """What one Newton solve observed: the residual norm at the start and
     after each accepted step, the accepted step sizes, and why it stopped
-    short of the tolerance (None once it met it).
+    short of the tolerance (None once it met it, or the decrement test of
+    ``newton_solve(..., loose=)``).
 
     A stage solved from the previous stage's central point w also records
     its start: ``predictor_step``, 1.0 when it took the whole tangent step
@@ -355,7 +359,8 @@ def predict(previous, obj, state: SaddleState):
 
 
 def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
-                 max_iter: int = DEFAULT_MAX_ITER, callback=None, previous=None):
+                 max_iter: int = DEFAULT_MAX_ITER, callback=None, previous=None,
+                 loose: float | None = None):
     """Damped Newton iteration until |r| <= eps: the one Newton loop.
 
     One iterate, or a stack of them (``SaddleState`` rows, one per channel of
@@ -379,10 +384,17 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     that fails from a predicted start is solved once more from ``state``;
     the callback sees the steps of both solves. Each report records the
     start.
+
+    With ``loose``, a row also leaves, converged, after a whole step (s = 1)
+    whose Newton decrement sum_i |r_i dw_i|, over the residual r the step
+    was assembled at, was at most ``loose``: an approximate centering, as
+    in Boyd & Vandenberghe, Convex Optimization, §11.3.1. The decrement is
+    in nats and does not change under (H, P) -> (c H, P / c^2), where |r|
+    carries the units of P.
     """
     if previous is not None:
         return _from_prediction(previous, obj, state, dict(
-            eps=eps, max_iter=max_iter, callback=callback))
+            eps=eps, max_iter=max_iter, callback=callback, loose=loose))
     n = 1 if state.x.ndim == 1 else len(state.x)
     reports = [NewtonReport() for _ in range(n)]
     errors = [None] * n
@@ -421,7 +433,10 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
                 reports[p].failure = f"not converged after {max_iter} iterations"
             leave([True] * len(pos))
             break
-        dw, step_errors = newton_step(assemble(obj, state))
+        sys = assemble(obj, state)
+        dw, step_errors = newton_step(sys)
+        # the Newton decrement of each row, NaN for a row without a step
+        dec = np.atleast_1d(np.abs(sys.residual * dw).sum(axis=-1)).tolist()
         if step_errors.count(None) < len(step_errors):
             for p, e in zip(pos, step_errors):
                 if e is not None:
@@ -429,7 +444,7 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
             keep = leave([e is not None for e in step_errors])
             if not keep:
                 break
-            dw = dw[keep]
+            dw, dec = dw[keep], [dec[i] for i in keep]
         s, state, rnorm, ls_errors = line_search(obj, state, dw, r0_norm=rnorm)
         k += 1
         if ls_errors.count(None) < len(ls_errors):
@@ -439,12 +454,18 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
             keep = leave([e is not None for e in ls_errors])
             if not keep:
                 break
-            s = [s[i] for i in keep]
+            s, dec = [s[i] for i in keep], [dec[i] for i in keep]
         for p, si, rn in zip(pos, s, rnorm):
             reports[p].step_sizes.append(si)
             reports[p].residual_norms.append(rn)
         if callback is not None:
             callback(k, state, rnorm, s)
+        if loose is not None:
+            centered = [si == 1.0 and d <= loose for si, d in zip(s, dec)]
+            if any(centered):
+                leave(centered)
+                if not pos:
+                    break
     return _in_order(done), reports, errors
 
 

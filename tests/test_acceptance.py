@@ -320,9 +320,10 @@ def test_c11_batch_step_statistics():
     steps = [row["steps"] for row in summary["per_channel"]]
     within = sum(1 for s in steps if s <= 60)
     assert within >= 90
-    # each stage starts from the central path's tangent prediction
-    assert summary["stats"]["median"] <= 20
-    assert summary["stats"]["max"] <= 30
+    # each stage starts from the central path's tangent prediction, and
+    # every stage before the last stops on the Newton decrement
+    assert summary["stats"]["median"] <= 11
+    assert summary["stats"]["max"] <= 16
     assert elapsed < 300.0
     # each channel's f within the summed gap bounds of the benchmark bank's
     # reference for this protocol

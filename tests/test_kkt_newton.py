@@ -527,6 +527,58 @@ class TestNewtonSolve:
         assert [rn for _, rn, _ in seen] == rep.residual_norms[1:]
 
 
+class TestLooseCentering:
+    """``newton_solve(..., loose=d)``: a row also leaves after a whole step
+    whose Newton decrement sum_i |r_i dw_i| was at most d."""
+
+    @staticmethod
+    def problems(count):
+        rng = np.random.default_rng(56)
+        channels = [random_channel(rng, 2, 2, 2) for _ in range(count)]
+        return channels, [initial_point(ch, 10.0) for ch in channels]
+
+    def test_a_row_leaves_after_the_first_whole_step_of_small_decrement(self):
+        (ch,), (start,) = self.problems(1)
+        obj = BarrierObjective(ch, 1e3, 10.0)
+        points = [start]
+        _, (full,), _ = newton_solve(
+            obj, start, eps=1e-10, callback=lambda k, st, rn, s: points.append(st))
+        decrements = []
+        for w in points[:-1]:
+            sys = assemble(obj, w)
+            dw, _ = newton_step(sys)
+            decrements.append(float(np.abs(sys.residual * dw).sum()))
+        for loose in (1e-3, np.inf):
+            _, (rep,), (err,) = newton_solve(obj, start, eps=1e-10, loose=loose)
+            k = next(k for k, (s, d) in enumerate(zip(full.step_sizes, decrements))
+                     if s == 1.0 and d <= loose)
+            assert err is None and rep.converged
+            assert rep.iterations == k + 1 < full.iterations
+            assert rep.step_sizes == full.step_sizes[:k + 1]
+            assert rep.residual_norms == full.residual_norms[:k + 2]
+        # with no bound on the decrement, the damped steps before the first
+        # whole one do not end the solve
+        assert full.step_sizes[:6] == [0.5, 0.25, 0.125, 0.5, 0.5, 0.5]
+        assert rep.iterations == 7
+
+    def test_rows_of_a_stack_leave_independently(self):
+        channels, starts = self.problems(8)
+        obj = BarrierObjective(channels, 1e3, 10.0)
+        seen = []
+        final, reports, errors = newton_solve(
+            obj, SaddleState.stack(starts), eps=1e-10, loose=1e-3,
+            callback=lambda k, st, rn, s: seen.append(len(rn)))
+        assert errors == [None] * 8
+        assert len({rep.iterations for rep in reports}) > 2
+        assert seen == sorted(seen, reverse=True) and seen[-1] < 8
+        for i, (ch, start) in enumerate(zip(channels, starts)):
+            alone, (ref,), _ = newton_solve(BarrierObjective(ch, 1e3, 10.0), start,
+                                            eps=1e-10, loose=1e-3)
+            assert reports[i] == ref
+            np.testing.assert_array_equal(final.z[i], alone.z)
+            assert final.lam[i] == alone.lam
+
+
 class NanRowOne(BarrierObjective):
     """A stacked objective whose second row's Hessian is NaN."""
 

@@ -24,7 +24,7 @@ from secrecap import (
 from secrecap.kkt_newton import KktSystem, assemble, newton_solve, newton_step
 from secrecap.matcalc import vech
 
-from conftest import DEMO_H1, DEMO_H2, c08_channels
+from conftest import DEMO_H1, DEMO_H2
 
 # the CI problem that must fail: nearly identical channels (W1 - W2
 # indefinite, eigenvalues of order 1e-6) and a deep schedule
@@ -123,53 +123,57 @@ def test_failing_channel_moves_no_other_row():
         assert_same_row(row, alone)
 
 
-@pytest.mark.parametrize("picks", [[3, 11], [11, 3], [3, 11, 22], [3, 2, 11, 22]])
+@pytest.mark.parametrize("picks", [[4, 8], [8, 4], [4, 8, 0], [4, 1, 8, 0]])
 def test_rows_failing_at_successive_stages_equal_serial_solves(picks):
-    # with four iterations per stage from t0 = 0.01, channels 3, 11 and 22
-    # fail at t = 10, 1e2 and 1e3 of a schedule up to 1e7, each once from
-    # its predicted start and once more from the previous central point,
-    # and channel 2 converges: every row still equals its serial solve when
-    # no row is left before the last stage
-    cfg = SolverConfig(t0=0.01, max_newton_iter=4, t_max=1e7)
+    # with two iterations per stage from t0 = 0.01 at P = 0.1, channels 4,
+    # 8 and 0 fail at t = 1e2, 1e3 and 1e7 of a schedule up to 1e7, each
+    # once from its predicted start and once more from the previous central
+    # point, and channel 1 converges: every row still equals its serial
+    # solve when no row is left before the last stage
+    cfg = SolverConfig(t0=0.01, max_newton_iter=2, t_max=1e7)
     pool = random_channels((2, 2, 2), 23, seed=21)
     channels = [pool[i] for i in picks]
-    rows = solve_minimax(channels, 10.0, cfg)
+    rows = solve_minimax(channels, 0.1, cfg)
     for i, ch, row in zip(picks, channels, rows):
-        ref = serial(ch, 10.0, cfg)
-        assert isinstance(ref, SolverError) is (i != 2)
-        if i != 2:  # both solves of the failing stage are in the trace
-            t_fail = {3: 10.0, 11: 100.0, 22: 1e3}[i]
-            assert [r.iteration for r in ref.trace if r.t == t_fail] == [1, 2, 3, 4] * 2
+        ref = serial(ch, 0.1, cfg)
+        assert isinstance(ref, SolverError) is (i != 1)
+        if i != 1:  # both solves of the failing stage are in the trace
+            t_fail = {4: 100.0, 8: 1e3, 0: 1e7}[i]
+            assert [r.iteration for r in ref.trace if r.t == t_fail] == [1, 2] * 2
         assert_same_row(row, ref)
 
 
 def test_row_rerun_from_the_central_point_equals_serial_solve():
-    # c08's first channel (|K21*| = 0.9996) stagnates from its predicted
-    # start at t = 1e5 and solves once more from the central point of
-    # t = 1e4; the failed solve's trace rows stay. In a stack with two
-    # channels that take every prediction, each row is its serial solve.
-    cfg = SolverConfig(t_max=1e7)
-    channels = c08_channels(3)
-    rows = solve_minimax(channels, 10.0, cfg)
+    # with three iterations per stage at P = 0.1, channel 1 does not
+    # center from its predicted start at t = 1e3 and solves once more from
+    # the central point of t = 1e2; the failed solve's trace rows stay. In
+    # a stack with two channels that take every prediction, each row is its
+    # serial solve.
+    cfg = SolverConfig(max_newton_iter=3)
+    pool = random_channels((2, 2, 2), 7, seed=21)
+    channels = [pool[i] for i in (1, 2, 6)]
+    rows = solve_minimax(channels, 0.1, cfg)
     reruns = [[t for t, rep in row.stage_reports if rep.rerun] for row in rows]
-    assert reruns == [[1e5], [], []]
+    assert reruns == [[1e3], [], []]
+    assert all(rep.predictor_step == 1.0 for row in rows[1:]
+               for _, rep in row.stage_reports[1:])
     first = rows[0]
     assert first.newton_steps_total > sum(rep.iterations for _, rep in first.stage_reports)
     for ch, row in zip(channels, rows):
-        assert_same_row(row, serial(ch, 10.0, cfg))
+        assert_same_row(row, serial(ch, 0.1, cfg))
 
 
 def test_row_with_a_rejected_prediction_equals_serial_solve():
-    # at mu = 100 the tangent prediction of channel 1 to t = 1e4 fails the
-    # residual-decrease test at every step size tried, so that row starts
-    # from the central point of t = 1e2, while the other rows start from
-    # their predictions
+    # at mu = 100 the tangent prediction of channel 0 to t = 1e6 fails the
+    # whole-step residual-decrease test, so that row starts from the
+    # central point of t = 1e4, while the other rows start from their
+    # predictions
     cfg = SolverConfig(mu=100.0, t_max=1e8)
     channels = random_channels((2, 2, 2), 3, seed=21)
     rows = solve_minimax(channels, 10.0, cfg)
     starts = [[rep.predictor_step for _, rep in row.stage_reports] for row in rows]
-    assert starts[1][:2] == [None, None]
-    assert all(s is not None for s in starts[0][1:] + starts[2][1:])
+    assert starts[0] == [None, 1.0, None, 1.0]
+    assert all(s is not None for s in starts[1][1:] + starts[2][1:])
     for ch, row in zip(channels, rows):
         assert_same_row(row, serial(ch, 10.0, cfg))
 
