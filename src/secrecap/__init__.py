@@ -27,7 +27,6 @@ from .channel import (
 from .errors import (
     BracketError,
     DomainError,
-    LineSearchError,
     SingularKktError,
     SolverError,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "DegradedBarrierObjective",
     "DomainError",
     "DualTarget",
-    "LineSearchError",
     "PerAntennaBarrierObjective",
     "PerAntennaBudget",
     "RateBarrierObjective",

@@ -332,9 +332,9 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
 
     Each accepted step adds a trace row to its channel, which keeps a copy
     of the new iterate and evaluates its rates when read. A channel whose
-    stage misses its Newton tolerance leaves the schedule with a SolverError
-    (the SingularKktError that ``newton_solve`` returns for an unsolved KKT
-    system) that carries the rows recorded so far; the other channels go on.
+    stage misses its Newton tolerance leaves the schedule with the
+    SolverError that ``newton_solve`` returns for it, with the rows
+    recorded so far attached; the other channels go on.
     """
     one = len(channels) == 1
     traces = [[] for _ in channels]
@@ -359,8 +359,6 @@ def _solve_together(objective, args: tuple, channels: list, starts: list, mode: 
         previous = obj
         failed = []
         for i, (row, report, exc) in enumerate(zip(_rows(state), *stage)):
-            if exc is None and not report.converged:
-                exc = SolverError(f"Newton stage at t={t:g} failed: {report.failure}")
             if exc is None:
                 reports[row].append((t, report))
             else:

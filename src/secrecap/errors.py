@@ -7,10 +7,6 @@ class DomainError(ValueError):
     treats this as an infinite residual."""
 
 
-class LineSearchError(RuntimeError):
-    """Backtracking shrank the step below the stagnation floor."""
-
-
 class SolverError(RuntimeError):
     """Outer solve failed. Carries the partial convergence trace."""
 

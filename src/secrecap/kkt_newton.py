@@ -30,10 +30,11 @@ a stacked objective: the channels then move in lockstep through one loop,
 and each row's numbers are bit for bit those of its channel solved alone.
 ``newton_step``, ``line_search`` and ``newton_solve`` have one contract for
 both: per-row lists (one entry for one iterate, whose arrays keep no
-leading axis), and a row that fails returns its SingularKktError or
-LineSearchError as a value in the list of errors instead of raising it. No
-row's failure moves another row. One iterate runs the one-matrix kernels,
-which are faster than a stack of one.
+leading axis), and a row that fails is marked in its entry instead of
+raising: ``newton_step`` returns its SingularKktError, ``line_search`` a
+step size of NaN, and ``newton_solve`` the SolverError that ended it, its
+one failure record. No row's failure moves another row. One iterate runs
+the one-matrix kernels, which are faster than a stack of one.
 
 ``predict`` starts a barrier stage from the previous stage's central point
 by one tangent step of the central path, solved with the previous stage's
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SaddleState
-from .errors import DomainError, LineSearchError, SingularKktError
+from .errors import DomainError, SingularKktError, SolverError
 from .matcalc import getrf, getrs
 
 __all__ = [
@@ -83,9 +84,8 @@ class KktSystem:
 @dataclass
 class NewtonReport:
     """What one Newton solve observed: the residual norm at the start and
-    after each accepted step, the accepted step sizes, and why it stopped
-    short of the tolerance (None once it met it, or the decrement test of
-    ``newton_solve(..., loose=)``).
+    after each accepted step and the accepted step sizes. Why a solve
+    failed is its error, which ``newton_solve`` returns beside the report.
 
     A stage solved from the previous stage's central point w also records
     its start: ``predictor_step``, 1.0 when it took the whole tangent step
@@ -95,7 +95,6 @@ class NewtonReport:
 
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
-    failure: str | None = None
     predictor_step: float | None = None
     rerun: bool = False
 
@@ -106,10 +105,6 @@ class NewtonReport:
     @property
     def final_residual_norm(self) -> float:
         return self.residual_norms[-1]
-
-    @property
-    def converged(self) -> bool:
-        return self.failure is None
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -235,16 +230,15 @@ def _split_step(obj, dw: np.ndarray) -> tuple:
 
 
 def _trial_norm(obj, state: SaddleState, dz, dlam, s: float) -> tuple:
-    """``state`` stepped by s, its residual and the list of residual norms
-    (one per row of a stack, infinite outside the barrier domain); no trial
-    or residual when every row is outside."""
+    """``state`` stepped by s and the list of its residual norms (one per row
+    of a stack, infinite outside the barrier domain); no trial when every
+    row is outside."""
     trial = state.stepped(dz, dlam, s)
     try:
-        r = residual(obj, trial)
+        norms = _norms(residual(obj, trial))
     except DomainError:
-        return None, None, [math.inf] * (1 if state.x.ndim == 1 else len(state.x))
-    norms = _norms(r)
-    return trial, r, [float(norms)] if r.ndim == 1 else norms.tolist()
+        return None, [math.inf] * (1 if state.x.ndim == 1 else len(state.x))
+    return trial, [float(norms)] if norms.ndim == 0 else norms.tolist()
 
 
 def line_search(obj, state: SaddleState, dw: np.ndarray, r0_norm=None):
@@ -253,59 +247,47 @@ def line_search(obj, state: SaddleState, dw: np.ndarray, r0_norm=None):
     outside the barrier domain treated as infinite residual.
 
     ``r0_norm`` lists the residual norms at ``state``, one per row (computed
-    when None). Returns (s, new_state, new_residual_norms, errors), the
-    lists aligned with the rows of ``state``: a row whose s fell below
-    S_MIN keeps its iterate, has s and norm NaN and its LineSearchError
-    in ``errors`` (None for the other rows). Every row of a stack backtracks
-    on its own norm, and all rows still searching share s, so one trial
-    evaluates them together. Callers stop on |r| = 0 before invoking this;
-    a zero current residual admits no decrease and would stagnate here.
+    when None). Returns (s, new_state, new_residual_norms), the lists
+    aligned with the rows of ``state``: a row whose s fell below S_MIN
+    stagnated; it keeps its iterate, has s NaN and the norm of its last
+    trial. Every row of a stack backtracks on its own norm, and all rows
+    still searching share s, so one trial evaluates them together. Callers
+    stop on |r| = 0 before invoking this; a zero current residual admits no
+    decrease and would stagnate here.
     """
     r0 = (np.atleast_1d(_norms(residual(obj, state))).tolist() if r0_norm is None
-          else list(r0_norm))
+          else r0_norm)
     n = len(r0)
     dz, dlam = _split_step(obj, dw)
-    pieces = []  # (positions, s, residual norms, accepted trial rows)
-    pos = None  # positions still searching, once a trial rejected one
+    s_out, rn_out = [math.nan] * n, [math.nan] * n
+    pos = list(range(n))  # positions still searching
+    pieces = []  # (positions, accepted trial rows)
     base = state
     s = 1.0
     while s >= S_MIN:
-        trial, _, rnorm = _trial_norm(obj, base, dz, dlam, s)
-        ok = [rn <= (1.0 - ALPHA * s) * r0_i for rn, r0_i in zip(rnorm, r0)]
+        trial, rnorm = _trial_norm(obj, base, dz, dlam, s)
+        ok = [rn <= (1.0 - ALPHA * s) * r0[p] for p, rn in zip(pos, rnorm)]
+        for p, rn, o in zip(pos, rnorm, ok):
+            rn_out[p] = rn
+            if o:
+                s_out[p] = s
         if all(ok):
-            if pos is None:  # the first trial accepted every row
-                return [s] * n, trial, rnorm, [None] * n
-            pieces.append((pos, s, rnorm, trial))
+            pieces.append((pos, trial))
             pos = []
             break
-        if pos is None:
-            pos, last = list(range(n)), [math.inf] * n
-        for p, rn in zip(pos, rnorm):
-            last[p] = rn
         if any(ok):  # some rows of a stack
             acc = [i for i, o in enumerate(ok) if o]
             keep = [i for i, o in enumerate(ok) if not o]
-            pieces.append(([pos[i] for i in acc], s, [rnorm[i] for i in acc],
-                           trial.take(acc)))
+            pieces.append(([pos[i] for i in acc], trial.take(acc)))
             # the rows still searching, without the factors they no longer need
             base = SaddleState(base.x, base.y, base.lam, base.rows).take(keep)
-            pos, r0 = [pos[i] for i in keep], [r0[i] for i in keep]
+            pos = [pos[i] for i in keep]
             dz = dz[keep]
             dlam = dlam if np.ndim(dlam) == 0 else dlam[keep]
         s *= BETA
-    s_out, rn_out, errors = [math.nan] * n, [math.nan] * n, [None] * n
-    for p, r0_i in zip(pos, r0):  # the rows that stagnated
-        errors[p] = LineSearchError(
-            f"line search stagnated: s < {S_MIN:g}, |r|={r0_i:.3e}, "
-            f"last trial |r|={last[p]:.3e}")
-    rows = []
-    for p_acc, s_acc, rn_acc, trial in pieces:
-        for p, rn in zip(p_acc, rn_acc):
-            s_out[p], rn_out[p] = s_acc, rn
-        rows.append((p_acc, trial))
-    if pos:
-        rows.append((pos, state if state.x.ndim == 1 else state.take(pos)))
-    return s_out, _in_order(rows), rn_out, errors
+    if pos:  # the rows that stagnated
+        pieces.append((pos, state if state.x.ndim == 1 else state.take(pos)))
+    return s_out, _in_order(pieces), rn_out
 
 
 def _in_order(pieces: list) -> SaddleState:
@@ -344,7 +326,7 @@ def predict(previous, obj, state: SaddleState):
         return state, steps
     base, dw = (state, dw) if len(ok) == len(errors) else (state.take(ok), dw[ok])
     r0 = np.atleast_1d(_norms(residual(obj, base))).tolist()
-    trial, _, rnorm = _trial_norm(obj, base, *_split_step(obj, dw), 1.0)
+    trial, rnorm = _trial_norm(obj, base, *_split_step(obj, dw), 1.0)
     took = [j for j, (rn, r0_j) in enumerate(zip(rnorm, r0))
             if rn <= (1.0 - ALPHA) * r0_j]
     if not took:
@@ -366,16 +348,17 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     One iterate, or a stack of them (``SaddleState`` rows, one per channel of
     a stacked ``obj``) that moves through it in lockstep: each round
     assembles, solves and searches every row still iterating at once, and a
-    row leaves when it converges or fails; no row's failure moves another.
+    row leaves by one exit when it converges or fails; no row's failure
+    moves another.
 
     Returns (state, reports, errors), the lists aligned with the rows of
     ``state``: the final iterates, one NewtonReport per row, and per row
-    None or the SingularKktError that ended it, whose text is also that
-    row's report ``failure``. Line-search stagnation and
-    iteration exhaustion leave a non-converged report rather than an error;
-    the caller decides how to proceed. Raises DomainError only for a start
-    point outside the barrier domain. ``callback(k, state, r_norms, s)``
-    runs after each accepted step with the rows that accepted it (the one
+    None once the row met eps (or ``loose``) or the error that ended it, its
+    one failure record: the SingularKktError of its step, or a SolverError
+    "Newton stage at t=... failed: line search stagnated: ..." or "...: not
+    converged after N iterations". Raises DomainError only for a start point
+    outside the barrier domain. ``callback(k, state, r_norms, s)`` runs
+    after each accepted step with the rows that accepted it (the one
     iterate, or a stack) and lists of their residual norms and step sizes;
     k is the same for all of them.
 
@@ -395,77 +378,70 @@ def newton_solve(obj, state: SaddleState, eps: float = 1e-10,
     if previous is not None:
         return _from_prediction(previous, obj, state, dict(
             eps=eps, max_iter=max_iter, callback=callback, loose=loose))
-    n = 1 if state.x.ndim == 1 else len(state.x)
-    reports = [NewtonReport() for _ in range(n)]
-    errors = [None] * n
     rnorm = np.atleast_1d(_norms(residual(obj, state))).tolist()
     if math.inf in rnorm:
         raise DomainError("a start point is outside the barrier domain")
-    for rep, rn in zip(reports, rnorm):
-        rep.residual_norms.append(rn)
+    n = len(rnorm)
+    reports = [NewtonReport(residual_norms=[rn]) for rn in rnorm]
+    errors = [None] * n
     pos = list(range(n))  # input positions of the rows still iterating
     done = []  # (positions, final rows)
 
-    def leave(mask: list) -> list:
-        """Moves the rows where ``mask`` holds to ``done``; returns the
-        positions in the current rows of those that stay."""
+    def failed(why: str) -> SolverError:
+        return SolverError(f"Newton stage at t={obj.t:g} failed: {why}")
+
+    def leave(ends: list, *per_row) -> tuple:
+        """The one exit of a row. ``ends`` holds per current row None (it
+        stays), True (it converged) or the error that ends it; returns each
+        of ``per_row`` narrowed to the rows that stay."""
         nonlocal state, pos, rnorm
-        keep = [i for i, m in enumerate(mask) if not m]
-        if not keep:
-            done.append((pos, state))
-            pos = []
-        else:
-            gone = [i for i, m in enumerate(mask) if m]
+        if ends.count(None) == len(ends):
+            return per_row
+        keep = [i for i, e in enumerate(ends) if e is None]
+        for p, e in zip(pos, ends):
+            errors[p] = None if e is True else e
+        gone = [i for i, e in enumerate(ends) if e is not None]
+        if keep:
             done.append(([pos[i] for i in gone], state.take(gone)))
             state = state.take(keep)
-            pos, rnorm = [pos[i] for i in keep], [rnorm[i] for i in keep]
-        return keep
+        else:
+            done.append((pos, state))
+        pos, rnorm = [pos[i] for i in keep], [rnorm[i] for i in keep]
+        return tuple(x[keep] if isinstance(x, np.ndarray) else [x[i] for i in keep]
+                     for x in per_row)
 
-    k = 0
+    k, centered = 0, [False] * n
     while True:
-        stop = [rn <= eps for rn in rnorm]  # a NaN residual has not converged
-        if any(stop):
-            leave(stop)
+        # a row converges once |r| <= eps (a NaN residual has not) or once
+        # ``loose`` centered it, and fails at the iteration cap
+        cap = k == max_iter
+        leave([True if rn <= eps or c else
+               failed(f"not converged after {max_iter} iterations") if cap else None
+               for rn, c in zip(rnorm, centered)])
         if not pos:
-            break
-        if k == max_iter:
-            for p in pos:
-                reports[p].failure = f"not converged after {max_iter} iterations"
-            leave([True] * len(pos))
             break
         sys = assemble(obj, state)
         dw, step_errors = newton_step(sys)
         # the Newton decrement of each row, NaN for a row without a step
         dec = np.atleast_1d(np.abs(sys.residual * dw).sum(axis=-1)).tolist()
-        if step_errors.count(None) < len(step_errors):
-            for p, e in zip(pos, step_errors):
-                if e is not None:
-                    errors[p], reports[p].failure = e, str(e)
-            keep = leave([e is not None for e in step_errors])
-            if not keep:
-                break
-            dw, dec = dw[keep], [dec[i] for i in keep]
-        s, state, rnorm, ls_errors = line_search(obj, state, dw, r0_norm=rnorm)
+        dw, dec = leave(step_errors, dw, dec)
+        if not pos:
+            break
+        r0 = rnorm
+        s, state, rnorm = line_search(obj, state, dw, r0_norm=r0)
         k += 1
-        if ls_errors.count(None) < len(ls_errors):
-            for p, e in zip(pos, ls_errors):
-                if e is not None:
-                    reports[p].failure = str(e)
-            keep = leave([e is not None for e in ls_errors])
-            if not keep:
-                break
-            s, dec = [s[i] for i in keep], [dec[i] for i in keep]
+        s, dec = leave([failed(f"line search stagnated: s < {S_MIN:g}, |r|={r0_i:.3e}, "
+                               f"last trial |r|={rn:.3e}") if math.isnan(si) else None
+                        for si, r0_i, rn in zip(s, r0, rnorm)], s, dec)
+        if not pos:
+            break
         for p, si, rn in zip(pos, s, rnorm):
             reports[p].step_sizes.append(si)
             reports[p].residual_norms.append(rn)
         if callback is not None:
             callback(k, state, rnorm, s)
-        if loose is not None:
-            centered = [si == 1.0 and d <= loose for si, d in zip(s, dec)]
-            if any(centered):
-                leave(centered)
-                if not pos:
-                    break
+        centered = [loose is not None and si == 1.0 and d <= loose
+                    for si, d in zip(s, dec)]
     return _in_order(done), reports, errors
 
 
@@ -474,12 +450,11 @@ def _from_prediction(previous, obj, state: SaddleState, knobs: dict):
     fail from one solved again from ``state``."""
     start, steps = predict(previous, obj, state)
     final, reports, errors = newton_solve(obj, start, **knobs)
-    redo = [i for i, (si, rep) in enumerate(zip(steps, reports))
-            if si is not None and not rep.converged]
+    redo = [i for i, (si, e) in enumerate(zip(steps, errors))
+            if si is not None and e is not None]
     if redo:
-        one = state.x.ndim == 1
         again, reports_2, errors_2 = newton_solve(
-            obj, state if one else state.take(redo), **knobs)
+            obj, state if state.x.ndim == 1 else state.take(redo), **knobs)
         for i, rep, e in zip(redo, reports_2, errors_2):
             reports[i], errors[i], rep.rerun = rep, e, True
         keep = [i for i in range(len(steps)) if i not in redo]

@@ -8,6 +8,7 @@ import pytest
 
 import secrecap
 from secrecap import cli
+from secrecap.kkt_newton import NewtonReport
 
 MODULES = ["secrecap"] + [f"secrecap.{m.name}"
                           for m in pkgutil.iter_modules(secrecap.__path__)]
@@ -15,11 +16,12 @@ MODULES = ["secrecap"] + [f"secrecap.{m.name}"
 # deleted because only tests called them, or because one path took their
 # place (the schedule loop of ``_solve_together``, the dual's given p_hi, the
 # CLI's solve command, the predictor's whole step and the in-process
-# lockstep batch); see CHANGES.md
+# lockstep batch, the row's one failure record); see CHANGES.md
 DELETED = ("KktCertificate", "extract_certificate", "NoiseCovariance",
            "effective_gram", "problem_to_dict", "dump_problem", "unvec",
            "_schedule", "_run_schedule", "_solve_lockstep", "_BRACKET_CAP", "MODES",
-           "_dispatch_solve", "PREDICT_S_MIN", "_usable_cpus", "_solve_batch")
+           "_dispatch_solve", "PREDICT_S_MIN", "_usable_cpus", "_solve_batch",
+           "LineSearchError")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,6 +47,9 @@ def test_deleted_attributes_stay_deleted(demo_channel):
     # the line search's alpha and beta are constants of kkt_newton
     assert not hasattr(secrecap.SolverConfig(), "alpha")
     assert not hasattr(secrecap.SolverConfig(), "beta")
+    # a failed Newton row's one record is the error newton_solve returns
+    assert not hasattr(NewtonReport(), "failure")
+    assert not hasattr(NewtonReport(), "converged")
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])

@@ -100,10 +100,15 @@ def test_stack_of_one_matches_one_iterate(objective):
                 start = SaddleState(x=vech(np.eye(ch.m) * (power / ch.m)), y=np.zeros(0))
             one, (rep,), (err,) = newton_solve(obj, start)
             stack, (rep_s,), (err_s,) = newton_solve(obj, SaddleState.stack([start]))
-            assert err is None and err_s is None
+            if objective is DegradedBarrierObjective and power > 1e-2:
+                assert type(err) is SolverError
+                assert str(err).startswith("Newton stage at t=1000 failed: "
+                                           "line search stagnated: s < 1e-12, |r|=")
+            else:
+                assert err is None
+            assert type(err_s) is type(err) and str(err_s) == str(err)
             assert rep_s.step_sizes == rep.step_sizes
             assert rep_s.residual_norms == rep.residual_norms
-            assert rep_s.failure == rep.failure
             np.testing.assert_array_equal(stack.x[0], one.x)
             np.testing.assert_array_equal(stack.y[0], one.y)
             assert stack.lam[0] == one.lam
@@ -176,6 +181,72 @@ def test_row_with_a_rejected_prediction_equals_serial_solve():
     assert all(s is not None for s in starts[1][1:] + starts[2][1:])
     for ch, row in zip(channels, rows):
         assert_same_row(row, serial(ch, 10.0, cfg))
+
+
+class SingularFromThirdRound(BarrierObjective):
+    """The minimax objective whose KKT systems of the channel ``bad`` are NaN
+    from the third assembly on, as a singular system's would be."""
+
+    def __init__(self, channels, t, power, bad):
+        super().__init__(channels, t, power)
+        self.channels = [channels] if isinstance(channels, ChannelPair) else channels
+        self.bad, self.calls = bad, 0
+
+    def newton_system(self, state):
+        g, h = super().newton_system(state)
+        self.calls += 1
+        if self.calls < 3:
+            return g, h
+        if state.x.ndim == 1:
+            return g, np.full_like(h, np.nan) if self.channels[0] is self.bad else h
+        rows = np.arange(len(state.x)) if state.rows is None else state.rows
+        h = h.copy()
+        for j, row in enumerate(rows):
+            if self.channels[row] is self.bad:
+                h[j] = np.nan
+        return g, h
+
+
+def test_rows_leaving_by_every_exit_in_one_call_equal_serial_solves():
+    # one newton_solve call at t = 1e3, P = 10 with eps = 1e-10, loose =
+    # 1e-14 and max_iter = 9, whose rows leave by five exits: a singular
+    # step at the third round; stagnation at the first step, from the point
+    # where a solve of the gains x 1e3 channel to eps = 1e-30 stagnated
+    # (|r| = 1.1e-9); the iteration cap (10 steps needed); the decrement
+    # test after 8 steps, |r| = 2.4e-9 (gains x 100); and |r| <= eps after 4
+    # steps, whose last decrement was 1.1e-11 (gains x 0.01). Each row's
+    # error, report and iterate are those of its serial solve.
+    t, power, knobs = 1e3, 10.0, dict(eps=1e-10, loose=1e-14, max_iter=9)
+    pool = random_channels((2, 2, 2), 3, seed=21)
+    scaled = lambda c, ch: ChannelPair(c * ch.H1, c * ch.H2)
+    channels = [pool[2], scaled(1e3, pool[0]), pool[1], scaled(1e2, pool[0]),
+                scaled(1e-2, pool[1])]
+    bad = channels[0]
+    starts = [initial_point(ch, power) for ch in channels]
+    floor, _, (err,) = newton_solve(BarrierObjective(channels[1], t, power), starts[1],
+                                    eps=1e-30)
+    assert "line search stagnated" in str(err)
+    starts[1] = floor
+    seen = []
+    final, reports, errors = newton_solve(
+        SingularFromThirdRound(channels, t, power, bad), SaddleState.stack(starts),
+        callback=lambda k, st, rn, s: seen.append(len(rn)), **knobs)
+    assert seen == [4, 4, 3, 3, 2, 2, 2, 2, 1]
+    assert type(errors[0]) is SingularKktError and reports[0].iterations == 2
+    assert str(errors[1]).startswith("Newton stage at t=1000 failed: line search "
+                                     "stagnated: s < 1e-12, |r|=1.1")
+    assert reports[1].iterations == 0
+    assert str(errors[2]) == "Newton stage at t=1000 failed: not converged after 9 iterations"
+    assert errors[3:] == [None, None]
+    assert reports[3].iterations == 8 and reports[3].final_residual_norm > 1e-10
+    assert reports[4].iterations == 4 and reports[4].final_residual_norm <= 1e-10
+    for i, (ch, start) in enumerate(zip(channels, starts)):
+        alone, (ref,), (ref_err,) = newton_solve(
+            SingularFromThirdRound(ch, t, power, bad), start, **knobs)
+        assert type(errors[i]) is type(ref_err) and str(errors[i]) == str(ref_err)
+        assert reports[i] == ref
+        np.testing.assert_array_equal(final.z[i], alone.z)
+        assert final.lam[i] == alone.lam
 
 
 def test_reversely_degraded_channel_short_circuits_in_a_list():
